@@ -2,11 +2,18 @@
 
 The deformation parameter is the cyclotomic algebraic number zeta_m, never a
 float: coefficients live in Q(zeta_m) represented as coefficient tuples
-reduced modulo the m-th cyclotomic polynomial.  The Jacobson radical is the
-kernel of the regular-representation trace form (valid in characteristic
-zero), simple modules are counted through the center of the semisimple
-quotient, and splitness over Q(zeta_m) is audited by decomposing that center
-into primitive idempotents with rational-only factorization.
+reduced modulo the m-th cyclotomic polynomial.
+
+Every elimination is one call of :func:`cherednik.linalg.kernel_basis`, on
+the restriction of scalars to Q; its kernels are in reduced row echelon
+form.  The Jacobson radical J is the kernel K of the regular-representation
+trace form (valid in characteristic zero): the normal form of x modulo J is
+x - sum_f x_f K_f over the free columns f, and the quotient H/J has
+coordinates on the remaining pivot columns P.  Simple modules are counted
+through the center of H/J, the kernel in P-coordinates of the commutators
+with the generators.  Splitness over Q(zeta_m) is audited by decomposing
+that center into primitive idempotents with rational-only factorization;
+each block dimension is one trace over P.
 """
 
 from __future__ import annotations
@@ -323,7 +330,7 @@ class HeckeAlgebra:
 
     Basis multiplication goes through reduced-word insertion; one- and
     two-sided sweeps over the weak order make the regular trace form and full
-    multiplication cheap enough for exact work up to p = 6.
+    multiplication cheap enough for exact work up to p = 5.
     """
 
     def __init__(self, p: int, m: int, r: int = 1):
@@ -338,7 +345,6 @@ class HeckeAlgebra:
         self.index = {w: k for k, w in enumerate(self.perms)}
         self.identity_perm: Permutation = tuple(range(p))
         self.dim = len(self.perms)
-        self._length = {w: perm_length(w) for w in self.perms}
         # generator actions: value swaps for left, position swaps for right
         self._left: list[dict[Permutation, tuple[Permutation, bool]]] = []
         self._right: list[dict[Permutation, tuple[Permutation, bool]]] = []
@@ -357,7 +363,7 @@ class HeckeAlgebra:
         # factorizations v = s_i * parent and w = parent * s_j, swept by length
         self._left_bfs = []
         self._right_bfs = []
-        for w in sorted(self.perms, key=lambda v: (self._length[v], v)):
+        for w in sorted(self.perms, key=lambda v: (perm_length(v), v)):
             if w == self.identity_perm:
                 continue
             i = min(k for k in range(p - 1) if w.index(k) > w.index(k + 1))
@@ -369,27 +375,16 @@ class HeckeAlgebra:
 
     def lmul_gen(self, i: int, elem: dict) -> dict:
         """Left multiplication by the i-th generator."""
-        F = self.field
-        q, omq = self.q, self.one_minus_q
-        out: dict[Permutation, CycElement] = {}
-        act = self._left[i]
-        for w, c in elem.items():
-            w2, up = act[w]
-            if up:
-                out[w2] = F.add(out[w2], c) if w2 in out else c
-            else:
-                qc = F.mul(q, c)
-                out[w2] = F.add(out[w2], qc) if w2 in out else qc
-                oc = F.mul(omq, c)
-                out[w] = F.add(out[w], oc) if w in out else oc
-        return {w: c for w, c in out.items() if not F.is_zero(c)}
+        return self._gen_mul(self._left[i], elem)
 
     def rmul_gen(self, i: int, elem: dict) -> dict:
         """Right multiplication by the i-th generator."""
+        return self._gen_mul(self._right[i], elem)
+
+    def _gen_mul(self, act: dict, elem: dict) -> dict:
         F = self.field
         q, omq = self.q, self.one_minus_q
         out: dict[Permutation, CycElement] = {}
-        act = self._right[i]
         for w, c in elem.items():
             w2, up = act[w]
             if up:
@@ -451,15 +446,6 @@ class HeckeAlgebra:
             raise ValueError(f"{w} is not a permutation of range({self.p})")
         return HeckeElement(self, {tuple(w): self.field.one})
 
-    def element_from_vector(self, vec: list[CycElement]) -> HeckeElement:
-        return HeckeElement(
-            self,
-            {w: vec[k] for k, w in enumerate(self.perms) if not self.field.is_zero(vec[k])},
-        )
-
-    def vector_from_terms(self, terms: dict) -> list[CycElement]:
-        return [terms.get(w, self.field.zero) for w in self.perms]
-
     # -- trace form, radical, center ------------------------------------------
 
     @cached_property
@@ -497,142 +483,115 @@ class HeckeAlgebra:
         F = self.field
         d = F.degree
         zpows = [F.zeta(k) for k in range(d)]
+        zero_block = [F.zero] * d
         out = []
         for row in fmatrix:
-            blocks = []
-            for entry in row:
-                if F.is_zero(entry):
-                    blocks.append(None)
-                else:
-                    blocks.append([F.mul(entry, zp) for zp in zpows])
+            # rational column (j, k) is row[j] * zeta^k, read off coefficient t
+            blocks = [
+                zero_block if F.is_zero(entry) else [F.mul(entry, zp) for zp in zpows]
+                for entry in row
+            ]
             for t in range(d):
-                qrow = []
-                for block in blocks:
-                    if block is None:
-                        qrow.extend([0] * d)
-                    else:
-                        qrow.extend(block[k][t] for k in range(d))
-                out.append(qrow)
+                out.append([block[k][t] for block in blocks for k in range(d)])
         return out
 
-    def _fkernel(self, fmatrix: list[list[CycElement]], ncols: int) -> list[list[CycElement]]:
-        """Kernel over the cyclotomic field via the rational blowup."""
-        F = self.field
-        d = F.degree
+    def _fkernel(
+        self, fmatrix: list[list[CycElement]], ncols: int
+    ) -> list[tuple[int, list[CycElement]]]:
+        """RREF kernel over the cyclotomic field, as (free column, vector)
+        pairs, via the rational blowup.
+
+        The rational kernel is closed under multiplication by zeta, so its
+        free columns come in whole blocks (f, 0), ..., (f, d-1), and the
+        vector for (f, 0) is the field's RREF kernel vector for column f."""
+        d = self.field.degree
         rows = [r for r in self._blowup_rows(fmatrix) if any(r)]
         kern = linalg.kernel_basis(rows, ncols * d)
-        vecs = []
-        for flat in kern:
-            vecs.append([tuple(flat[j * d + k] for k in range(d)) for j in range(ncols)])
-        return vecs
+        out = []
+        for start in range(0, len(kern), d):
+            free = [_last_nonzero(v) for v in kern[start : start + d]]
+            f = free[0] // d
+            if free != list(range(f * d, f * d + d)):
+                raise ArithmeticError(
+                    f"free columns {free} of the rational kernel are not a whole block"
+                )
+            flat = kern[start]
+            out.append((f, [tuple(flat[j * d : j * d + d]) for j in range(ncols)]))
+        return out
 
     @cached_property
-    def _radical_echelon(self) -> "_Echelon":
-        vecs = self._fkernel(self.gram, self.dim)
-        ech = _Echelon(self.field, self.dim)
-        for v in vecs:
-            ech.add(v)
-        return ech
+    def _radical(self) -> list[tuple[int, list[CycElement]]]:
+        """RREF basis of the radical, the kernel K of the trace form."""
+        return self._fkernel(self.gram, self.dim)
+
+    @cached_property
+    def quotient_columns(self) -> list[int]:
+        """The pivot columns P of the radical kernel; they coordinatise the
+        quotient by the radical."""
+        free = {f for f, _ in self._radical}
+        return [c for c in range(self.dim) if c not in free]
 
     def radical_dimension(self) -> int:
-        return len(self._radical_echelon.rows)
+        return len(self._radical)
 
     def radical_basis(self) -> list[HeckeElement]:
-        """Echelonized basis of the Jacobson radical."""
-        return [self.element_from_vector(row) for _, row in self._radical_echelon.rows]
+        """Reduced echelon basis of the Jacobson radical."""
+        return [HeckeElement(self, dict(zip(self.perms, vec))) for _, vec in self._radical]
+
+    def reduce(self, terms: dict) -> list[CycElement]:
+        """Coordinates on P of the normal form x - sum_f x_f K_f of `terms`
+        modulo the radical; zero exactly on the radical."""
+        F = self.field
+        cols = self.quotient_columns
+        out = [terms.get(self.perms[c], F.zero) for c in cols]
+        for f, vec in self._radical:
+            x = terms.get(self.perms[f])
+            if x is None:
+                continue
+            for pos, c in enumerate(cols):
+                if not F.is_zero(vec[c]):
+                    out[pos] = F.sub(out[pos], F.mul(x, vec[c]))
+        return out
+
+    def quotient_terms(self, vec: list[CycElement]) -> dict:
+        """The element with coordinates `vec` on P, as a term dict."""
+        F = self.field
+        return {
+            self.perms[c]: x
+            for c, x in zip(self.quotient_columns, vec)
+            if not F.is_zero(x)
+        }
 
     def contains_in_radical(self, elem: HeckeElement) -> bool:
-        vec = self.vector_from_terms(elem.terms)
-        reduced = self._radical_echelon.reduce(vec)
-        return all(self.field.is_zero(c) for c in reduced)
+        return all(self.field.is_zero(c) for c in self.reduce(elem.terms))
 
     @cached_property
-    def _center_basis(self) -> list[list[CycElement]]:
-        """Normal forms spanning the center of the semisimple quotient."""
+    def _center(self) -> list[tuple[int, list[CycElement]]]:
+        """RREF basis, in coordinates on P, of the center of the quotient:
+        the z with [T_i, z] in the radical for every generator."""
         F = self.field
-        ech = self._radical_echelon
-        blocks: list[list[CycElement]] = []
+        rows: list[list[CycElement]] = []
         for i in range(self.p - 1):
             cols = []
-            for w in self.perms:
-                single = {w: F.one}
+            for c in self.quotient_columns:
+                single = {self.perms[c]: F.one}
                 comm: dict[Permutation, CycElement] = dict(self.rmul_gen(i, single))
-                for w2, c in self.lmul_gen(i, single).items():
-                    comm[w2] = F.sub(comm.get(w2, F.zero), c)
-                cols.append(ech.reduce(self.vector_from_terms(comm)))
+                for w, x in self.lmul_gen(i, single).items():
+                    comm[w] = F.sub(comm.get(w, F.zero), x)
+                cols.append(self.reduce(comm))
             # transpose the per-basis-element columns into constraint rows
-            for rowidx in range(self.dim):
-                blocks.append([cols[k][rowidx] for k in range(self.dim)])
-        vecs = self._fkernel(blocks, self.dim)
-        center = _Echelon(self.field, self.dim)
-        for v in vecs:
-            center.add(ech.reduce(v))
-        return [row for _, row in center.rows]
+            rows.extend(map(list, zip(*cols)))
+        return self._fkernel(rows, len(self.quotient_columns))
 
     def center_dimension(self) -> int:
         """Dimension over the cyclotomic field of the center of the quotient
         by the radical."""
-        return len(self._center_basis)
+        return len(self._center)
 
 
-class _Echelon:
-    """Reduced row echelon form over the cyclotomic field with exact
-    arithmetic; supports normal forms and coordinates along the way."""
-
-    def __init__(self, field: CyclotomicField, ncols: int):
-        self.field = field
-        self.ncols = ncols
-        self.rows: list[tuple[int, list[CycElement]]] = []
-
-    def reduce(self, vec: list[CycElement]) -> list[CycElement]:
-        F = self.field
-        vec = list(vec)
-        for pivot, row in self.rows:
-            c = vec[pivot]
-            if not F.is_zero(c):
-                for j in range(self.ncols):
-                    if not F.is_zero(row[j]):
-                        vec[j] = F.sub(vec[j], F.mul(c, row[j]))
-        return vec
-
-    def coordinates(self, vec: list[CycElement]) -> list[CycElement]:
-        """Coefficients of vec over the echelon rows; raises if vec is not in
-        their span."""
-        F = self.field
-        vec = list(vec)
-        coords = [F.zero] * len(self.rows)
-        for idx, (pivot, row) in enumerate(self.rows):
-            c = vec[pivot]
-            if not F.is_zero(c):
-                coords[idx] = c
-                for j in range(self.ncols):
-                    if not F.is_zero(row[j]):
-                        vec[j] = F.sub(vec[j], F.mul(c, row[j]))
-        if any(not F.is_zero(c) for c in vec):
-            raise ValueError("vector is not in the span of the echelon rows")
-        return coords
-
-    def add(self, vec: list[CycElement]) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        F = self.field
-        vec = self.reduce(vec)
-        pivot = next((j for j in range(self.ncols) if not F.is_zero(vec[j])), None)
-        if pivot is None:
-            return False
-        inv = F.inv(vec[pivot])
-        vec = [F.mul(c, inv) for c in vec]
-        for _, row in self.rows:
-            c = row[pivot]
-            if not F.is_zero(c):
-                for j in range(self.ncols):
-                    if not F.is_zero(vec[j]):
-                        row[j] = F.sub(row[j], F.mul(c, vec[j]))
-        self.rows.append((pivot, vec))
-        self.rows.sort(key=lambda item: item[0])
-        return True
-
-    def pivots(self) -> set[int]:
-        return {pivot for pivot, _ in self.rows}
+def _last_nonzero(vec) -> int:
+    """The free column of an RREF kernel vector over Q."""
+    return max(j for j, x in enumerate(vec) if x)
 
 
 # ---------------------------------------------------------------------------
@@ -715,54 +674,34 @@ class HeckeSimplesReport:
 
 class _CenterAlgebra:
     """The center of the semisimple quotient with exact structure constants,
-    small enough for direct idempotent hunting."""
+    small enough for direct idempotent hunting.
+
+    Elements are coordinate lists over the RREF center basis.  Each basis
+    vector is 1 at its own free column and 0 at the others', so the
+    coordinates of a central element are its values at those columns."""
 
     def __init__(self, H: HeckeAlgebra):
         self.H = H
         self.F = H.field
-        basis = H._center_basis
-        self.k = len(basis)
-        self.basis_vectors = basis
-        # the basis comes out of a reduced echelon: unit pivots, zero at the
-        # pivots of the other rows, so coordinates are read off directly
-        self.pivot_cols = [
-            next(j for j, c in enumerate(v) if not self.F.is_zero(c)) for v in basis
-        ]
+        self.free = [f for f, _ in H._center]
+        self.basis_vectors = [vec for _, vec in H._center]
+        self.k = len(self.basis_vectors)
         # structure constants gamma[s][t] as coordinate lists
         self.gamma: list[list[list[CycElement] | None]] = [
             [None] * self.k for _ in range(self.k)
         ]
-        rad = H._radical_echelon
         for s in range(self.k):
-            ds = self._dict(basis[s])
+            ds = H.quotient_terms(self.basis_vectors[s])
             for t in range(s, self.k):
-                prod = H.mul_raw(ds, self._dict(basis[t]))
-                coords = self._coords_of_vector(rad.reduce(H.vector_from_terms(prod)))
+                prod = H.mul_raw(ds, H.quotient_terms(self.basis_vectors[t]))
+                coords = self._coords_of_vector(H.reduce(prod))
                 self.gamma[s][t] = coords
                 self.gamma[t][s] = coords
-        self.identity = self._coords_of_vector(
-            rad.reduce(H.vector_from_terms({H.identity_perm: self.F.one}))
-        )
-
-    def _dict(self, vec: list[CycElement]) -> dict:
-        return {
-            w: vec[k]
-            for k, w in enumerate(self.H.perms)
-            if not self.F.is_zero(vec[k])
-        }
+        self.identity = self._coords_of_vector(H.reduce({H.identity_perm: self.F.one}))
 
     def _coords_of_vector(self, vec: list[CycElement]) -> list[CycElement]:
-        F = self.F
-        vec = list(vec)
-        coords = []
-        for row, pivot in zip(self.basis_vectors, self.pivot_cols):
-            c = vec[pivot]
-            coords.append(c)
-            if not F.is_zero(c):
-                for j in range(self.H.dim):
-                    if not F.is_zero(row[j]):
-                        vec[j] = F.sub(vec[j], F.mul(c, row[j]))
-        if any(not F.is_zero(c) for c in vec):
+        coords = [vec[f] for f in self.free]
+        if self.to_quotient_vector(coords) != vec:
             raise AuditInconclusive("product left the span of the center")
         return coords
 
@@ -782,78 +721,41 @@ class _CenterAlgebra:
                         out[r] = F.add(out[r], F.mul(coeff, row[r]))
         return out
 
-    def rational_flat(self, u: list[CycElement]) -> list[Fraction]:
-        out = []
-        for c in u:
-            out.extend(Fraction(x) for x in c)
-        return out
-
     def scale(self, u, factor: Fraction) -> list[CycElement]:
         return [self.F.scale(c, factor) for c in u]
 
     def add(self, u, v) -> list[CycElement]:
         return [self.F.add(a, b) for a, b in zip(u, v)]
 
-    def to_hecke_vector(self, u: list[CycElement]) -> list[CycElement]:
+    def to_quotient_vector(self, u: list[CycElement]) -> list[CycElement]:
         F = self.F
-        out = [F.zero] * self.H.dim
-        for s, c in enumerate(u):
+        out = [F.zero] * len(self.H.quotient_columns)
+        for c, row in zip(u, self.basis_vectors):
             if F.is_zero(c):
                 continue
-            row = self.basis_vectors[s]
-            for j in range(self.H.dim):
-                if not F.is_zero(row[j]):
-                    out[j] = F.add(out[j], F.mul(c, row[j]))
+            for j, x in enumerate(row):
+                if not F.is_zero(x):
+                    out[j] = F.add(out[j], F.mul(c, x))
         return out
 
 
-class _RationalEchelon:
-    """Tiny fraction-exact echelon with coordinate recovery, used for
-    minimal-polynomial detection inside the center."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
-        self.count = 0
-
-    def add_with_coords(self, vec: list[Fraction]) -> list[Fraction] | None:
-        """Insert; returns the coordinates over previously added vectors if
-        dependent, None if the vector was new."""
-        vec = [Fraction(x) for x in vec]
-        combo = [Fraction(0)] * self.count
-        for pivot, row, expr in self.rows:
-            c = vec[pivot]
-            if c:
-                for j in range(self.ncols):
-                    if row[j]:
-                        vec[j] -= c * row[j]
-                for j in range(len(expr)):
-                    if expr[j]:
-                        combo[j] += c * expr[j]
-        pivot = next((j for j in range(self.ncols) if vec[j]), None)
-        if pivot is None:
-            return combo
-        inv = 1 / vec[pivot]
-        vec = [c * inv for c in vec]
-        # this row equals inv * (new_vector - sum combo_j original_j)
-        own = [-c * inv for c in combo] + [inv]
-        self.rows.append((pivot, vec, own))
-        self.count += 1
-        return None
+def _rational_columns(elems: list) -> list[list]:
+    """The rational matrix whose columns are the flattened center elements."""
+    return [list(row) for row in zip(*([x for c in u for x in c] for u in elems))]
 
 
 def _min_poly(center: _CenterAlgebra, e, z, dim_bound: int) -> list[Fraction]:
     """Monic minimal polynomial of z over the rationals inside the unital
-    piece with identity e, ascending coefficients."""
-    ech = _RationalEchelon(center.k * center.F.degree)
-    power = e
-    for j in range(dim_bound + 1):
-        combo = ech.add_with_coords(center.rational_flat(power))
-        if combo is not None:
-            # z^j = sum combo[t] z^t  ->  mu = x^j - sum combo[t] x^t
-            return [-combo[t] for t in range(j)] + [Fraction(1)]
-        power = center.mul(power, z)
-    raise AuditInconclusive("minimal polynomial search exceeded the dimension bound")
+    piece with identity e, ascending coefficients: the first RREF kernel
+    vector of the powers e, z, ..., z^dim_bound."""
+    powers = [e]
+    for _ in range(dim_bound):
+        powers.append(center.mul(powers[-1], z))
+    kern = linalg.kernel_basis(_rational_columns(powers), dim_bound + 1)
+    if not kern:
+        raise AuditInconclusive("minimal polynomial search exceeded the dimension bound")
+    mu = kern[0]
+    return list(mu[: _last_nonzero(mu) + 1])
 
 
 def _poly_eval(center: _CenterAlgebra, coeffs: list[Fraction], z, e):
@@ -881,8 +783,7 @@ def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]
     """Recursively split the unital commutative piece (e, basis) into fields;
     returns (idempotent, rational dimension) pairs."""
     dim = len(basis)
-    phi = center.F.degree
-    if dim == phi:
+    if dim == center.F.degree:
         return [(e, dim)]
     candidates = [list(b) for b in basis]
     for _ in range(24):
@@ -910,12 +811,12 @@ def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]
             eg = _poly_eval(center, _poly_to_fractions(proj), z, e)
             if center.mul(eg, eg) != eg:
                 raise AuditInconclusive("projector failed the idempotent check")
-            sub_basis = []
-            ech = _RationalEchelon(center.k * phi)
-            for b in basis:
-                cand = center.mul(eg, b)
-                if ech.add_with_coords(center.rational_flat(cand)) is None:
-                    sub_basis.append(cand)
+            # keep the candidates at pivot columns: those independent of
+            # the candidates before them
+            cands = [center.mul(eg, b) for b in basis]
+            kern = linalg.kernel_basis(_rational_columns(cands), len(cands))
+            free = {_last_nonzero(v) for v in kern}
+            sub_basis = [c for j, c in enumerate(cands) if j not in free]
             out.extend(_split_piece(center, eg, sub_basis, rng))
         return out
     raise AuditInconclusive("no splitting element found")
@@ -939,7 +840,6 @@ def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
     rng = random.Random(seed)
     block_dims: list[int] | None = None
     split_ok = False
-    upper_bound = False
     try:
         center = _CenterAlgebra(H)
         unit_coords = center.identity
@@ -959,12 +859,8 @@ def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
                 sum(block_dims) == quotient_dim
                 and all(_is_square(d) for d in block_dims)
             )
-        else:
-            upper_bound = True
     except AuditInconclusive:
-        upper_bound = True
-    if not split_ok:
-        upper_bound = True
+        pass
     return HeckeSimplesReport(
         p=p,
         m=m,
@@ -974,7 +870,7 @@ def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
         expected_m_regular=expected,
         split_audit=split_ok,
         block_dims=block_dims,
-        upper_bound_only=upper_bound,
+        upper_bound_only=not split_ok,
     )
 
 
@@ -983,21 +879,20 @@ def _is_square(d: int) -> bool:
 
 
 def _block_dimension(H: HeckeAlgebra, center: _CenterAlgebra, e_coords) -> int:
-    """Dimension of the block cut out by a central idempotent: the trace of
-    left multiplication by it on the quotient."""
+    """Dimension of the block cut out by a central idempotent e: the trace
+    of left multiplication by e on the quotient, summed over c in P as
+    (e T_c)_c - sum_f (e T_c)_f K_f[c]."""
     F = H.field
-    e_vec = center.to_hecke_vector(e_coords)
-    e_dict = {
-        w: e_vec[k] for k, w in enumerate(H.perms) if not F.is_zero(e_vec[k])
-    }
-    rad = H._radical_echelon
-    complement = [w for k, w in enumerate(H.perms) if k not in rad.pivots()]
-    translates = H.right_translates(e_dict)
+    e_terms = H.quotient_terms(center.to_quotient_vector(e_coords))
+    translates = H.right_translates(e_terms)
     total = F.zero
-    for w in complement:
-        reduced = rad.reduce(H.vector_from_terms(translates[w]))
-        total = F.add(total, reduced[H.index[w]])
-    value = F.as_fraction(total)
-    if value.denominator != 1:
-        raise AuditInconclusive(f"block trace {value} is not an integer")
-    return int(value)
+    for c in H.quotient_columns:
+        y = translates[H.perms[c]]
+        total = F.add(total, y.get(H.perms[c], F.zero))
+        for f, vec in H._radical:
+            x = y.get(H.perms[f])
+            if x is not None and not F.is_zero(vec[c]):
+                total = F.sub(total, F.mul(x, vec[c]))
+    if any(total[1:]) or Fraction(total[0]).denominator != 1:
+        raise AuditInconclusive(f"block trace {F.format(total)} is not an integer")
+    return int(total[0])

@@ -1,4 +1,5 @@
-"""Exact rational kernels and ranks, backed by sympy's DomainMatrix.
+"""Exact rational kernels in reduced row echelon form, backed by sympy's
+DomainMatrix.
 
 Only plain Python ints and fractions.Fraction cross this boundary; callers
 never see sympy objects.  With gmpy2 installed sympy uses it as the ground
@@ -24,8 +25,12 @@ def _to_domain(rows: list[list[Rational]], ncols: int) -> DomainMatrix:
 def kernel_basis(rows: list[list[Rational]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of {x : A x = 0} for the matrix A given by `rows`.
 
-    Returns a deterministic list of length-`ncols` Fraction tuples; the empty
-    matrix (no rows) has the standard basis as kernel.
+    Returns length-`ncols` Fraction tuples read off the reduced row echelon
+    form of A: one vector per free (non-pivot) column, in increasing column
+    order.  The vector for free column f is 1 at f, 0 at every other free
+    column and 0 after f, so f is its last nonzero entry.  Callers rely on
+    this normal form.  The empty matrix (no rows) has the standard basis as
+    kernel.
     """
     for row in rows:
         if len(row) != ncols:
@@ -39,11 +44,6 @@ def kernel_basis(rows: list[list[Rational]], ncols: int) -> list[tuple[Fraction,
             vec[j] = Fraction(1)
             basis.append(tuple(vec))
         return basis
-    null = _to_domain(rows, ncols).nullspace().to_list()
+    null = _to_domain(rows, ncols).nullspace(divide_last=True).to_list()
     return [tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row) for row in null]
 
-
-def rank(rows: list[list[Rational]], ncols: int) -> int:
-    if not rows or ncols == 0:
-        return 0
-    return _to_domain(rows, ncols).rank()

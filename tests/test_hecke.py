@@ -247,3 +247,107 @@ class TestCountSimples:
             t = H.generator(0)
             rel = (t - H.one()) * (t + H.one() * H.q)
             assert rel.is_zero()
+
+
+# (p, m) -> (rad_dim, simples, block_dims), recorded with the echelon-based
+# radical and center that the RREF kernels replaced
+REFERENCE = {
+    (1, 2): (0, 1, [1]),
+    (1, 3): (0, 1, [1]),
+    (1, 4): (0, 1, [1]),
+    (1, 5): (0, 1, [1]),
+    (1, 6): (0, 1, [1]),
+    (2, 2): (1, 1, [1]),
+    (2, 3): (0, 2, [1, 1]),
+    (2, 4): (0, 2, [1, 1]),
+    (2, 5): (0, 2, [1, 1]),
+    (2, 6): (0, 2, [1, 1]),
+    (3, 2): (1, 2, [4, 1]),
+    (3, 3): (4, 2, [1, 1]),
+    (3, 4): (0, 3, [4, 1, 1]),
+    (3, 5): (0, 3, [4, 1, 1]),
+    (3, 6): (0, 3, [4, 1, 1]),
+    (4, 2): (19, 2, [4, 1]),
+    (4, 3): (4, 4, [9, 9, 1, 1]),
+    (4, 4): (14, 4, [4, 4, 1, 1]),
+    (4, 5): (0, 5, [9, 9, 4, 1, 1]),
+    (4, 6): (0, 5, [9, 9, 4, 1, 1]),
+    (5, 2): (78, 3, [25, 16, 1]),
+    (5, 3): (50, 5, [36, 16, 16, 1, 1]),
+    (5, 4): (34, 6, [36, 16, 16, 16, 1, 1]),
+}
+
+
+class TestReference:
+    @pytest.mark.parametrize("p,m", sorted(REFERENCE))
+    def test_count_simples(self, p, m):
+        report = Hk.count_simples(p, m)
+        assert (report.rad_dim, report.simples, report.block_dims) == REFERENCE[p, m]
+        assert report.split_audit
+        assert not report.upper_bound_only
+
+    @pytest.mark.parametrize("p,m", sorted(REFERENCE))
+    def test_algebra_dimensions(self, p, m):
+        rad_dim, simples, _ = REFERENCE[p, m]
+        H = Hk.HeckeAlgebra(p, m)
+        assert H.radical_dimension() == rad_dim
+        assert H.center_dimension() == simples
+
+
+class TestKernels:
+    @pytest.mark.parametrize("p,m", [(3, 3), (4, 2), (4, 4)])
+    def test_radical_basis_is_in_rref_over_the_field(self, p, m):
+        H = Hk.HeckeAlgebra(p, m)
+        F = H.field
+        free = [f for f, _ in H._radical]
+        assert sorted(free + H.quotient_columns) == list(range(H.dim))
+        for f, vec in H._radical:
+            assert vec[f] == F.one
+            assert all(F.is_zero(vec[g]) for g in free if g != f)
+            assert all(F.is_zero(x) for x in vec[f + 1 :])
+            for row in H.gram:
+                acc = F.zero
+                for a, x in zip(row, vec):
+                    acc = F.add(acc, F.mul(a, x))
+                assert F.is_zero(acc)
+
+    def test_normal_form(self):
+        H = Hk.HeckeAlgebra(4, 3)
+        F = H.field
+        P = H.quotient_columns
+        for pos, c in enumerate(P):
+            unit = [F.zero] * len(P)
+            unit[pos] = F.one
+            assert H.reduce({H.perms[c]: F.one}) == unit
+            assert H.quotient_terms(unit) == {H.perms[c]: F.one}
+        for r in H.radical_basis():
+            assert H.reduce(r.terms) == [F.zero] * len(P)
+
+    @pytest.mark.parametrize("flat", [[(0, 1, 0, 0)], [(0, 1, 0, 0), (0, 0, 1, 0)]])
+    def test_fkernel_rejects_free_columns_that_split_a_block(self, monkeypatch, flat):
+        H = Hk.HeckeAlgebra(2, 3)
+        zero = H.field.zero
+        monkeypatch.setattr(Hk.linalg, "kernel_basis", lambda rows, ncols: flat)
+        with pytest.raises(ArithmeticError):
+            H._fkernel([[zero, zero]], 2)
+
+
+class TestAuditFallback:
+    @pytest.mark.parametrize(
+        "p,m,scalar",
+        [
+            (3, 3, "zeta"),  # trace 2*zeta on the 2-dimensional quotient
+            (3, 2, Fraction(1, 2)),  # trace 5/2 on the 5-dimensional quotient
+        ],
+    )
+    def test_non_idempotent_block_gives_upper_bound(self, monkeypatch, p, m, scalar):
+        def fake_split(center, e, basis, rng):
+            F = center.F
+            c = F.zeta() if scalar == "zeta" else F.from_rational(scalar)
+            return [([F.mul(c, x) for x in e], F.degree)] * center.k
+
+        monkeypatch.setattr(Hk, "_split_piece", fake_split)
+        report = Hk.count_simples(p, m)
+        assert report.upper_bound_only
+        assert not report.split_audit
+        assert report.block_dims is None
