@@ -1,25 +1,17 @@
 """Symmetric group character data at the Grothendieck-group level.
 
-Character values come from the Murnaghan-Nakayama recursion, induction
-multiplicities from Littlewood-Richardson tableau counts, and graded
-multiplicities from exact truncated Molien sums.  All arithmetic is integer
-or Fraction arithmetic; nothing here is numeric.
+Character values come from the Murnaghan-Nakayama recursion and induction
+multiplicities from Littlewood-Richardson tableau counts.  All arithmetic is
+integer or Fraction arithmetic; nothing here is numeric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .partitions import (
-    Partition,
-    add,
-    dominates,
-    enumerate_partitions,
-    size,
-)
+from .partitions import Partition, add, enumerate_partitions, size
 
 # multiplicity vector over partitions of a fixed n; zero entries are absent
 CharacterVector = dict[Partition, int]
@@ -37,17 +29,16 @@ def lowest_weight(lam: Partition, c: Fraction) -> Fraction:
     """Scalar by which the reflection part of the Euler element acts on the
     irreducible labelled by lam: -c times the content sum.
 
-    Evaluated independently through the Frobenius-type row formula
-    sum_i [lam_i^2/2 - (i - 1/2) lam_i] and through the content sum; the two
-    must agree exactly.
+    The content sum is evaluated twice, by content_sum and by the doubled
+    Frobenius-type row formula sum_i [lam_i^2 - (2i - 1) lam_i]; the two
+    integers must agree exactly.
     """
-    by_rows = sum(
-        (Fraction(p * p, 2) - Fraction(2 * i - 1, 2) * p for i, p in enumerate(lam, start=1)),
-        Fraction(0),
-    )
+    doubled_by_rows = sum(p * p - (2 * i - 1) * p for i, p in enumerate(lam, start=1))
     by_contents = content_sum(lam)
-    if by_rows != by_contents:
-        raise RuntimeError(f"weight formulas disagree on {lam}: {by_rows} vs {by_contents}")
+    if doubled_by_rows != 2 * by_contents:
+        raise RuntimeError(
+            f"weight formulas disagree on {lam}: {doubled_by_rows} vs {2 * by_contents}"
+        )
     return -Fraction(c) * by_contents
 
 
@@ -103,50 +94,6 @@ def centralizer_order(cycle_type: Partition) -> int:
 
 def class_size(cycle_type: Partition) -> int:
     return factorial(size(cycle_type)) // centralizer_order(cycle_type)
-
-
-@cache
-def poly_character(cycle_type: Partition, d: int) -> int:
-    """Trace of a permutation of the given cycle type on degree-d monomials:
-    the t^d coefficient of prod_i 1/(1 - t^{mu_i})."""
-    coeffs = [1] + [0] * d
-    for k in cycle_type:
-        for t in range(k, d + 1):
-            coeffs[t] += coeffs[t - k]
-    return coeffs[d]
-
-
-def decompose_class_function(n: int, values: dict[Partition, int]) -> CharacterVector:
-    """Write an integer class function (cycle type -> value) in the basis of
-    irreducible characters.  Raises if any multiplicity is not an integer."""
-    out: CharacterVector = {}
-    order = factorial(n)
-    for lam in enumerate_partitions(n):
-        acc = 0
-        for mu, val in values.items():
-            acc += class_size(mu) * val * character_value(lam, mu)
-        mult = Fraction(acc, order)
-        if mult.denominator != 1:
-            raise RuntimeError(f"non-integral multiplicity {mult} at {lam}")
-        if mult:
-            out[lam] = int(mult)
-    return out
-
-
-def graded_poly_multiplicity(lam: Partition, n: int, d: int) -> int:
-    """Multiplicity of the irreducible lam inside the degree-d polynomials in
-    n permuted variables, via the exact truncated Molien sum."""
-    if size(lam) != n:
-        raise ValueError(f"{lam} is not a partition of {n}")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    acc = 0
-    for mu in enumerate_partitions(n):
-        acc += class_size(mu) * poly_character(mu, d) * character_value(lam, mu)
-    mult = Fraction(acc, factorial(n))
-    if mult.denominator != 1 or mult < 0:
-        raise RuntimeError(f"invalid graded multiplicity {mult} for {lam}")
-    return int(mult)
 
 
 def _contains(nu: Partition, lam: Partition) -> bool:
@@ -219,46 +166,6 @@ def lr_induce(lam: Partition, mu: Partition) -> CharacterVector:
     return out
 
 
-def restrict(lam: Partition) -> CharacterVector:
-    """Branching to one symmetric group lower: remove one corner box each."""
-    if not lam:
-        raise ValueError("cannot restrict the empty partition")
-    out: CharacterVector = {}
-    for r in range(len(lam)):
-        nxt = lam[r + 1] if r + 1 < len(lam) else 0
-        if lam[r] > nxt:
-            smaller = lam[:r] + (lam[r] - 1,) + lam[r + 1 :]
-            out[tuple(p for p in smaller if p > 0)] = 1
-    return out
-
-
-@dataclass(frozen=True)
-class GradedCharacter:
-    """Truncated graded multiplicity data of a standard module: the layer at
-    degree d sits at Euler eigenvalue base_weight + d."""
-
-    base_weight: Fraction
-    layers: dict[int, CharacterVector]
-    truncation_degree: int
-
-
-def ch_verma(lam: Partition, c: Fraction, max_degree: int) -> GradedCharacter:
-    """Graded character of the standard module induced from lam, truncated in
-    degree: layer d is (degree-d polynomials) tensor lam, decomposed by
-    characters."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    n = size(lam)
-    layers: dict[int, CharacterVector] = {}
-    for d in range(max_degree + 1):
-        values = {
-            mu: poly_character(mu, d) * character_value(lam, mu)
-            for mu in enumerate_partitions(n)
-        }
-        layers[d] = decompose_class_function(n, values)
-    return GradedCharacter(lowest_weight(lam, c), layers, max_degree)
-
-
 def leading_term_of_induction(
     lam: Partition, mu: Partition, c: Fraction
 ) -> tuple[Partition, Fraction]:
@@ -282,17 +189,29 @@ def leading_term_of_induction(
     return target, w0
 
 
-def dominance_weight_consistent(n: int, c: Fraction) -> bool:
-    """Exhaustive check that strict dominance forces a strictly smaller
-    weight at positive parameter c."""
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("requires a positive parameter")
-    parts = enumerate_partitions(n)
-    for alpha in parts:
-        for beta in parts:
-            if alpha == beta:
-                continue
-            if dominates(alpha, beta) and not lowest_weight(alpha, c) < lowest_weight(beta, c):
-                return False
+
+
+def dominance_weight_consistent(weights: dict[Partition, Fraction], c: Fraction) -> bool:
+    """Check that strict dominance forces a strictly smaller weight at c > 0
+    and a strictly larger one at c < 0; at c = 0 there is nothing to check.
+
+    `weights` maps every partition of some n to its lowest weight at c.  Only
+    the one-box moves lam -> lam - e_i + e_j (i < j) are compared: they
+    generate dominance order (Brylawski, Discrete Math. 6 (1973)), so
+    monotonicity along them gives it on every dominance-comparable pair.
+    """
+    sign = (c > 0) - (c < 0)
+    if not sign:
+        return True
+    for lam, h in weights.items():
+        rows = lam + (0,)
+        for i in range(len(lam)):
+            for j in range(i + 1, len(rows)):
+                # a box leaves the end of row i and lands at the end of row j
+                gap = 2 if j == i + 1 else 1
+                if rows[i] - rows[i + 1] < gap or rows[j - 1] - rows[j] < gap:
+                    continue
+                moved = rows[:i] + (rows[i] - 1,) + rows[i + 1 : j] + (rows[j] + 1,) + rows[j + 1 :]
+                if sign * (weights[moved if moved[-1] else moved[:-1]] - h) <= 0:
+                    return False
     return True

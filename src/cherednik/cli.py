@@ -92,41 +92,23 @@ def cmd_decompose(args):
 
 def cmd_census(args):
     n, m = args.n, args.m
-    rows = []
-    strata: dict[int, list] = {}
-    for lam in partitions.enumerate_partitions(n):
-        q = partitions.support_invariant(lam, m)
-        mu, nu = partitions.decompose(lam, m)
-        strata.setdefault(q, []).append((lam, mu, nu))
-    ok = True
-    for q in sorted(strata):
-        expected = partitions.count_partitions(q) * partitions.count_m_regular(
-            n - q * m, m
-        )
-        if len(strata[q]) != expected:
-            ok = False
-        # the labelling map must hit exactly this stratum
-        labels = {
-            partitions.label_from_pair(mu, partitions.conjugate(nu), m, 1)
-            for lam, mu, nu in strata[q]
+    census, ok = partitions.stratum_census(n, m)
+    rows = [
+        {
+            "n": n,
+            "m": m,
+            "q": q,
+            "lambda": partition_key(lam),
+            "mu": partition_key(mu),
+            "nu": partition_key(nu),
         }
-        if labels != {lam for lam, _, _ in strata[q]}:
-            ok = False
-        for lam, mu, nu in strata[q]:
-            rows.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "q": q,
-                    "lambda": partition_key(lam),
-                    "mu": partition_key(mu),
-                    "nu": partition_key(nu),
-                }
-            )
+        for q, triples in census.items()
+        for lam, mu, nu in triples
+    ]
     payload = {
         "n": n,
         "m": m,
-        "strata_sizes": {str(q): len(strata[q]) for q in sorted(strata)},
+        "strata_sizes": {str(q): len(triples) for q, triples in census.items()},
         "total": partitions.count_partitions(n),
         "rows": rows,
         "ok": ok,
@@ -136,6 +118,8 @@ def cmd_census(args):
 
 def cmd_bo_verify(args):
     m_values = [int(tok) for tok in args.m.split(",") if tok.strip()]
+    if not m_values:
+        raise ValueError(f"--m names no denominator: {args.m!r}")
     rows = []
     ok = True
     for m in m_values:
@@ -162,22 +146,11 @@ def cmd_bo_verify(args):
 
 def cmd_weights(args):
     c = parse_fraction(args.c)
-    rows = []
-    for lam in partitions.enumerate_partitions(args.n):
-        rows.append(
-            {"lambda": partition_key(lam), "h": fraction_str(characters.lowest_weight(lam, c))}
-        )
-    ok = True
-    if c != 0:
-        parts = partitions.enumerate_partitions(args.n)
-        for alpha in parts:
-            for beta in parts:
-                if alpha == beta or not partitions.dominates(alpha, beta):
-                    continue
-                ha = characters.lowest_weight(alpha, c)
-                hb = characters.lowest_weight(beta, c)
-                if (c > 0 and not ha < hb) or (c < 0 and not ha > hb):
-                    ok = False
+    weights = {
+        lam: characters.lowest_weight(lam, c) for lam in partitions.enumerate_partitions(args.n)
+    }
+    ok = characters.dominance_weight_consistent(weights, c)
+    rows = [{"lambda": partition_key(lam), "h": fraction_str(h)} for lam, h in weights.items()]
     payload = {
         "n": args.n,
         "c": fraction_str(c),

@@ -182,12 +182,6 @@ class EngineConfig:
         object.__setattr__(self, "c", Fraction(self.c))
 
 
-def sign_twist(cfg: EngineConfig) -> EngineConfig:
-    """Configuration with the parameter negated; consumers relabel partitions
-    by conjugation when carrying results across the twist."""
-    return EngineConfig(cfg.n, -cfg.c)
-
-
 def dunkl_apply(i: int, f: SparsePolynomial, cfg: EngineConfig) -> SparsePolynomial:
     """Apply the i-th deformed directional derivative.
 

@@ -10,7 +10,6 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .partitions import (
@@ -18,22 +17,22 @@ from .partitions import (
     count_m_regular,
     count_partitions,
     enumerate_partitions,
-    support_invariant,
+    strata,
 )
 
-# finite rational combination of basis partitions; zero coefficients absent
-FockVector = dict[Partition, Fraction]
+# finite integer combination of basis partitions; zero coefficients absent
+FockVector = dict[Partition, int]
 
 
 def vacuum() -> FockVector:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 def basis_vector(lam: Partition) -> FockVector:
-    return {tuple(lam): Fraction(1)}
+    return {tuple(lam): 1}
 
 
-def _scaled(v: FockVector, factor: Fraction) -> FockVector:
+def _scaled(v: FockVector, factor: int) -> FockVector:
     return {k: c * factor for k, c in v.items()} if factor else {}
 
 
@@ -103,7 +102,7 @@ def _eigenvalue_census(n: int, m: int) -> tuple[tuple[int, int], ...]:
     for lam in enumerate_partitions(n):
         eig = divisible_weight(lam, m)
         image = weight_operator(m, basis_vector(lam))
-        expected = _scaled(basis_vector(lam), Fraction(eig))
+        expected = _scaled(basis_vector(lam), eig)
         if image != expected:
             raise RuntimeError(f"operator is not diagonal on {lam}: {image}")
         counts[eig] = counts.get(eig, 0) + 1
@@ -243,16 +242,13 @@ def verify_bo(
         raise ValueError("need n >= 0 and m >= 2")
     trace = _trace if _trace is not None and _trace.truncation >= n else trace_series(m, n)
     product = _product if _product is not None and _product.truncation >= n else product_series(m, n)
-    census: dict[int, int] = {}
-    for lam in enumerate_partitions(n):
-        q = support_invariant(lam, m)
-        census[q] = census.get(q, 0) + 1
+    groups = strata(n, m)
     out = []
     for q in range(n // m + 1):
         out.append(
             StratumCounts(
                 q=q,
-                count_qm=census.get(q, 0),
+                count_qm=len(groups.get(q, ())),
                 count_product=count_partitions(q) * count_m_regular(n - q * m, m),
                 dim_eigenspace=eigenspace_dimension(n, m, q * m),
                 coeff_series=product.coeff(n, q * m),

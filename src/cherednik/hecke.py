@@ -204,11 +204,6 @@ class CyclotomicField:
         c = r1[0]
         return self.element([x / c for x in s1])
 
-    def as_fraction(self, a: CycElement) -> Fraction:
-        if any(a[1:]):
-            raise ValueError(f"{a} is not rational")
-        return Fraction(a[0])
-
     def format(self, a: CycElement) -> str:
         if self.is_zero(a):
             return "0"

@@ -231,3 +231,33 @@ def label_from_pair(mu: Partition, nu: Partition, m: int, sign: int) -> Partitio
         raise ValueError(f"nu must be {m}-regular, got {nu}")
     lam = add(scale(m, mu), conjugate(nu))
     return lam if sign > 0 else conjugate(lam)
+
+
+def strata(n: int, m: int) -> dict[int, list[Partition]]:
+    """Partitions of n grouped by support invariant at denominator m, in
+    increasing q; each group keeps the order of enumerate_partitions."""
+    groups: dict[int, list[Partition]] = {}
+    for lam in enumerate_partitions(n):
+        groups.setdefault(support_invariant(lam, m), []).append(lam)
+    return dict(sorted(groups.items()))
+
+
+def stratum_census(
+    n: int, m: int
+) -> tuple[dict[int, list[tuple[Partition, Partition, Partition]]], bool]:
+    """Every partition of n as a triple (lam, mu, nu) with lam = m*mu + nu,
+    grouped by stratum q, and the verdict on the classification.
+
+    The verdict holds when the strata are exactly q = 0..n//m, stratum q has
+    count_partitions(q) * count_m_regular(n - q*m, m) members, and
+    label_from_pair maps the splittings of its members onto exactly it.
+    """
+    census: dict[int, list[tuple[Partition, Partition, Partition]]] = {}
+    groups = strata(n, m)
+    ok = list(groups) == list(range(n // m + 1))
+    for q, members in groups.items():
+        census[q] = [(lam, *decompose(lam, m)) for lam in members]
+        labels = {label_from_pair(mu, conjugate(nu), m, 1) for _, mu, nu in census[q]}
+        expected = count_partitions(q) * count_m_regular(n - q * m, m)
+        ok = ok and len(members) == expected and labels == set(members)
+    return census, ok

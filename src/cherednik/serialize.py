@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import GradedCharacter
 from .dunkl import SparsePolynomial
 from .partitions import Partition, check_partition
 
@@ -43,20 +42,6 @@ def partition_key(lam: Partition) -> str:
 
 def partition_json(lam: Partition) -> list[int]:
     return list(lam)
-
-
-def character_vector_json(cv: dict[Partition, int]) -> dict[str, int]:
-    return {partition_key(lam): cv[lam] for lam in sorted(cv, reverse=True)}
-
-
-def graded_character_json(gc: GradedCharacter) -> dict:
-    return {
-        "base_weight": fraction_str(gc.base_weight),
-        "truncation_degree": gc.truncation_degree,
-        "layers": {
-            str(d): character_vector_json(gc.layers[d]) for d in sorted(gc.layers)
-        },
-    }
 
 
 def poly_json(f: SparsePolynomial) -> list[dict]:

@@ -172,82 +172,6 @@ class TestLittlewoodRichardson:
                         assert C.lr_induce(lam, mu) == C.lr_induce(mu, lam)
 
 
-class TestRestrict:
-    def test_examples(self):
-        assert C.restrict((2, 1)) == {(2,): 1, (1, 1): 1}
-        assert C.restrict((5,)) == {(4,): 1}
-        assert C.restrict((2, 2)) == {(2, 1): 1}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            C.restrict(())
-
-    def test_corner_count(self):
-        for n in range(1, 10):
-            for lam in P.enumerate_partitions(n):
-                corners = len(set(lam))
-                assert len(C.restrict(lam)) == corners
-
-    def test_branching_dimension(self):
-        for n in range(2, 9):
-            for lam in P.enumerate_partitions(n):
-                total = sum(C.dimension(nu) for nu in C.restrict(lam))
-                assert total == C.dimension(lam)
-
-
-class TestGradedMultiplicities:
-    def test_examples(self):
-        for n in range(1, 6):
-            assert C.graded_poly_multiplicity((n,), n, 0) == 1
-        assert C.graded_poly_multiplicity((2, 1), 3, 1) == 1
-        assert C.graded_poly_multiplicity((1, 1, 1), 3, 1) == 0
-
-    def test_degree_one_against_frozen_s3_table(self):
-        # trace of a permutation on linear monomials is its fixed point count
-        n = 3
-        for lam, row in S3_TABLE.items():
-            inner = Fraction(0)
-            for mu, chi in row.items():
-                fixed = sum(1 for p in mu if p == 1)
-                inner += C.class_size(mu) * fixed * chi
-            assert C.graded_poly_multiplicity(lam, n, 1) == inner / factorial(n)
-
-    def test_total_dimension(self):
-        for n in range(1, 6):
-            for d in range(7):
-                total = sum(
-                    C.graded_poly_multiplicity(lam, n, d) * C.dimension(lam)
-                    for lam in P.enumerate_partitions(n)
-                )
-                assert total == comb(n + d - 1, d)
-
-
-class TestGradedCharacters:
-    def test_examples_n2(self):
-        c = Fraction(1, 3)
-        gc = C.ch_verma((2,), c, 1)
-        assert gc.base_weight == -c
-        assert gc.layers[0] == {(2,): 1}
-        assert gc.layers[1] == {(2,): 1, (1, 1): 1}
-        gc = C.ch_verma((1, 1), c, 1)
-        assert gc.base_weight == c
-        assert gc.layers[1] == {(2,): 1, (1, 1): 1}
-
-    def test_layer_zero_is_the_label(self):
-        for lam in P.enumerate_partitions(4):
-            gc = C.ch_verma(lam, Fraction(1, 2), 0)
-            assert gc.layers[0] == {lam: 1}
-
-    def test_layer_dimensions(self):
-        for lam in P.enumerate_partitions(3):
-            gc = C.ch_verma(lam, Fraction(1, 2), 4)
-            for d in range(5):
-                total = sum(
-                    coeff * C.dimension(nu) for nu, coeff in gc.layers[d].items()
-                )
-                assert total == comb(3 + d - 1, d) * C.dimension(lam)
-
-
 class TestLeadingTerm:
     def test_examples(self):
         assert C.leading_term_of_induction((1,), (1,), Fraction(1, 2)) == (
@@ -275,8 +199,50 @@ class TestLeadingTerm:
                         assert weight == C.lowest_weight(target, c)
 
 
+def weights_of(n, c):
+    return {lam: C.lowest_weight(lam, c) for lam in P.enumerate_partitions(n)}
+
+
+def all_pairs_verdict(weights, c):
+    """Reference for c != 0: compare every strictly dominance-comparable pair."""
+    for alpha in weights:
+        for beta in weights:
+            if P.dominance(alpha, beta) == P.DominanceRelation.GREATER:
+                ha, hb = weights[alpha], weights[beta]
+                if not (ha < hb if c > 0 else ha > hb):
+                    return False
+    return True
+
+
 class TestDominanceMonotonicity:
     def test_small_exhaustive(self):
-        for n in range(2, 9):
-            assert C.dominance_weight_consistent(n, Fraction(1, 2))
-            assert C.dominance_weight_consistent(n, Fraction(5, 7))
+        # the one-box verdict agrees with the all-pairs reference
+        for c in (Fraction(1, 2), Fraction(-5, 7)):
+            for n in range(13):
+                weights = weights_of(n, c)
+                reference = all_pairs_verdict(weights, c)
+                assert reference, (n, c)
+                assert C.dominance_weight_consistent(weights, c) == reference, (n, c)
+
+    def test_swapped_pair_is_caught(self):
+        # negative control: exchange the weights of one comparable pair
+        parts = P.enumerate_partitions(6)
+        pairs = [
+            (alpha, beta)
+            for alpha in parts
+            for beta in parts
+            if P.dominance(alpha, beta) == P.DominanceRelation.GREATER
+        ]
+        assert len(pairs) > 40
+        for c in (Fraction(1, 2), Fraction(-5, 7)):
+            for alpha, beta in pairs:
+                weights = weights_of(6, c)
+                weights[alpha], weights[beta] = weights[beta], weights[alpha]
+                assert not all_pairs_verdict(weights, c)
+                assert not C.dominance_weight_consistent(weights, c), (alpha, beta, c)
+
+    def test_equal_weights_are_caught(self):
+        # the inequality is strict: constant weights fail for both signs
+        for c in (Fraction(1, 2), Fraction(-5, 7)):
+            weights = dict.fromkeys(P.enumerate_partitions(5), Fraction(0))
+            assert not C.dominance_weight_consistent(weights, c)

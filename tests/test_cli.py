@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,13 @@ class TestBoVerify:
         assert all(row["ok"] for row in rows)
         columns = {"count_qm", "count_product", "dim_eigenspace", "coeff_N", "coeff_trace"}
         assert columns <= set(rows[0])
+
+    @pytest.mark.parametrize("m", [",", "", " , "])
+    def test_no_denominator_is_a_usage_error(self, capsys, m):
+        # an empty list used to pass with nothing checked
+        code, out = run(capsys, "bo-verify", "--n-max", "4", "--m", m)
+        assert code == 2
+        assert out == ""
 
 
 class TestWeights:
@@ -173,3 +181,30 @@ class TestOutputContract:
         with pytest.raises(SystemExit) as err:
             cli.main(["census", "--n", "4"])  # missing --m
         assert err.value.code == 2
+
+
+FIXTURES = Path(__file__).parent / "fixtures" / "cli"
+
+# stdout recorded from the all-pairs weights check and the census loops that
+# used to live in this module; the version line is left out of the files
+REFERENCE = [
+    ("weights_n8_c1_2.json", ["weights", "--n", "8", "--c", "1/2"]),
+    ("weights_n8_c-2_3.json", ["weights", "--n", "8", "--c", "-2/3"]),
+    ("weights_n6_c0.json", ["weights", "--n", "6", "--c", "0"]),
+    ("census_n10_m3.json", ["census", "--n", "10", "--m", "3"]),
+    ("census_n10_m3.csv", ["--format", "csv", "census", "--n", "10", "--m", "3"]),
+    ("bo-verify_n10_m2-3.json", ["bo-verify", "--n-max", "10", "--m", "2,3"]),
+    ("fock-trace_m2_max10.json", ["fock-trace", "--m", "2", "--max", "10"]),
+]
+
+
+class TestReferenceOutput:
+    @pytest.mark.parametrize("name,argv", REFERENCE, ids=[name for name, _ in REFERENCE])
+    def test_stdout_matches(self, capsys, name, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        if name.endswith(".json"):
+            assert lines[2] == f'  "version": "{cli.__version__}",\n'
+            del lines[2]
+        assert "".join(lines) == (FIXTURES / name).read_text()

@@ -242,11 +242,6 @@ class TestStratumIdeal:
 
 
 class TestSignTwist:
-    def test_examples(self):
-        cfg = EngineConfig(3, Fraction(1, 2))
-        assert D.sign_twist(cfg) == EngineConfig(3, Fraction(-1, 2))
-        assert D.sign_twist(D.sign_twist(cfg)) == cfg
-
     def test_conjugate_relabelling_matches(self):
         assert P.support_level((2,), 2, 1) == P.support_level((1, 1), 2, -1) == 1
 

@@ -257,3 +257,39 @@ class TestSupportLevelAndLabels:
                         if P.support_invariant(lam, m) == q
                     }
                     assert labels == stratum
+
+
+class TestStrata:
+    def test_example(self):
+        assert P.strata(4, 2) == {0: [(2, 1, 1), (1, 1, 1, 1)], 1: [(3, 1)], 2: [(4,), (2, 2)]}
+        assert P.strata(0, 3) == {0: [()]}
+
+    def test_groups_partition_the_enumeration(self):
+        for n in range(13):
+            for m in (2, 3, 5):
+                groups = P.strata(n, m)
+                assert list(groups) == sorted(groups)
+                for q, members in groups.items():
+                    assert all(P.support_invariant(lam, m) == q for lam in members)
+                flat = sorted((lam for members in groups.values() for lam in members), reverse=True)
+                assert flat == P.enumerate_partitions(n)
+
+    def test_census_verdict_and_splittings(self):
+        for n in range(15):
+            for m in (2, 3, 4, 5):
+                census, ok = P.stratum_census(n, m)
+                assert ok, (n, m)
+                assert {q: [t[0] for t in triples] for q, triples in census.items()} == P.strata(n, m)
+                for q, triples in census.items():
+                    for lam, mu, nu in triples:
+                        assert P.size(mu) == q
+                        assert P.add(P.scale(m, mu), nu) == lam
+
+    def test_census_verdict_sees_a_wrong_count(self, monkeypatch):
+        monkeypatch.setattr(P, "count_m_regular", lambda n, m: 1)
+        assert not P.stratum_census(8, 2)[1]
+
+    def test_census_verdict_sees_a_wrong_label(self, monkeypatch):
+        label = P.label_from_pair
+        monkeypatch.setattr(P, "label_from_pair", lambda mu, nu, m, sign: P.conjugate(label(mu, nu, m, sign)))
+        assert not P.stratum_census(8, 2)[1]

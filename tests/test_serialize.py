@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik import characters as C
 from cherednik import serialize as S
 from cherednik.dunkl import SparsePolynomial
 
@@ -35,21 +34,6 @@ def test_partition_encodings():
     assert S.partition_key((3, 1)) == "[3,1]"
     assert S.partition_key(()) == "[]"
     assert S.partition_json((2, 2)) == [2, 2]
-
-
-def test_character_vector_json_order():
-    cv = {(1, 1, 1): 2, (3,): 1, (2, 1): 4}
-    encoded = S.character_vector_json(cv)
-    assert list(encoded) == ["[3]", "[2,1]", "[1,1,1]"]
-    assert encoded["[2,1]"] == 4
-
-
-def test_graded_character_json():
-    gc = C.ch_verma((2,), Fraction(1, 2), 1)
-    encoded = S.graded_character_json(gc)
-    assert encoded["base_weight"] == "-1/2"
-    assert encoded["layers"]["0"] == {"[2]": 1}
-    assert encoded["layers"]["1"] == {"[2]": 1, "[1,1]": 1}
 
 
 def test_poly_json():
