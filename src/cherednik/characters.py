@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from .errors import IdentityViolation
 from .partitions import Partition, add, enumerate_partitions, size
 
 # multiplicity vector over partitions of a fixed n; zero entries are absent
@@ -36,7 +37,7 @@ def lowest_weight(lam: Partition, c: Fraction) -> Fraction:
     doubled_by_rows = sum(p * p - (2 * i - 1) * p for i, p in enumerate(lam, start=1))
     by_contents = content_sum(lam)
     if doubled_by_rows != 2 * by_contents:
-        raise RuntimeError(
+        raise IdentityViolation(
             f"weight formulas disagree on {lam}: {doubled_by_rows} vs {2 * by_contents}"
         )
     return -Fraction(c) * by_contents
@@ -181,11 +182,11 @@ def leading_term_of_induction(
     target = add(lam, mu)
     product = lr_induce(lam, mu)
     if product.get(target) != 1:
-        raise RuntimeError(f"{target} does not occur with coefficient 1 in {product}")
+        raise IdentityViolation(f"{target} does not occur with coefficient 1 in {product}")
     w0 = lowest_weight(target, c)
     for nu in product:
         if nu != target and lowest_weight(nu, c) <= w0:
-            raise RuntimeError(f"weight of {nu} is not above the leading term {target}")
+            raise IdentityViolation(f"weight of {nu} is not above the leading term {target}")
     return target, w0
 
 

@@ -3,8 +3,9 @@
 Every subcommand emits machine-readable output (json by default, csv or an
 aligned table on request) and the exit code reports the identity checks:
 0 when everything asserted holds, 1 on a violated identity, 2 on usage
-errors.  All configuration is by flags; output is deterministic for fixed
-flags apart from the version header.
+errors, 3 on an internal error (any other exception).  All configuration is
+by flags; output is deterministic for fixed flags apart from the version
+header.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, characters, dunkl, fock, hecke, partitions
+from .errors import IdentityViolation
 from .serialize import (
     fraction_str,
     parse_fraction,
@@ -434,9 +436,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # repr keeps the exception type and one line whatever the message
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     _emit(args, payload, rows, ok)
     return 0 if ok else 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .errors import IdentityViolation
 from .partitions import (
     Partition,
     count_m_regular,
@@ -104,7 +105,7 @@ def _eigenvalue_census(n: int, m: int) -> tuple[tuple[int, int], ...]:
         image = weight_operator(m, basis_vector(lam))
         expected = _scaled(basis_vector(lam), eig)
         if image != expected:
-            raise RuntimeError(f"operator is not diagonal on {lam}: {image}")
+            raise IdentityViolation(f"operator is not diagonal on {lam}: {image}")
         counts[eig] = counts.get(eig, 0) + 1
     return tuple(sorted(counts.items()))
 
@@ -179,7 +180,7 @@ def trace_series(m: int, truncation: int) -> PowerSeries2:
             table[n][eig] += count
     product = _product_table(m, truncation)
     if table != product:
-        raise RuntimeError("trace sum disagrees with its product expansion")
+        raise IdentityViolation("trace sum disagrees with its product expansion")
     return PowerSeries2(truncation, tuple(tuple(row) for row in table))
 
 
@@ -200,7 +201,7 @@ def product_series(m: int, truncation: int) -> PowerSeries2:
             else:
                 expected = 0
             if table[n][e] != expected:
-                raise RuntimeError(
+                raise IdentityViolation(
                     f"product expansion disagrees with counts at s^{n} t^{e}"
                 )
     return PowerSeries2(truncation, tuple(tuple(row) for row in table))

@@ -12,8 +12,9 @@ x - sum_f x_f K_f over the free columns f, and the quotient H/J has
 coordinates on the remaining pivot columns P.  Simple modules are counted
 through the center of H/J, the kernel in P-coordinates of the commutators
 with the generators.  Splitness over Q(zeta_m) is audited by decomposing
-that center into primitive idempotents with rational-only factorization;
-each block dimension is one trace over P.
+that center into primitive idempotents with rational-only factorization,
+sympy's, which the audit imports on first use; each block dimension is one
+trace over P.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations as _itperms
 from math import isqrt
-
-from sympy import QQ, Poly, gcdex, symbols
 
 from . import linalg
 from .partitions import count_m_regular
@@ -459,19 +458,25 @@ class HeckeAlgebra:
 
     @cached_property
     def gram(self) -> list[list[CycElement]]:
-        """Symmetric matrix of tr(L_{T_v T_w}) over the basis."""
+        """Symmetric matrix of tr(L_{T_v T_w}) over the basis.
+
+        Derived from the regular trace theta without further sweeps: row e is
+        theta itself, and since theta is a trace, for v = s_i v' of greater
+        length G[v][w] = theta(T_v' T_w T_i), a combination of row v'."""
         F = self.field
+        q, omq = self.q, self.one_minus_q
         theta = self.regular_trace
-        N = self.dim
-        G: list[list[CycElement]] = [[F.zero] * N for _ in range(N)]
-        for wi, w in enumerate(self.perms):
-            g = self.left_translates({w: F.one})
-            for v, fv in g.items():
-                acc = F.zero
-                for x, cx in fv.items():
-                    acc = F.add(acc, F.mul(cx, theta[x]))
-                G[self.index[v]][wi] = acc
-        return G
+        index = self.index
+        rows = {self.identity_perm: [theta[w] for w in self.perms]}
+        for v, i, parent in self._left_bfs:
+            prev = rows[parent]
+            row = []
+            for k, w in enumerate(self.perms):
+                ws, up = self._right[i][w]
+                x = prev[index[ws]]
+                row.append(x if up else F.add(F.mul(q, x), F.mul(omq, prev[k])))
+            rows[v] = row
+        return [rows[v] for v in self.perms]
 
     def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[list]:
         """Restriction of scalars: one rational row per (row, zeta-power)."""
@@ -763,13 +768,7 @@ def _poly_eval(center: _CenterAlgebra, coeffs: list[Fraction], z, e):
     return acc
 
 
-def _sympy_poly(mu_ascending: list[Fraction]) -> Poly:
-    x = symbols("x")
-    desc = [QQ(c.numerator, c.denominator) for c in reversed(mu_ascending)]
-    return Poly(desc, x, domain="QQ")
-
-
-def _poly_to_fractions(poly: Poly) -> list[Fraction]:
+def _poly_to_fractions(poly) -> list[Fraction]:
     desc = poly.all_coeffs()
     return [Fraction(int(c.p), int(c.q)) for c in reversed(desc)]
 
@@ -777,6 +776,10 @@ def _poly_to_fractions(poly: Poly) -> list[Fraction]:
 def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]]:
     """Recursively split the unital commutative piece (e, basis) into fields;
     returns (idempotent, rational dimension) pairs."""
+    # the audit's rational factorization is the package's only use of sympy,
+    # imported here so that nothing else pays for loading it
+    from sympy import QQ, Poly, gcdex, symbols
+
     dim = len(basis)
     if dim == center.F.degree:
         return [(e, dim)]
@@ -788,7 +791,8 @@ def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]
         candidates.append(combo)
     for z in candidates:
         mu = _min_poly(center, e, z, dim)
-        poly = _sympy_poly(mu)
+        desc = [QQ(c.numerator, c.denominator) for c in reversed(mu)]
+        poly = Poly(desc, symbols("x"), domain="QQ")
         factors = poly.factor_list()[1]
         if any(mult != 1 for _, mult in factors):
             raise AuditInconclusive(f"minimal polynomial {mu} is not squarefree")

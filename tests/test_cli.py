@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cherednik import cli
+from cherednik import characters, cli
 
 
 def run(capsys, *argv):
@@ -208,3 +211,87 @@ class TestReferenceOutput:
             assert lines[2] == f'  "version": "{cli.__version__}",\n'
             del lines[2]
         assert "".join(lines) == (FIXTURES / name).read_text()
+
+
+class TestExitCodes:
+    def test_exit_0_when_identities_hold(self, capsys):
+        code, out = run(capsys, "census", "--n", "4", "--m", "2")
+        assert code == 0
+        assert json.loads(out)["ok"]
+
+    def test_exit_1_on_identity_violation(self, monkeypatch, capsys):
+        # a wrong content sum breaks the weight cross-check inside the library
+        monkeypatch.setattr(characters, "content_sum", lambda lam: 1)
+        code = cli.main(["weights", "--n", "3", "--c", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("identity violation: weight formulas disagree")
+
+    def test_exit_2_on_usage_error(self, capsys):
+        code = cli.main(["weights", "--n", "3", "--c", "x/2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("exc", [ArithmeticError, RecursionError, NotImplementedError])
+    def test_exit_3_on_internal_error(self, monkeypatch, capsys, exc):
+        # RecursionError and NotImplementedError are RuntimeErrors, but no
+        # identity was checked, so they must not read as a violation
+        message = "free columns split a block\nsecond line"
+
+        def broken(args):
+            raise exc(message)
+
+        monkeypatch.setitem(cli.COMMANDS, "census", broken)
+        code = cli.main(["census", "--n", "4", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"internal error: {exc(message)!r}\n"
+        assert captured.err.count("\n") == 1
+
+
+# runs one command in a fresh interpreter and reports its exit code and
+# whether sympy was loaded
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from cherednik import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps({"code": code, "sympy": "sympy" in sys.modules}))
+"""
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+SYMPY_FREE = [
+    [],
+    ["support", "--lambda", "3,1", "--m", "2"],
+    ["decompose", "--lambda", "5,3,1", "--m", "2"],
+    ["census", "--n", "10", "--m", "3"],
+    ["bo-verify", "--n-max", "6", "--m", "2,3"],
+    ["weights", "--n", "5", "--c", "1/2"],
+    ["lr", "--lambda", "2,1", "--mu", "1", "--c", "1/2"],
+    ["dunkl-check", "--n", "3", "--c", "1/2", "--degree", "2"],
+    ["singular", "--n", "3", "--c", "1/3", "--degree", "3"],
+    ["ideal-check", "--n", "3", "--m", "3", "--q", "1", "--degree", "3"],
+    ["fock-trace", "--m", "2", "--max", "6"],
+]
+
+
+def probe(argv):
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("argv", SYMPY_FREE, ids=lambda a: a[0] if a else "import")
+    def test_sympy_is_not_imported(self, argv):
+        assert probe(argv) == {"code": 0, "sympy": False}
+
+    def test_hecke_audit_imports_sympy(self):
+        assert probe(["hecke-simples", "--p", "3", "--m", "2"]) == {"code": 0, "sympy": True}

@@ -195,6 +195,19 @@ class TestRadical:
             for j in range(H.dim):
                 assert G[i][j] == G[j][i]
 
+    @pytest.mark.parametrize("p,m", [(3, 3), (4, 2), (4, 5)])
+    def test_gram_is_the_trace_of_each_product(self, p, m):
+        # the trace form recomputed directly: G[v][w] = sum_x (T_v T_w)_x theta[x]
+        H = Hk.HeckeAlgebra(p, m)
+        F = H.field
+        theta = H.regular_trace
+        for v in H.perms:
+            for w in H.perms:
+                acc = F.zero
+                for x, c in H.mul_raw({v: F.one}, {w: F.one}).items():
+                    acc = F.add(acc, F.mul(c, theta[x]))
+                assert H.gram[H.index[v]][H.index[w]] == acc
+
     def test_trace_of_identity(self):
         H = Hk.HeckeAlgebra(4, 3)
         assert H.regular_trace[H.identity_perm] == H.field.from_rational(24)
