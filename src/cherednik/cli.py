@@ -278,6 +278,8 @@ def cmd_hecke_simples(args):
     payload = dict(row)
     payload["block_dims"] = report.block_dims
     payload["upper_bound_only"] = report.upper_bound_only
+    if not report.split_audit:
+        payload["audit_note"] = report.audit_note
     return payload, [row], report.ok
 
 

@@ -12,9 +12,8 @@ x - sum_f x_f K_f over the free columns f, and the quotient H/J has
 coordinates on the remaining pivot columns P.  Simple modules are counted
 through the center of H/J, the kernel in P-coordinates of the commutators
 with the generators.  Splitness over Q(zeta_m) is audited by decomposing
-that center into primitive idempotents with rational-only factorization,
-sympy's, which the audit imports on first use; each block dimension is one
-trace over P.
+that center into primitive idempotents with rational-only factorization
+(:mod:`cherednik.polyfactor`); each block dimension is one trace over P.
 """
 
 from __future__ import annotations
@@ -29,6 +28,10 @@ from math import isqrt
 from . import linalg
 from .partitions import count_m_regular
 
+# polyfactor is imported by the functions that use it, all on the
+# hecke-simples path, so that the other commands do not load it: without
+# cached bytecode its compilation adds several ms to every process start
+
 Permutation = tuple[int, ...]
 CycElement = tuple  # coefficients of 1, zeta, ..., zeta^(phi-1)
 
@@ -37,24 +40,11 @@ CycElement = tuple  # coefficients of 1, zeta, ..., zeta^(phi-1)
 # cyclotomic field arithmetic
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, ascending coefficients, den monic
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        coeff = num[k + len(den) - 1]
-        out[k] = coeff
-        if coeff:
-            for j, d in enumerate(den):
-                num[k + j] -= coeff * d
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
-
-
 @cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the m-th cyclotomic polynomial."""
+    from . import polyfactor
+
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if m == 1:
@@ -62,7 +52,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
+            poly = polyfactor.exact_quotient(poly, cyclotomic_polynomial(d))
+            if poly is None:
+                raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
 
 
@@ -666,6 +658,8 @@ class HeckeSimplesReport:
     split_audit: bool
     block_dims: list[int] | None
     upper_bound_only: bool
+    # why the audit failed; None when it passed
+    audit_note: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -744,70 +738,60 @@ def _rational_columns(elems: list) -> list[list]:
     return [list(row) for row in zip(*([x for c in u for x in c] for u in elems))]
 
 
-def _min_poly(center: _CenterAlgebra, e, z, dim_bound: int) -> list[Fraction]:
-    """Monic minimal polynomial of z over the rationals inside the unital
-    piece with identity e, ascending coefficients: the first RREF kernel
-    vector of the powers e, z, ..., z^dim_bound."""
+def _min_poly(center: _CenterAlgebra, e, z, dim_bound: int) -> tuple[list[int], list]:
+    """Minimal polynomial of z over the rationals inside the unital piece
+    with identity e, as a primitive integer polynomial with ascending
+    coefficients, read off the first RREF kernel vector of the powers
+    e, z, ..., z^dim_bound; returned with those powers."""
+    from . import polyfactor
+
     powers = [e]
     for _ in range(dim_bound):
         powers.append(center.mul(powers[-1], z))
     kern = linalg.kernel_basis(_rational_columns(powers), dim_bound + 1)
     if not kern:
         raise AuditInconclusive("minimal polynomial search exceeded the dimension bound")
-    mu = kern[0]
-    return list(mu[: _last_nonzero(mu) + 1])
-
-
-def _poly_eval(center: _CenterAlgebra, coeffs: list[Fraction], z, e):
-    """Evaluate an ascending-coefficient rational polynomial at z, with e as
-    the unit (Horner)."""
-    acc = center.scale(e, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = center.mul(acc, z)
-        acc = center.add(acc, center.scale(e, c))
-    return acc
-
-
-def _poly_to_fractions(poly) -> list[Fraction]:
-    desc = poly.all_coeffs()
-    return [Fraction(int(c.p), int(c.q)) for c in reversed(desc)]
+    return polyfactor.primitive(kern[0][: _last_nonzero(kern[0]) + 1]), powers
 
 
 def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]]:
     """Recursively split the unital commutative piece (e, basis) into fields;
-    returns (idempotent, rational dimension) pairs."""
-    # the audit's rational factorization is the package's only use of sympy,
-    # imported here so that nothing else pays for loading it
-    from sympy import QQ, Poly, gcdex, symbols
+    returns (idempotent, rational dimension) pairs.  Seeded random
+    combinations of the basis come before the basis elements: one of them
+    usually generates the whole piece, which then splits in one step."""
+    from . import polyfactor
 
     dim = len(basis)
     if dim == center.F.degree:
         return [(e, dim)]
-    candidates = [list(b) for b in basis]
+    candidates = []
     for _ in range(24):
         combo = [center.F.zero] * center.k
         for b in basis:
             combo = center.add(combo, center.scale(b, Fraction(rng.randint(-3, 3))))
         candidates.append(combo)
+    candidates.extend(list(b) for b in basis)
     for z in candidates:
-        mu = _min_poly(center, e, z, dim)
-        desc = [QQ(c.numerator, c.denominator) for c in reversed(mu)]
-        poly = Poly(desc, symbols("x"), domain="QQ")
-        factors = poly.factor_list()[1]
-        if any(mult != 1 for _, mult in factors):
+        mu, powers = _min_poly(center, e, z, dim)
+        if len(polyfactor.poly_gcd(mu, polyfactor.derivative(mu))) != 1:
             raise AuditInconclusive(f"minimal polynomial {mu} is not squarefree")
+        factors = polyfactor.factor_squarefree(mu)
         if len(factors) == 1:
-            if poly.degree() == dim:
+            if len(mu) - 1 == dim:
                 return [(e, dim)]
             continue  # z generates a proper subfield; try another element
         out = []
-        for g, _ in factors:
-            cof = poly.exquo(g)
-            s, _, h = gcdex(cof, g)
-            if h.degree() != 0:
+        for g in factors:
+            cof = polyfactor.exact_quotient(mu, g)
+            s, _, h = polyfactor.gcdex(cof, g)
+            if len(h) != 1:
                 raise AuditInconclusive("factors of the minimal polynomial are not coprime")
-            proj = (s.exquo(h) * cof).rem(poly)
-            eg = _poly_eval(center, _poly_to_fractions(proj), z, e)
+            # the projector s * cof, of degree below deg mu, summed over the
+            # stored powers of z
+            eg = [center.F.zero] * center.k
+            for c, zj in zip(polyfactor.mul(s, cof), powers):
+                if c:
+                    eg = center.add(eg, center.scale(zj, c))
             if center.mul(eg, eg) != eg:
                 raise AuditInconclusive("projector failed the idempotent check")
             # keep the candidates at pivot columns: those independent of
@@ -838,7 +822,7 @@ def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
     quotient_dim = H.dim - rad_dim
     rng = random.Random(seed)
     block_dims: list[int] | None = None
-    split_ok = False
+    note = None
     try:
         center = _CenterAlgebra(H)
         unit_coords = center.identity
@@ -849,17 +833,22 @@ def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
                 coords[s] = H.field.zeta(k)
                 basis.append(coords)
         pieces = _split_piece(center, unit_coords, basis, rng)
-        fields_ok = all(qdim == H.field.degree for _, qdim in pieces)
-        if len(pieces) == simples and fields_ok:
+        qdims = [qdim for _, qdim in pieces]
+        if len(pieces) != simples:
+            note = f"{len(pieces)} pieces for {simples} simples"
+        elif any(qdim != H.field.degree for qdim in qdims):
+            note = f"pieces of rational dimensions {qdims}, not all {H.field.degree}"
+        else:
             block_dims = sorted(
                 (_block_dimension(H, center, e) for e, _ in pieces), reverse=True
             )
-            split_ok = (
-                sum(block_dims) == quotient_dim
-                and all(_is_square(d) for d in block_dims)
-            )
-    except AuditInconclusive:
-        pass
+            if sum(block_dims) != quotient_dim:
+                note = f"blocks {block_dims} do not sum to the quotient dimension {quotient_dim}"
+            elif not all(_is_square(d) for d in block_dims):
+                note = f"blocks {block_dims} are not all squares"
+    except AuditInconclusive as exc:
+        note = str(exc)
+    split_ok = note is None
     return HeckeSimplesReport(
         p=p,
         m=m,
@@ -870,6 +859,7 @@ def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
         split_audit=split_ok,
         block_dims=block_dims,
         upper_bound_only=not split_ok,
+        audit_note=note,
     )
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cherednik import characters, cli
+from cherednik import characters, cli, hecke
 
 
 def run(capsys, *argv):
@@ -161,6 +161,19 @@ class TestEngineCommands:
         result = payload["result"]
         assert result["simples"] == result["expected_m_regular"] == 2
         assert result["split_audit"]
+        assert "audit_note" not in result
+
+    def test_hecke_simples_audit_note(self, monkeypatch, capsys):
+        def inconclusive(center, e, basis, rng):
+            raise hecke.AuditInconclusive("x")
+
+        monkeypatch.setattr(hecke, "_split_piece", inconclusive)
+        code, payload = run_json(capsys, "hecke-simples", "--p", "3", "--m", "2")
+        assert code == 1
+        result = payload["result"]
+        assert result["audit_note"] == "x"
+        assert result["upper_bound_only"]
+        assert not result["ok"]
 
 
 class TestOutputContract:
@@ -293,5 +306,20 @@ class TestImportBoundary:
     def test_sympy_is_not_imported(self, argv):
         assert probe(argv) == {"code": 0, "sympy": False}
 
-    def test_hecke_audit_imports_sympy(self):
-        assert probe(["hecke-simples", "--p", "3", "--m", "2"]) == {"code": 0, "sympy": True}
+    def test_import_leaves_the_factorizer_unloaded(self):
+        # only the hecke-simples path loads cherednik.polyfactor
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        code = "import sys; from cherednik import cli; print('cherednik.polyfactor' in sys.modules)"
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert res.stdout == "False\n", res.stderr
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (4, 5)])
+    def test_hecke_audit_leaves_sympy_unloaded(self, p, m):
+        # (4, 5) factors a degree-20 minimal polynomial in the split audit
+        argv = ["hecke-simples", "--p", str(p), "--m", str(m)]
+        assert probe(argv) == {"code": 0, "sympy": False}

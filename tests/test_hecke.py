@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from cherednik import hecke as Hk
+from cherednik import polyfactor
 from cherednik.partitions import count_m_regular, count_partitions
 
 
@@ -358,3 +359,83 @@ class TestAuditFallback:
         assert report.upper_bound_only
         assert not report.split_audit
         assert report.block_dims is None
+        trace = "2*z" if scalar == "zeta" else "5/2"
+        assert report.audit_note == f"block trace {trace} is not an integer"
+
+    def test_inconclusive_split_message_is_the_note(self, monkeypatch):
+        def fake_split(center, e, basis, rng):
+            raise Hk.AuditInconclusive("no splitting element found")
+
+        monkeypatch.setattr(Hk, "_split_piece", fake_split)
+        report = Hk.count_simples(3, 2)
+        assert report.upper_bound_only
+        assert report.audit_note == "no splitting element found"
+
+    def test_piece_count_mismatch_is_noted(self, monkeypatch):
+        # the whole unit as the only piece: one piece for two simples
+        monkeypatch.setattr(Hk, "_split_piece", lambda center, e, basis, rng: [(e, 1)])
+        report = Hk.count_simples(3, 2)
+        assert report.upper_bound_only
+        assert report.audit_note == "1 pieces for 2 simples"
+
+    def test_field_degree_mismatch_is_noted(self, monkeypatch):
+        monkeypatch.setattr(
+            Hk, "_split_piece", lambda center, e, basis, rng: [(e, 1), (e, 3)]
+        )
+        report = Hk.count_simples(3, 3)
+        assert report.upper_bound_only
+        assert report.audit_note == "pieces of rational dimensions [1, 3], not all 2"
+
+    def test_blocks_that_do_not_sum_to_the_quotient_are_noted(self, monkeypatch):
+        # the unit split into two copies of itself: blocks 5 + 5 at (3, 2)
+        monkeypatch.setattr(
+            Hk, "_split_piece", lambda center, e, basis, rng: [(e, 1), (e, 1)]
+        )
+        report = Hk.count_simples(3, 2)
+        assert report.upper_bound_only
+        assert report.block_dims == [5, 5]
+        assert report.audit_note == "blocks [5, 5] do not sum to the quotient dimension 5"
+
+    def test_non_square_blocks_are_noted(self, monkeypatch):
+        # 2/5 and 3/5 of the unit: traces 2 + 3 on the 5-dimensional quotient
+        def fake_split(center, e, basis, rng):
+            return [(center.scale(e, Fraction(k, 5)), 1) for k in (2, 3)]
+
+        monkeypatch.setattr(Hk, "_split_piece", fake_split)
+        report = Hk.count_simples(3, 2)
+        assert report.upper_bound_only
+        assert report.block_dims == [3, 2]
+        assert report.audit_note == "blocks [3, 2] are not all squares"
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (4, 5)])
+    def test_passing_audit_has_no_note(self, p, m):
+        assert Hk.count_simples(p, m).audit_note is None
+
+
+class TestSplitPath:
+    def test_one_factorization_at_p4_m5(self, monkeypatch):
+        # a random combination tried first generates the whole 20-dimensional
+        # center over Q, so one minimal polynomial splits it into all 5 fields
+        calls = []
+        real = polyfactor.factor_squarefree
+
+        def counted(f):
+            calls.append(len(f) - 1)
+            return real(f)
+
+        monkeypatch.setattr(polyfactor, "factor_squarefree", counted)
+        report = Hk.count_simples(4, 5, seed=0)
+        assert report.split_audit
+        assert calls == [20]
+
+    def test_non_squarefree_minimal_polynomial_is_inconclusive(self, monkeypatch):
+        real = Hk._min_poly
+
+        def squared(center, e, z, dim_bound):
+            mu, powers = real(center, e, z, dim_bound)
+            return polyfactor.mul(mu, mu), powers
+
+        monkeypatch.setattr(Hk, "_min_poly", squared)
+        report = Hk.count_simples(3, 2)
+        assert report.upper_bound_only
+        assert report.audit_note.endswith("is not squarefree")
