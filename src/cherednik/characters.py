@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
 
 from .errors import IdentityViolation
 from .partitions import Partition, add, enumerate_partitions, size
@@ -81,20 +80,6 @@ def character_value(lam: Partition, cycle_type: Partition) -> int:
 
 def dimension(lam: Partition) -> int:
     return character_value(lam, (1,) * size(lam)) if lam else 1
-
-
-def centralizer_order(cycle_type: Partition) -> int:
-    z = 1
-    mult: dict[int, int] = {}
-    for k in cycle_type:
-        mult[k] = mult.get(k, 0) + 1
-    for k, a in mult.items():
-        z *= k**a * factorial(a)
-    return z
-
-
-def class_size(cycle_type: Partition) -> int:
-    return factorial(size(cycle_type)) // centralizer_order(cycle_type)
 
 
 def _contains(nu: Partition, lam: Partition) -> bool:

@@ -45,10 +45,6 @@ class SparsePolynomial:
         return cls(n)
 
     @classmethod
-    def constant(cls, n: int, value) -> "SparsePolynomial":
-        return cls(n, {(0,) * n: Fraction(value)})
-
-    @classmethod
     def variable(cls, i: int, n: int) -> "SparsePolynomial":
         exp = [0] * n
         exp[i] = 1
@@ -463,6 +459,9 @@ def ideal_stability_check(
     The parameter defaults to 1/m, where stability is the expected outcome;
     passing any other value gives a negative control.
     """
+    if m < 2:
+        # m = 1 would give zero ideal slices, a vacuous check
+        raise ValueError(f"m must be at least 2, got {m}")
     if not 1 <= q <= n // m:
         raise ValueError(f"q={q} out of range for n={n}, m={m}")
     cfg = EngineConfig(n, Fraction(1, m) if c is None else Fraction(c))

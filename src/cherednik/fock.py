@@ -25,10 +25,6 @@ from .partitions import (
 FockVector = dict[Partition, int]
 
 
-def vacuum() -> FockVector:
-    return {(): 1}
-
-
 def basis_vector(lam: Partition) -> FockVector:
     return {tuple(lam): 1}
 

@@ -14,6 +14,10 @@ through the center of H/J, the kernel in P-coordinates of the commutators
 with the generators.  Splitness over Q(zeta_m) is audited by decomposing
 that center into primitive idempotents with rational-only factorization
 (:mod:`cherednik.polyfactor`); each block dimension is one trace over P.
+
+The verdict of :func:`count_simples` begins with :func:`check_relations`:
+the quadratic, braid and commuting relations of the generators, checked as
+exact identities of term dicts.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from itertools import permutations as _itperms
 from math import isqrt
 
 from . import linalg
+from .errors import IdentityViolation
 from .partitions import count_m_regular
 
 # polyfactor is imported by the functions that use it, all on the
@@ -108,11 +113,6 @@ class CyclotomicField:
                         work[work_index] += c * row[t]
         return tuple(out)
 
-    def from_rational(self, value) -> CycElement:
-        out = [0] * self.degree
-        out[0] = value
-        return tuple(out)
-
     def zeta(self, power: int = 1) -> CycElement:
         power %= self.m
         return self.element([0] * power + [1])
@@ -122,9 +122,6 @@ class CyclotomicField:
 
     def sub(self, a: CycElement, b: CycElement) -> CycElement:
         return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a: CycElement) -> CycElement:
-        return tuple(-x for x in a)
 
     def scale(self, a: CycElement, factor) -> CycElement:
         return tuple(x * factor for x in a)
@@ -215,17 +212,6 @@ def perm_length(w: Permutation) -> int:
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
-def perm_compose(u: Permutation, v: Permutation) -> Permutation:
-    return tuple(u[v[i]] for i in range(len(v)))
-
-
-def perm_inverse(w: Permutation) -> Permutation:
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x] = i
-    return tuple(out)
-
-
 def reduced_word(w: Permutation) -> tuple[int, ...]:
     """Reduced word by bubble sorting descents: the product of the adjacent
     transpositions s_{word[0]} ... s_{word[-1]} equals w."""
@@ -245,78 +231,14 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
 # the algebra
 
 
-class HeckeElement:
-    """Finite cyclotomic-coefficient combination of basis elements indexed by
-    permutations."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: "HeckeAlgebra", terms: dict[Permutation, CycElement]):
-        self.algebra = algebra
-        self.terms = {w: c for w, c in terms.items() if not algebra.field.is_zero(c)}
-
-    def coefficient(self, w: Permutation) -> CycElement:
-        return self.terms.get(w, self.algebra.field.zero)
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
-        F = self.algebra.field
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = F.add(out[w], c) if w in out else c
-        return HeckeElement(self.algebra, out)
-
-    def __neg__(self) -> "HeckeElement":
-        F = self.algebra.field
-        return HeckeElement(self.algebra, {w: F.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def __mul__(self, other) -> "HeckeElement":
-        if isinstance(other, HeckeElement):
-            self._check(other)
-            return HeckeElement(
-                self.algebra, self.algebra.mul_raw(self.terms, other.terms)
-            )
-        F = self.algebra.field
-        scalar = other if isinstance(other, tuple) else F.from_rational(Fraction(other))
-        return HeckeElement(
-            self.algebra, {w: F.mul(c, scalar) for w, c in self.terms.items()}
-        )
-
-    def __rmul__(self, other) -> "HeckeElement":
-        return self * other
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        F = self.algebra.field
-        bits = [f"({F.format(c)})*T{list(w)}" for w, c in sorted(self.terms.items())]
-        return " + ".join(bits)
-
-    def _check(self, other: "HeckeElement"):
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
-
-
 class HeckeAlgebra:
     """Hecke algebra of rank p with quadratic relation
     (T_i - 1)(T_i + q) = 0 at q = zeta_m^r.
 
-    Basis multiplication goes through reduced-word insertion; one- and
-    two-sided sweeps over the weak order make the regular trace form and full
-    multiplication cheap enough for exact work up to p = 5.
+    Elements are term dicts {permutation: coefficient} with no zero
+    coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`;
+    sweeps of these over the weak order give the translates, the regular
+    trace form and general products (`mul_raw`).
     """
 
     def __init__(self, p: int, m: int, r: int = 1):
@@ -417,21 +339,6 @@ class HeckeAlgebra:
                 out[w] = F.add(out[w], prod) if w in out else prod
         return {w: c for w, c in out.items() if not F.is_zero(c)}
 
-    # -- public element constructors -----------------------------------------
-
-    def one(self) -> HeckeElement:
-        return HeckeElement(self, {self.identity_perm: self.field.one})
-
-    def generator(self, i: int) -> HeckeElement:
-        if not 0 <= i < self.p - 1:
-            raise ValueError(f"generator index {i} out of range for rank {self.p}")
-        return HeckeElement(self, {self._left[i][self.identity_perm][0]: self.field.one})
-
-    def basis_element(self, w: Permutation) -> HeckeElement:
-        if tuple(w) not in self.index:
-            raise ValueError(f"{w} is not a permutation of range({self.p})")
-        return HeckeElement(self, {tuple(w): self.field.one})
-
     # -- trace form, radical, center ------------------------------------------
 
     @cached_property
@@ -526,10 +433,6 @@ class HeckeAlgebra:
     def radical_dimension(self) -> int:
         return len(self._radical)
 
-    def radical_basis(self) -> list[HeckeElement]:
-        """Reduced echelon basis of the Jacobson radical."""
-        return [HeckeElement(self, dict(zip(self.perms, vec))) for _, vec in self._radical]
-
     def reduce(self, terms: dict) -> list[CycElement]:
         """Coordinates on P of the normal form x - sum_f x_f K_f of `terms`
         modulo the radical; zero exactly on the radical."""
@@ -553,9 +456,6 @@ class HeckeAlgebra:
             for c, x in zip(self.quotient_columns, vec)
             if not F.is_zero(x)
         }
-
-    def contains_in_radical(self, elem: HeckeElement) -> bool:
-        return all(self.field.is_zero(c) for c in self.reduce(elem.terms))
 
     @cached_property
     def _center(self) -> list[tuple[int, list[CycElement]]]:
@@ -587,55 +487,39 @@ def _last_nonzero(vec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# presentation checks
+# the relation check
 
 
-@dataclass
-class PresentationReport:
-    p: int
-    m: int
-    checked: int = 0
-    violations: list[str] | None = None
+def check_relations(H: HeckeAlgebra) -> None:
+    """Check the quadratic, braid and commuting relations of the generators
+    exactly, each side an `lmul_gen` word applied to the unit, and raise
+    IdentityViolation at the first that fails.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    The quadratic relation reads T_i T_i = (1 - q) T_i + q.  Its right side
+    takes 1 - q from q, not from the multiplication's own `one_minus_q`, so
+    a corrupted `one_minus_q` fails the check instead of cancelling out."""
+    F = H.field
+    unit = {H.identity_perm: F.one}
 
+    def word(*gens):
+        elem = unit
+        for i in reversed(gens):
+            elem = H.lmul_gen(i, elem)
+        return elem
 
-def verify_presentation(p: int, m: int) -> PresentationReport:
-    """Check the quadratic, braid and commuting relation families as exact
-    identities of elements."""
-    if p < 2:
-        raise ValueError("need rank at least 2")
-    H = HeckeAlgebra(p, m)
-    violations: list[str] = []
-    checked = 0
-    gens = [H.generator(i) for i in range(p - 1)]
-    one = H.one()
-    q = H.q
-    for i, t in enumerate(gens):
-        checked += 1
-        lhs = (t - one) * (t + one * q)
-        if not lhs.is_zero():
-            violations.append(f"quadratic relation fails at T_{i}: {lhs!r}")
-    for i in range(p - 2):
-        checked += 1
-        lhs = gens[i] * gens[i + 1] * gens[i]
-        rhs = gens[i + 1] * gens[i] * gens[i + 1]
-        if lhs != rhs:
-            violations.append(f"braid relation fails at ({i},{i + 1})")
-    for i in range(p - 1):
-        for j in range(i + 2, p - 1):
-            checked += 1
-            if gens[i] * gens[j] != gens[j] * gens[i]:
-                violations.append(f"distant generators {i},{j} do not commute")
-    return PresentationReport(p, m, checked, violations or None)
-
-
-def radical(p: int, m: int) -> list[HeckeElement]:
-    """Basis of the Jacobson radical, computed as the kernel of the
-    regular-representation trace form."""
-    return HeckeAlgebra(p, m).radical_basis()
+    omq = F.sub(F.one, H.q)
+    for i in range(H.p - 1):
+        rhs = {w: F.mul(omq, c) for w, c in word(i).items()}
+        rhs[H.identity_perm] = F.add(rhs.get(H.identity_perm, F.zero), H.q)
+        if word(i, i) != {w: c for w, c in rhs.items() if not F.is_zero(c)}:
+            raise IdentityViolation(f"quadratic relation fails at T_{i}")
+    for i in range(H.p - 2):
+        if word(i, i + 1, i) != word(i + 1, i, i + 1):
+            raise IdentityViolation(f"braid relation fails at T_{i}, T_{i + 1}")
+    for i in range(H.p - 1):
+        for j in range(i + 2, H.p - 1):
+            if word(i, j) != word(j, i):
+                raise IdentityViolation(f"T_{i} and T_{j} do not commute")
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +697,10 @@ def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
     rational polynomial factorization, then demands that every block of the
     quotient have square dimension and that the blocks exhaust it.  If the
     audit cannot complete, the count is only an upper bound and is flagged as
-    such.
+    such.  A failed defining relation raises IdentityViolation first.
     """
     H = HeckeAlgebra(p, m)
+    check_relations(H)
     rad_dim = H.radical_dimension()
     simples = H.center_dimension()
     expected = count_m_regular(p, m)

@@ -162,11 +162,11 @@ def dominates(alpha: Partition, beta: Partition) -> bool:
     return dominance(alpha, beta) in (DominanceRelation.GREATER, DominanceRelation.EQUAL)
 
 
-def enumerate_partitions(n: int, max_part: int | None = None) -> list[Partition]:
+def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order, (n) first."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return list(_gen_partitions(n, n if max_part is None else min(max_part, n)))
+    return list(_gen_partitions(n, n))
 
 
 def _gen_partitions(n, max_part):

@@ -26,6 +26,21 @@ def hook_length_dimension(lam):
     return dim
 
 
+def centralizer_order(cycle_type):
+    z = 1
+    mult = {}
+    for k in cycle_type:
+        mult[k] = mult.get(k, 0) + 1
+    for k, a in mult.items():
+        z *= k**a * factorial(a)
+    return z
+
+
+def class_size(cycle_type):
+    """Size of the conjugacy class, the weight of row orthogonality."""
+    return factorial(P.size(cycle_type)) // centralizer_order(cycle_type)
+
+
 def is_horizontal_strip(nu, lam):
     """nu/lam is a horizontal strip: at most one box per column."""
     if len(lam) > len(nu):
@@ -90,7 +105,7 @@ class TestCharacterValues:
             for lam in parts:
                 for nu in parts:
                     inner = sum(
-                        C.class_size(mu)
+                        class_size(mu)
                         * C.character_value(lam, mu)
                         * C.character_value(nu, mu)
                         for mu in parts

@@ -148,6 +148,13 @@ class TestEngineCommands:
         assert not payload["result"]["stable"]
         assert payload["result"]["failures"]
 
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_ideal_check_refuses_m_below_two(self, capsys, m):
+        code = cli.main(["ideal-check", "--n", "4", "--m", m, "--q", "1", "--degree", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: m must be at least 2, got {m}\n"
+
     def test_fock_trace_csv(self, capsys):
         code, out = run(capsys, "--format", "csv", "fock-trace", "--m", "2", "--max", "4")
         assert code == 0
@@ -174,6 +181,20 @@ class TestEngineCommands:
         assert result["audit_note"] == "x"
         assert result["upper_bound_only"]
         assert not result["ok"]
+
+    def test_hecke_simples_failed_relation_exits_1(self, monkeypatch, capsys):
+        real_init = hecke.HeckeAlgebra.__init__
+
+        def corrupted(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self.one_minus_q = self.field.one
+
+        monkeypatch.setattr(hecke.HeckeAlgebra, "__init__", corrupted)
+        code = cli.main(["hecke-simples", "--p", "3", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "identity violation: quadratic relation fails at T_0\n"
 
 
 class TestOutputContract:
@@ -211,6 +232,8 @@ REFERENCE = [
     ("census_n10_m3.csv", ["--format", "csv", "census", "--n", "10", "--m", "3"]),
     ("bo-verify_n10_m2-3.json", ["bo-verify", "--n-max", "10", "--m", "2,3"]),
     ("fock-trace_m2_max10.json", ["fock-trace", "--m", "2", "--max", "10"]),
+    ("hecke-simples_p3_m2.json", ["hecke-simples", "--p", "3", "--m", "2"]),
+    ("hecke-simples_p4_m3.json", ["hecke-simples", "--p", "4", "--m", "3"]),
 ]
 
 

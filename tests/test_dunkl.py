@@ -82,13 +82,13 @@ class TestPermute:
 class TestDunklApply:
     def test_degree_zero_kernel(self):
         cfg = EngineConfig(2, Fraction(1, 2))
-        assert D.dunkl_apply(0, SparsePolynomial.constant(2, 1), cfg).is_zero()
+        assert D.dunkl_apply(0, SparsePolynomial.monomial((0, 0), 1), cfg).is_zero()
 
     def test_hand_evaluations(self):
         for c in (Fraction(1, 2), Fraction(5, 7), Fraction(-1, 3)):
             cfg = EngineConfig(2, c)
-            assert D.dunkl_apply(0, var(0, 2), cfg) == SparsePolynomial.constant(2, 1 - c)
-            assert D.dunkl_apply(0, var(1, 2), cfg) == SparsePolynomial.constant(2, c)
+            assert D.dunkl_apply(0, var(0, 2), cfg) == SparsePolynomial.monomial((0, 0), 1 - c)
+            assert D.dunkl_apply(0, var(1, 2), cfg) == SparsePolynomial.monomial((0, 0), c)
 
     def test_lowers_degree_and_is_linear(self):
         cfg = EngineConfig(3, Fraction(2, 5))
@@ -127,10 +127,10 @@ class TestRelations:
         # [D_1, X_1] applied to 1 equals (1 - c) times 1 at n = 2
         for c in (Fraction(1, 2), Fraction(3, 4)):
             cfg = EngineConfig(2, c)
-            one = SparsePolynomial.constant(2, 1)
+            one = SparsePolynomial.monomial((0, 0), 1)
             x1 = var(0, 2)
             lhs = D.dunkl_apply(0, x1, cfg)
-            assert lhs == SparsePolynomial.constant(2, 1 - c)
+            assert lhs == SparsePolynomial.monomial((0, 0), 1 - c)
             swapped = D.permute((1, 0), one)
             assert lhs == one - c * swapped
 
@@ -139,7 +139,7 @@ class TestEuler:
     def test_examples(self):
         c = Fraction(2, 7)
         cfg = EngineConfig(2, c)
-        one = SparsePolynomial.constant(2, 1)
+        one = SparsePolynomial.monomial((0, 0), 1)
         x1, x2 = var(0, 2), var(1, 2)
         assert D.euler_apply(one, cfg) == (-c) * one
         assert D.euler_apply(x1, cfg) == (1 - c) * x1
@@ -239,6 +239,12 @@ class TestStratumIdeal:
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):
             D.ideal_stability_check(4, 2, 3, 2)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_m_below_two_is_refused(self, m):
+        # m = 0 divided by zero; m = 1 gave zero ideal slices, a vacuous pass
+        with pytest.raises(ValueError, match="m must be at least 2"):
+            D.ideal_stability_check(4, m, 1, 1)
 
 
 class TestSignTwist:

@@ -6,7 +6,43 @@ import sympy
 
 from cherednik import hecke as Hk
 from cherednik import polyfactor
+from cherednik.errors import IdentityViolation
 from cherednik.partitions import count_m_regular, count_partitions
+
+
+def unit(H):
+    return {H.identity_perm: H.field.one}
+
+
+def gen(H, i):
+    return H.lmul_gen(i, unit(H))
+
+
+def combine(H, *pairs):
+    """The term dict of sum c * x over (scalar c, term dict x) pairs."""
+    F = H.field
+    out = {}
+    for c, x in pairs:
+        for w, a in x.items():
+            out[w] = F.add(out.get(w, F.zero), F.mul(c, a))
+    return {w: a for w, a in out.items() if not F.is_zero(a)}
+
+
+def quadratic_relation(H, t):
+    """(T - 1)(T + q) for the term dict T, as a general product."""
+    F = H.field
+    one = unit(H)
+    return H.mul_raw(
+        combine(H, (F.one, t), (F.scale(F.one, -1), one)), combine(H, (F.one, t), (H.q, one))
+    )
+
+
+def radical_elements(H):
+    """The RREF radical basis as term dicts."""
+    F = H.field
+    return [
+        {w: c for w, c in zip(H.perms, vec) if not F.is_zero(c)} for _, vec in H._radical
+    ]
 
 
 class TestCyclotomicField:
@@ -25,7 +61,7 @@ class TestCyclotomicField:
         assert f3.mul(z, z) == f3.element([-1, -1])
         f4 = Hk.CyclotomicField(4)
         z = f4.zeta()
-        assert f4.mul(f4.add(f4.one, z), f4.sub(f4.one, z)) == f4.from_rational(2)
+        assert f4.mul(f4.add(f4.one, z), f4.sub(f4.one, z)) == (2, 0)
 
     def test_zeta_has_order_m(self):
         for m in (2, 3, 4, 5, 6, 8, 12):
@@ -58,24 +94,17 @@ class TestCyclotomicField:
 
 class TestPermutations:
     def test_reduced_words_recompose(self):
-        from itertools import permutations
-
+        # T_{word[0]} ... T_{word[-1]} applied to the unit is T_w exactly when
+        # the word multiplies out to w without a length drop
         for p in (2, 3, 4):
-            for w in permutations(range(p)):
+            H = Hk.HeckeAlgebra(p, 3)
+            for w in H.perms:
                 word = Hk.reduced_word(w)
                 assert len(word) == Hk.perm_length(w)
-                acc = tuple(range(p))
-                for i in word:
-                    s = list(range(p))
-                    s[i], s[i + 1] = s[i + 1], s[i]
-                    acc = Hk.perm_compose(acc, s if isinstance(s, tuple) else tuple(s))
-                assert acc == w
-
-    def test_inverse(self):
-        from itertools import permutations
-
-        for w in permutations(range(4)):
-            assert Hk.perm_compose(w, Hk.perm_inverse(w)) == (0, 1, 2, 3)
+                acc = unit(H)
+                for i in reversed(word):
+                    acc = H.lmul_gen(i, acc)
+                assert acc == {w: H.field.one}
 
 
 class TestMultiplication:
@@ -84,110 +113,137 @@ class TestMultiplication:
         for m in (2, 3, 4):
             H = Hk.HeckeAlgebra(3, m)
             for i in range(2):
-                t = H.generator(i)
-                expected = t * H.one_minus_q + H.one() * H.q
-                assert t * t == expected
+                t = gen(H, i)
+                expected = combine(H, (H.one_minus_q, t), (H.q, unit(H)))
+                assert H.mul_raw(t, t) == expected
+                assert H.lmul_gen(i, t) == H.rmul_gen(i, t) == expected
 
     def test_identity_is_neutral(self):
         H = Hk.HeckeAlgebra(3, 3)
-        one = H.one()
+        one = unit(H)
         for w in H.perms:
-            b = H.basis_element(w)
-            assert one * b == b
-            assert b * one == b
+            b = {w: H.field.one}
+            assert H.mul_raw(one, b) == b
+            assert H.mul_raw(b, one) == b
 
     def test_braid_on_basis(self):
         H = Hk.HeckeAlgebra(3, 2)
-        t1, t2 = H.generator(0), H.generator(1)
-        lhs = (t1 * t2) * t1
-        rhs = t1 * (t2 * t1)
+        t1, t2 = gen(H, 0), gen(H, 1)
+        lhs = H.mul_raw(H.mul_raw(t1, t2), t1)
+        rhs = H.mul_raw(t1, H.mul_raw(t2, t1))
         assert lhs == rhs
         # both equal the basis element of the longest element
-        longest = H.basis_element((2, 1, 0))
-        assert lhs == longest
+        assert lhs == {(2, 1, 0): H.field.one}
 
     def test_word_products_give_basis_elements(self):
         # multiplying generators along a reduced word lands on T_w
         for m in (2, 5):
             H = Hk.HeckeAlgebra(4, m)
             for w in H.perms:
-                acc = H.one()
+                acc = unit(H)
                 for i in Hk.reduced_word(w):
-                    acc = acc * H.generator(i)
-                assert acc == H.basis_element(w)
+                    acc = H.mul_raw(acc, gen(H, i))
+                assert acc == {w: H.field.one}
 
     def test_associativity_exhaustive_rank3(self):
         H = Hk.HeckeAlgebra(3, 3)
-        basis = [H.basis_element(w) for w in H.perms]
+        basis = [{w: H.field.one} for w in H.perms]
         for a in basis:
             for b in basis:
-                ab = a * b
+                ab = H.mul_raw(a, b)
                 for c in basis:
-                    assert (ab) * c == a * (b * c)
+                    assert H.mul_raw(ab, c) == H.mul_raw(a, H.mul_raw(b, c))
 
     @pytest.mark.parametrize("p,m", [(4, 2), (4, 3), (5, 3)])
     def test_associativity_sampled(self, p, m):
         H = Hk.HeckeAlgebra(p, m)
         rng = random.Random(11)
         for _ in range(8):
-            a, b, c = (H.basis_element(H.perms[rng.randrange(H.dim)]) for _ in range(3))
-            assert (a * b) * c == a * (b * c)
-
-    def test_scalar_multiplication(self):
-        H = Hk.HeckeAlgebra(2, 3)
-        t = H.generator(0)
-        assert t * 2 - t == t
-        assert (t * Fraction(1, 2)) * 2 == t
+            a, b, c = ({H.perms[rng.randrange(H.dim)]: H.field.one} for _ in range(3))
+            assert H.mul_raw(H.mul_raw(a, b), c) == H.mul_raw(a, H.mul_raw(b, c))
 
 
 class TestPresentation:
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
     def test_presentation_families(self, p, m):
-        report = Hk.verify_presentation(p, m)
-        assert report.ok, report.violations
-        assert report.checked > 0
+        # general products, independent of the word-by-word check_relations
+        H = Hk.HeckeAlgebra(p, m)
+        gens = [gen(H, i) for i in range(p - 1)]
+        for t in gens:
+            assert quadratic_relation(H, t) == {}
+        for a, b in zip(gens, gens[1:]):
+            assert H.mul_raw(H.mul_raw(a, b), a) == H.mul_raw(H.mul_raw(b, a), b)
+        for i, a in enumerate(gens):
+            for b in gens[i + 2 :]:
+                assert H.mul_raw(a, b) == H.mul_raw(b, a)
+        Hk.check_relations(H)
 
     def test_p2_m2_quadratic_degenerates(self):
         # at q = -1 the quadratic relation reads (T - 1)^2 = 0
         H = Hk.HeckeAlgebra(2, 2)
-        t, one = H.generator(0), H.one()
-        assert ((t - one) * (t - one)).is_zero()
+        F = H.field
+        x = combine(H, (F.one, gen(H, 0)), (F.scale(F.one, -1), unit(H)))
+        assert H.mul_raw(x, x) == {}
 
-    def test_rejects_rank_one(self):
-        with pytest.raises(ValueError):
-            Hk.verify_presentation(1, 2)
+
+class TestRelationCheck:
+    """Negative controls: one fault per relation family, each touching only
+    table entries that the earlier families do not read."""
+
+    def test_corrupted_one_minus_q_fails_the_quadratic_relation(self, monkeypatch):
+        H = Hk.HeckeAlgebra(3, 2)
+        monkeypatch.setattr(H, "one_minus_q", H.field.one)
+        with pytest.raises(IdentityViolation, match="^quadratic relation fails at T_0$"):
+            Hk.check_relations(H)
+
+    def test_corrupted_action_fails_the_braid_relation(self, monkeypatch):
+        # T_0 fixes T_{s_1 s_0} instead of lengthening it
+        H = Hk.HeckeAlgebra(3, 2)
+        s1s0 = H._left[1][H._left[0][H.identity_perm][0]][0]
+        monkeypatch.setitem(H._left[0], s1s0, (s1s0, True))
+        with pytest.raises(IdentityViolation, match="^braid relation fails at T_0, T_1$"):
+            Hk.check_relations(H)
+
+    def test_corrupted_action_fails_the_commuting_relation(self, monkeypatch):
+        # T_0 fixes T_{s_2}, which no quadratic or braid word passes it
+        H = Hk.HeckeAlgebra(4, 2)
+        s2 = H._left[2][H.identity_perm][0]
+        monkeypatch.setitem(H._left[0], s2, (s2, True))
+        with pytest.raises(IdentityViolation, match="^T_0 and T_2 do not commute$"):
+            Hk.check_relations(H)
 
 
 class TestRadical:
     def test_p2_m2(self):
-        basis = Hk.radical(2, 2)
+        H = Hk.HeckeAlgebra(2, 2)
+        F = H.field
+        basis = radical_elements(H)
         assert len(basis) == 1
-        H = basis[0].algebra
         v = basis[0]
-        assert (v * v).is_zero()  # the radical line is nilpotent
-        one, minus_one = H.field.from_rational(1), H.field.from_rational(-1)
-        assert dict(v.terms) in (
+        assert H.mul_raw(v, v) == {}  # the radical line is nilpotent
+        one, minus_one = F.one, F.scale(F.one, -1)
+        assert v in (
             {(0, 1): one, (1, 0): minus_one},
             {(0, 1): minus_one, (1, 0): one},
         )
         # and it is exactly the line through T_1 - T_e
-        assert H.contains_in_radical(H.generator(0) - H.one())
+        line = combine(H, (one, gen(H, 0)), (minus_one, unit(H)))
+        assert H.reduce(line) == [F.zero]
 
     def test_semisimple_cases_have_zero_radical(self):
-        assert Hk.radical(2, 3) == []
-        assert Hk.radical(3, 4) == []
-        assert Hk.radical(3, 5) == []
+        assert Hk.HeckeAlgebra(2, 3)._radical == []
+        assert Hk.HeckeAlgebra(3, 4)._radical == []
+        assert Hk.HeckeAlgebra(3, 5)._radical == []
 
     @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (4, 2), (4, 3)])
     def test_radical_is_a_two_sided_ideal(self, p, m):
         H = Hk.HeckeAlgebra(p, m)
-        basis = H.radical_basis()
-        for r in basis:
+        zero = [H.field.zero] * len(H.quotient_columns)
+        for r in radical_elements(H):
             for i in range(p - 1):
-                t = H.generator(i)
-                assert H.contains_in_radical(t * r)
-                assert H.contains_in_radical(r * t)
+                assert H.reduce(H.lmul_gen(i, r)) == zero
+                assert H.reduce(H.rmul_gen(i, r)) == zero
 
     def test_gram_is_symmetric(self):
         H = Hk.HeckeAlgebra(3, 3)
@@ -211,7 +267,7 @@ class TestRadical:
 
     def test_trace_of_identity(self):
         H = Hk.HeckeAlgebra(4, 3)
-        assert H.regular_trace[H.identity_perm] == H.field.from_rational(24)
+        assert H.regular_trace[H.identity_perm] == (24, 0)
 
 
 class TestCountSimples:
@@ -252,9 +308,7 @@ class TestCountSimples:
         base = Hk.HeckeAlgebra(3, 5)
         variant = Hk.HeckeAlgebra(3, 5, r=2)
         for H in (base, variant):
-            t = H.generator(0)
-            rel = (t - H.one()) * (t + H.one() * H.q)
-            assert rel.is_zero()
+            assert quadratic_relation(H, gen(H, 0)) == {}
 
 
 # (p, m) -> (rad_dim, simples, block_dims), recorded with the echelon-based
@@ -328,8 +382,8 @@ class TestKernels:
             unit[pos] = F.one
             assert H.reduce({H.perms[c]: F.one}) == unit
             assert H.quotient_terms(unit) == {H.perms[c]: F.one}
-        for r in H.radical_basis():
-            assert H.reduce(r.terms) == [F.zero] * len(P)
+        for r in radical_elements(H):
+            assert H.reduce(r) == [F.zero] * len(P)
 
     @pytest.mark.parametrize("flat", [[(0, 1, 0, 0)], [(0, 1, 0, 0), (0, 0, 1, 0)]])
     def test_fkernel_rejects_free_columns_that_split_a_block(self, monkeypatch, flat):
@@ -351,7 +405,7 @@ class TestAuditFallback:
     def test_non_idempotent_block_gives_upper_bound(self, monkeypatch, p, m, scalar):
         def fake_split(center, e, basis, rng):
             F = center.F
-            c = F.zeta() if scalar == "zeta" else F.from_rational(scalar)
+            c = F.zeta() if scalar == "zeta" else F.scale(F.one, scalar)
             return [([F.mul(c, x) for x in e], F.degree)] * center.k
 
         monkeypatch.setattr(Hk, "_split_piece", fake_split)
