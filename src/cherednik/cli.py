@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__, characters, dunkl, fock, hecke, partitions
 from .errors import IdentityViolation
@@ -376,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _stringify(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return fraction_str(value)
     return str(value)
 
 

@@ -57,10 +57,6 @@ class SparsePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
@@ -464,6 +460,8 @@ def ideal_stability_check(
         raise ValueError(f"m must be at least 2, got {m}")
     if not 1 <= q <= n // m:
         raise ValueError(f"q={q} out of range for n={n}, m={m}")
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
     cfg = EngineConfig(n, Fraction(1, m) if c is None else Fraction(c))
     dims: dict[int, int] = {}
     failures: list[str] = []

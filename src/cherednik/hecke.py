@@ -7,7 +7,8 @@ reduced modulo the m-th cyclotomic polynomial.
 Every elimination is one call of :func:`cherednik.linalg.kernel_basis`, on
 the restriction of scalars to Q; its kernels are in reduced row echelon
 form.  The Jacobson radical J is the kernel K of the regular-representation
-trace form (valid in characteristic zero): the normal form of x modulo J is
+trace form (valid in characteristic zero), read off the central Casimir
+element C with one right sweep: the normal form of x modulo J is
 x - sum_f x_f K_f over the free columns f, and the quotient H/J has
 coordinates on the remaining pivot columns P.  Simple modules are counted
 through the center of H/J, the kernel in P-coordinates of the commutators
@@ -150,47 +151,16 @@ class CyclotomicField:
         return not any(a)
 
     def inv(self, a: CycElement) -> CycElement:
-        """Field inverse by the extended Euclidean algorithm against the
-        cyclotomic modulus."""
+        """Field inverse: the Bezout cofactor of a against the cyclotomic
+        modulus."""
+        from .polyfactor import gcdex
+
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = trim([Fraction(c) for c in a])
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            # divide r0 by r1
-            quot = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for k in range(len(quot) - 1, -1, -1):
-                c = rem[k + len(r1) - 1] / r1[-1]
-                quot[k] = c
-                if c:
-                    for j, d in enumerate(r1):
-                        rem[k + j] -= c * d
-            rem = trim(rem[: len(r1) - 1])
-            # s update: s0 - quot * s1
-            prod = [Fraction(0)] * (len(quot) + len(s1) - 1)
-            for i, x in enumerate(quot):
-                if x:
-                    for j, y in enumerate(s1):
-                        prod[i + j] += x * y
-            new_s = [Fraction(0)] * max(len(s0), len(prod))
-            for i, x in enumerate(s0):
-                new_s[i] += x
-            for i, x in enumerate(prod):
-                new_s[i] -= x
-            r0, r1 = (r1 if r1 else [Fraction(0)]), (rem if rem else [Fraction(0)])
-            s0, s1 = s1, trim(new_s) or [Fraction(0)]
-        if not r1 or not r1[0]:
+        s, _, h = gcdex(a, self.modulus)
+        if h != [1]:
             raise ArithmeticError("element shares a factor with the modulus")
-        c = r1[0]
-        return self.element([x / c for x in s1])
+        return self.element(s)
 
     def format(self, a: CycElement) -> str:
         if self.is_zero(a):
@@ -210,6 +180,10 @@ class CyclotomicField:
 
 def perm_length(w: Permutation) -> int:
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def perm_inverse(w: Permutation) -> Permutation:
+    return tuple(sorted(range(len(w)), key=w.__getitem__))
 
 
 def reduced_word(w: Permutation) -> tuple[int, ...]:
@@ -236,9 +210,10 @@ class HeckeAlgebra:
     (T_i - 1)(T_i + q) = 0 at q = zeta_m^r.
 
     Elements are term dicts {permutation: coefficient} with no zero
-    coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`;
-    sweeps of these over the weak order give the translates, the regular
-    trace form and general products (`mul_raw`).
+    coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`.
+    A single term times b is an `lmul_gen` word; every other product is a
+    right sweep (`right_translates`) over the weak order: general products
+    in `mul_raw`, and the trace form from the Casimir element.
     """
 
     def __init__(self, p: int, m: int, r: int = 1):
@@ -247,6 +222,7 @@ class HeckeAlgebra:
         self.p = p
         self.m = m
         self.field = CyclotomicField(m)
+        self.r = r
         self.q = self.field.zeta(r)
         self.one_minus_q = self.field.sub(self.field.one, self.q)
         self.perms: list[Permutation] = sorted(_itperms(range(p)))
@@ -268,14 +244,9 @@ class HeckeAlgebra:
                 ract[w] = (wsi, w[i] < w[i + 1])
             self._left.append(lact)
             self._right.append(ract)
-        # factorizations v = s_i * parent and w = parent * s_j, swept by length
-        self._left_bfs = []
+        # factorizations w = parent * s_j by length; the identity, first, has none
         self._right_bfs = []
-        for w in sorted(self.perms, key=lambda v: (perm_length(v), v)):
-            if w == self.identity_perm:
-                continue
-            i = min(k for k in range(p - 1) if w.index(k) > w.index(k + 1))
-            self._left_bfs.append((w, i, self._left[i][w][0]))
+        for w in sorted(self.perms, key=lambda v: (perm_length(v), v))[1:]:
             j = min(k for k in range(p - 1) if w[k] > w[k + 1])
             self._right_bfs.append((w, j, self._right[j][w][0]))
 
@@ -304,16 +275,9 @@ class HeckeAlgebra:
                 out[w] = F.add(out[w], oc) if w in out else oc
         return {w: c for w, c in out.items() if not F.is_zero(c)}
 
-    def left_translates(self, b: dict) -> dict[Permutation, dict]:
-        """All products (basis element indexed by v) * b, swept up the weak
-        order in one pass."""
-        g = {self.identity_perm: b}
-        for v, i, parent in self._left_bfs:
-            g[v] = self.lmul_gen(i, g[parent])
-        return g
-
     def right_translates(self, a: dict) -> dict[Permutation, dict]:
-        """All products a * (basis element indexed by w)."""
+        """All products a * (basis element indexed by w), swept up the weak
+        order in one pass."""
         h = {self.identity_perm: a}
         for w, j, parent in self._right_bfs:
             h[w] = self.rmul_gen(j, h[parent])
@@ -331,51 +295,43 @@ class HeckeAlgebra:
             if cv == F.one:
                 return cur
             return {w: c for w, c in ((w, F.mul(cv, cw)) for w, cw in cur.items()) if not F.is_zero(c)}
-        g = self.left_translates(b)
+        h = self.right_translates(a)
         out: dict[Permutation, CycElement] = {}
-        for v, cv in a.items():
-            for w, cw in g[v].items():
-                prod = F.mul(cv, cw)
-                out[w] = F.add(out[w], prod) if w in out else prod
-        return {w: c for w, c in out.items() if not F.is_zero(c)}
+        for w, cw in b.items():
+            for x, cx in h[w].items():
+                prod = F.mul(cx, cw)
+                out[x] = F.add(out[x], prod) if x in out else prod
+        return {x: c for x, c in out.items() if not F.is_zero(c)}
 
     # -- trace form, radical, center ------------------------------------------
 
     @cached_property
-    def regular_trace(self) -> dict[Permutation, CycElement]:
-        """Trace of left multiplication by each basis element on the regular
-        representation."""
+    def casimir(self) -> dict:
+        """The central element C = sum_w q^-l(w) T_w T_(w^-1), with
+        q^-l = zeta^(-r l).  For the symmetrizing trace tau(T_w) = delta_(w,e)
+        the regular trace is theta(h) = tau(h C) (Geck-Pfeiffer 2000, 7.1-7.2)."""
         F = self.field
-        theta = {w: F.zero for w in self.perms}
+        out: dict[Permutation, CycElement] = {}
         for w in self.perms:
-            g = self.left_translates({w: F.one})
-            for v, fv in g.items():
-                c = fv.get(w)
-                if c is not None:
-                    theta[v] = F.add(theta[v], c)
-        return theta
+            term = {w: F.zeta(-self.r * perm_length(w))}
+            for x, c in self.mul_raw(term, {perm_inverse(w): F.one}).items():
+                out[x] = F.add(out[x], c) if x in out else c
+        return {x: c for x, c in out.items() if not F.is_zero(c)}
 
     @cached_property
     def gram(self) -> list[list[CycElement]]:
-        """Symmetric matrix of tr(L_{T_v T_w}) over the basis.
+        """Symmetric matrix of theta(T_v T_w) over the basis.
 
-        Derived from the regular trace theta without further sweeps: row e is
-        theta itself, and since theta is a trace, for v = s_i v' of greater
-        length G[v][w] = theta(T_v' T_w T_i), a combination of row v'."""
+        Since tau(T_v T_x) = delta_(v,x^-1) q^l(v) and C is central,
+        theta(T_v T_w) = tau(T_v C T_w) = q^l(v) (C T_w)_(v^-1): one right
+        sweep of C gives every entry."""
         F = self.field
-        q, omq = self.q, self.one_minus_q
-        theta = self.regular_trace
-        index = self.index
-        rows = {self.identity_perm: [theta[w] for w in self.perms]}
-        for v, i, parent in self._left_bfs:
-            prev = rows[parent]
-            row = []
-            for k, w in enumerate(self.perms):
-                ws, up = self._right[i][w]
-                x = prev[index[ws]]
-                row.append(x if up else F.add(F.mul(q, x), F.mul(omq, prev[k])))
-            rows[v] = row
-        return [rows[v] for v in self.perms]
+        translates = self.right_translates(self.casimir)
+        rows = []
+        for v in self.perms:
+            qv, vinv = F.zeta(self.r * perm_length(v)), perm_inverse(v)
+            rows.append([F.mul(qv, translates[w].get(vinv, F.zero)) for w in self.perms])
+        return rows
 
     def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[list]:
         """Restriction of scalars: one rational row per (row, zeta-power)."""

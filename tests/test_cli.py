@@ -155,6 +155,15 @@ class TestEngineCommands:
         assert code == 2
         assert captured.err == f"error: m must be at least 2, got {m}\n"
 
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_ideal_check_refuses_degree_below_one(self, capsys, degree):
+        # a degree below 1 checked no slice and passed vacuously
+        code = cli.main(["ideal-check", "--n", "4", "--m", "2", "--q", "1", "--degree", degree])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: max_degree must be at least 1\n"
+
     def test_fock_trace_csv(self, capsys):
         code, out = run(capsys, "--format", "csv", "fock-trace", "--m", "2", "--max", "4")
         assert code == 0

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -37,12 +40,42 @@ def quadratic_relation(H, t):
     )
 
 
+def left_sweep(H, b):
+    """All products T_v b, swept up the weak order: T_v b = T_i (T_v' b)
+    for v = s_i v' longer than v'."""
+    out = {H.identity_perm: b}
+    for v in sorted(H.perms, key=Hk.perm_length)[1:]:
+        i = Hk.reduced_word(v)[0]
+        out[v] = H.lmul_gen(i, out[H._left[i][v][0]])
+    return out
+
+
+def sweep_trace(H):
+    """The regular trace theta(T_v) = sum_w (T_v T_w)_w, one left sweep of
+    each basis element: the oracle for the trace form from the Casimir
+    element."""
+    F = H.field
+    theta = {v: F.zero for v in H.perms}
+    for w in H.perms:
+        for v, y in left_sweep(H, {w: F.one}).items():
+            if w in y:
+                theta[v] = F.add(theta[v], y[w])
+    return theta
+
+
 def radical_elements(H):
     """The RREF radical basis as term dicts."""
     F = H.field
     return [
         {w: c for w, c in zip(H.perms, vec) if not F.is_zero(c)} for _, vec in H._radical
     ]
+
+
+# sha256 of repr(gram) keyed "p,m,r", recorded from the gram that the
+# regular trace by left sweeps gave before the Casimir element replaced it
+GRAM_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "hecke_gram_digests.json").read_text()
+)["digests"]
 
 
 class TestCyclotomicField:
@@ -257,7 +290,7 @@ class TestRadical:
         # the trace form recomputed directly: G[v][w] = sum_x (T_v T_w)_x theta[x]
         H = Hk.HeckeAlgebra(p, m)
         F = H.field
-        theta = H.regular_trace
+        theta = sweep_trace(H)
         for v in H.perms:
             for w in H.perms:
                 acc = F.zero
@@ -267,7 +300,21 @@ class TestRadical:
 
     def test_trace_of_identity(self):
         H = Hk.HeckeAlgebra(4, 3)
-        assert H.regular_trace[H.identity_perm] == (24, 0)
+        e = H.index[H.identity_perm]
+        assert sweep_trace(H)[H.identity_perm] == H.gram[e][e] == (24, 0)
+
+    @pytest.mark.parametrize("p,m,r", [(3, 5, 2), (4, 3, 2), (4, 5, 3), (5, 3, 2), (5, 4, 3)])
+    def test_gram_row_e_is_the_swept_trace(self, p, m, r):
+        # G[e][w] = theta(T_w), at a parameter zeta^r other than zeta
+        H = Hk.HeckeAlgebra(p, m, r)
+        theta = sweep_trace(H)
+        assert H.gram[H.index[H.identity_perm]] == [theta[w] for w in H.perms]
+
+    @pytest.mark.parametrize("key", sorted(GRAM_DIGESTS))
+    def test_gram_matches_recorded_digest(self, key):
+        p, m, r = map(int, key.split(","))
+        digest = hashlib.sha256(repr(Hk.HeckeAlgebra(p, m, r).gram).encode()).hexdigest()
+        assert digest == GRAM_DIGESTS[key]
 
 
 class TestCountSimples:
@@ -354,6 +401,22 @@ class TestReference:
         H = Hk.HeckeAlgebra(p, m)
         assert H.radical_dimension() == rad_dim
         assert H.center_dimension() == simples
+
+
+class TestCasimir:
+    @pytest.mark.parametrize("p,m,r", [(3, 2, 1), (4, 3, 1), (4, 5, 2), (5, 4, 3)])
+    def test_commutes_with_every_generator(self, p, m, r):
+        H = Hk.HeckeAlgebra(p, m, r)
+        C = H.casimir
+        assert C
+        for i in range(p - 1):
+            assert H.lmul_gen(i, C) == H.rmul_gen(i, C)
+
+    def test_perm_inverse(self):
+        for w in Hk.HeckeAlgebra(4, 2).perms:
+            v = Hk.perm_inverse(w)
+            assert tuple(w[v[i]] for i in range(4)) == tuple(v[w[i]] for i in range(4)) == (0, 1, 2, 3)
+            assert Hk.perm_length(v) == Hk.perm_length(w)
 
 
 class TestKernels:

@@ -39,31 +39,57 @@ def _definitions():
 
 
 def _references():
-    """(name, is an attribute, path, line) for every name and attribute
-    read under src/."""
+    """(name, qualifier, path, line) for every name and attribute under
+    src/.  The qualifier is None for a bare name read, the name `C` for an
+    attribute read as `C.attr`, and "" for any other attribute."""
     refs = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.append((node.id, False, path, node.lineno))
+                refs.append((node.id, None, path, node.lineno))
             elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, True, path, node.lineno))
+                qualifier = node.value.id if isinstance(node.value, ast.Name) else ""
+                refs.append((node.attr, qualifier, path, node.lineno))
     return refs
+
+
+def _self_assigned():
+    """Names assigned as `self.<name> = ...` anywhere under src/."""
+    return {
+        node.attr
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
 
 
 def _unreferenced():
     """Qualified names never referenced outside their own definition.  A
     method counts only as an attribute, so a local variable of the same
-    name does not reach it."""
+    name does not reach it; a method whose name is also an instance
+    attribute counts only when read through its class, as `Cls.name`."""
     refs = _references()
+    shadowed = _self_assigned()
     out = []
     for qualname, name, node in _definitions():
-        path = PACKAGE / f"{qualname.split('.')[0]}.py"
-        is_method = qualname.count(".") == 2
+        parts = qualname.split(".")
+        path = PACKAGE / f"{parts[0]}.py"
+        is_method = len(parts) == 3
+
+        def reaches(qualifier):
+            if not is_method:
+                return True
+            if name in shadowed:
+                return qualifier == parts[1]
+            return qualifier is not None
+
         inside = range(node.lineno, node.end_lineno + 1)
         if not any(
-            r == name and (attr or not is_method) and not (p == path and line in inside)
-            for r, attr, p, line in refs
+            r == name and reaches(q) and not (p == path and line in inside)
+            for r, q, p, line in refs
         ):
             out.append(qualname)
     return out
