@@ -1,16 +1,21 @@
 """Fock space of the Heisenberg algebra and the bivariate counting series.
 
 Basis vectors are indexed by partitions (the parts record which creation
-operators were applied to the vacuum), the commutation rule is
-[a_i, a_j] = i * delta_{i,-j}, and the diagonal operator built from
+operators were applied to the vacuum) and stored as multiplicity vectors
+k = [k_0, k_1, k_2, ...], where k_i counts the parts equal to i and k_0 = 0.
+Annihilation in mode i multiplies by i * k_i and lowers k_i by one;
+creation raises it again.  That is the rule [a_i, a_j] = i * delta_{i,-j},
+and each operator changes one entry.  The diagonal operator built from
 modes divisible by m ties partition counts to generating function
 coefficients.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 
 from .errors import IdentityViolation
 from .partitions import (
@@ -18,92 +23,98 @@ from .partitions import (
     count_m_regular,
     count_partitions,
     enumerate_partitions,
-    strata,
+    support_invariant,
 )
 
-# finite integer combination of basis partitions; zero coefficients absent
-FockVector = dict[Partition, int]
+
+def multiplicity_vector(lam: Partition) -> list[int]:
+    """The basis vector of lam: entry i counts the parts equal to i, up to
+    the largest part."""
+    k = [0] * (lam[0] + 1 if lam else 1)
+    for p in lam:
+        k[p] += 1
+    return k
 
 
-def basis_vector(lam: Partition) -> FockVector:
-    return {tuple(lam): 1}
-
-
-def _scaled(v: FockVector, factor: int) -> FockVector:
-    return {k: c * factor for k, c in v.items()} if factor else {}
-
-
-def _accumulate(acc: FockVector, v: FockVector) -> None:
-    for k, c in v.items():
-        new = acc.get(k, 0) + c
-        if new:
-            acc[k] = new
-        else:
-            acc.pop(k, None)
-
-
-def create(i: int, v: FockVector) -> FockVector:
-    """Creation in mode i: insert one part i into every basis partition."""
+def annihilate(i: int, k: list[int]) -> int:
+    """Annihilation in mode i, in place: on a basis vector with k_i parts
+    equal to i, remove one and return the coefficient i * k_i.  With no such
+    part the image is zero: k is left alone and the coefficient is 0."""
     if i < 1:
         raise ValueError(f"mode must be positive, got {i}")
-    out: FockVector = {}
-    for lam, coeff in v.items():
-        key = tuple(sorted(lam + (i,), reverse=True))
-        _accumulate(out, {key: coeff})
-    return out
+    c = k[i] if i < len(k) else 0
+    if c:
+        k[i] = c - 1
+    return i * c
 
 
-def annihilate(i: int, v: FockVector) -> FockVector:
-    """Annihilation in mode i: on a basis partition with k parts equal to i,
-    produce i*k times the partition with one such part removed."""
+def create(i: int, k: list[int]) -> None:
+    """Creation in mode i, in place: insert one part i, with coefficient 1."""
     if i < 1:
         raise ValueError(f"mode must be positive, got {i}")
-    out: FockVector = {}
-    for lam, coeff in v.items():
-        k = lam.count(i)
-        if k == 0:
-            continue
-        removed = list(lam)
-        removed.remove(i)
-        _accumulate(out, {tuple(removed): coeff * i * k})
-    return out
+    if i >= len(k):
+        k.extend([0] * (i + 1 - len(k)))
+    k[i] += 1
 
 
 def divisible_weight(lam: Partition, m: int) -> int:
     """Total size carried by parts divisible by m; the closed-form eigenvalue
     of :func:`weight_operator` on a basis partition."""
-    return sum(p for p in lam if p % m == 0)
+    return sum([p for p in lam if not p % m])
 
 
-def weight_operator(m: int, v: FockVector) -> FockVector:
-    """Apply sum_{i>0} create(i*m) o annihilate(i*m), composed mode by mode.
+def weight_operator(m: int, k: list[int]) -> int:
+    """Apply sum_{i>0} create(i*m) o annihilate(i*m) to the basis vector k,
+    mode by mode and in place, and return the summed coefficient.
 
-    Diagonal on basis partitions with eigenvalue divisible_weight; the
-    operator composition here is the computation, the closed form is the
-    cross-check used by callers.
+    Each mode should hand k back unchanged, so the operator is diagonal on
+    the basis with eigenvalue divisible_weight.  The operator composition
+    here is the computation; the census checks that k came back and that
+    the coefficient equals the closed form.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    top = max((lam[0] for lam in v if lam), default=0)
-    out: FockVector = {}
-    for i in range(1, top // m + 1):
-        _accumulate(out, create(i * m, annihilate(i * m, v)))
-    return out
+    total = 0
+    for i in range(m, len(k), m):
+        c = annihilate(i, k)
+        if c:
+            create(i, k)
+            total += c
+    return total
+
+
+@dataclass(frozen=True)
+class _Census:
+    """Counts from one pass over the partitions of n at denominator m,
+    read-only because the cache hands the same census to every caller."""
+
+    eigenvalues: Mapping[int, int]  # weight-operator eigenvalue -> multiplicity
+    invariants: Mapping[int, int]  # support invariant -> count; empty for m = 1
 
 
 @cache
-def _eigenvalue_census(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Eigenvalue -> multiplicity table of the mode-m weight operator on the
-    degree-n slice, with every basis vector checked against the operator."""
-    counts: dict[int, int] = {}
+def _eigenvalue_census(n: int, m: int) -> _Census:
+    """Visit each partition of n once: check its basis vector against the
+    mode-m weight operator, tally the eigenvalue and, for m >= 2, tally its
+    support invariant."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    eigenvalues: dict[int, int] = {}
+    invariants: dict[int, int] = {}
     for lam in enumerate_partitions(n):
+        k = multiplicity_vector(lam)
+        before = k[:]
         eig = divisible_weight(lam, m)
-        image = weight_operator(m, basis_vector(lam))
-        expected = _scaled(basis_vector(lam), eig)
-        if image != expected:
-            raise IdentityViolation(f"operator is not diagonal on {lam}: {image}")
-        counts[eig] = counts.get(eig, 0) + 1
-    return tuple(sorted(counts.items()))
+        coeff = weight_operator(m, k)
+        if k != before:
+            raise IdentityViolation(f"operator is not diagonal on {lam}: it moved {before} to {k}")
+        if coeff != eig:
+            raise IdentityViolation(f"operator has eigenvalue {coeff} on {lam}, not {eig}")
+        eigenvalues[eig] = eigenvalues.get(eig, 0) + 1
+        if m > 1:
+            q = support_invariant(lam, m)
+            invariants[q] = invariants.get(q, 0) + 1
+    return _Census(MappingProxyType(eigenvalues), MappingProxyType(invariants))
 
 
 def eigenspace_dimension(n: int, m: int, e: int) -> int:
@@ -115,7 +126,7 @@ def eigenspace_dimension(n: int, m: int, e: int) -> int:
     """
     if n < 0 or e < 0:
         raise ValueError("n and e must be nonnegative")
-    return dict(_eigenvalue_census(n, m)).get(e, 0)
+    return _eigenvalue_census(n, m).eigenvalues.get(e, 0)
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,7 @@ def trace_series(m: int, truncation: int) -> PowerSeries2:
         raise ValueError("truncation must be nonnegative")
     table = [[0] * (n + 1) for n in range(truncation + 1)]
     for n in range(truncation + 1):
-        for eig, count in _eigenvalue_census(n, m):
+        for eig, count in _eigenvalue_census(n, m).eigenvalues.items():
             table[n][eig] += count
     product = _product_table(m, truncation)
     if table != product:
@@ -231,7 +242,8 @@ def verify_bo(
 ) -> list[StratumCounts]:
     """Four-way count comparison per stratum q: direct census of the support
     invariant, the product of partition counts, the eigenspace dimension and
-    the series coefficients.
+    the series coefficients.  The first and third come from the same pass
+    over the partitions of n.
 
     Precomputed series may be passed in when sweeping many n for one m.
     """
@@ -239,13 +251,13 @@ def verify_bo(
         raise ValueError("need n >= 0 and m >= 2")
     trace = _trace if _trace is not None and _trace.truncation >= n else trace_series(m, n)
     product = _product if _product is not None and _product.truncation >= n else product_series(m, n)
-    groups = strata(n, m)
+    invariants = _eigenvalue_census(n, m).invariants
     out = []
     for q in range(n // m + 1):
         out.append(
             StratumCounts(
                 q=q,
-                count_qm=len(groups.get(q, ())),
+                count_qm=invariants.get(q, 0),
                 count_product=count_partitions(q) * count_m_regular(n - q * m, m),
                 dim_eigenspace=eigenspace_dimension(n, m, q * m),
                 coeff_series=product.coeff(n, q * m),

@@ -41,12 +41,13 @@ def size(lam: Partition) -> int:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: column lengths become row lengths."""
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for p in lam:
-        for j in range(p):
-            cols[j] += 1
+    cols: list[int] = []
+    prev = 0
+    # walking up from the last row, columns prev+1..lam[length-1] have length `length`
+    for length in range(len(lam), 0, -1):
+        p = lam[length - 1]
+        cols += [length] * (p - prev)
+        prev = p
     return tuple(cols)
 
 
@@ -72,11 +73,14 @@ def support_invariant(lam: Partition, m: int) -> int:
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    q = 0
+    q = prev = 0
+    # at index i, prev = lam_i and p = lam_{i+1} (1-based), so row i adds
+    # i * floor((prev - p) / m); rows inside a run of equal parts add nothing
     for i, p in enumerate(lam):
-        nxt = lam[i + 1] if i + 1 < len(lam) else 0
-        q += (i + 1) * ((p - nxt) // m)
-    return q
+        if p != prev:
+            q += i * ((prev - p) // m)
+            prev = p
+    return q + len(lam) * (prev // m)
 
 
 def add(lam: Partition, mu: Partition) -> Partition:
@@ -103,17 +107,21 @@ def decompose(lam: Partition, m: int) -> tuple[Partition, Partition]:
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    n = len(lam)
-    mu = [0] * n
-    nu = [0] * n
-    for i in range(n - 1, -1, -1):
-        nxt_mu = mu[i + 1] if i + 1 < n else 0
-        nxt_nu = nu[i + 1] if i + 1 < n else 0
-        nxt = lam[i + 1] if i + 1 < n else 0
-        diff = lam[i] - nxt
-        mu[i] = nxt_mu + diff // m
-        nu[i] = nxt_nu + diff % m
-    return check_partition(mu), check_partition(nu)
+    mu: list[int] = []
+    nu: list[int] = []
+    mu_i = nu_i = nxt = 0
+    # walking up from the last row both sums only grow, so dropping zeros
+    # drops exactly the trailing zeros
+    for p in reversed(lam):
+        quot, rem = divmod(p - nxt, m)
+        mu_i += quot
+        nu_i += rem
+        if mu_i:
+            mu.append(mu_i)
+        if nu_i:
+            nu.append(nu_i)
+        nxt = p
+    return tuple(reversed(mu)), tuple(reversed(nu))
 
 
 def decompose_regular_parts(lam: Partition, m: int) -> tuple[Partition, Partition]:
@@ -163,19 +171,44 @@ def dominates(alpha: Partition, beta: Partition) -> bool:
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n in reverse lexicographic order, (n) first."""
+    """All partitions of n in reverse lexicographic order, (n) first.
+
+    Algorithm ZS1 of Zoghbi and Stojmenovic (Int. J. Comput. Math. 70,
+    1998).  x holds the current partition in its first `length` entries,
+    followed by ones, and h indexes its last part above 1.  Each step lowers
+    x[h] by one and refills the parts after it greedily with parts of the
+    new x[h], which gives the next partition in reverse lexicographic order.
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return list(_gen_partitions(n, n))
-
-
-def _gen_partitions(n, max_part):
     if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - k, k):
-            yield (k,) + rest
+        return [()]
+    x = [1] * n
+    x[0] = n
+    length, h = 1, 0
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            length += 1
+        else:
+            r = x[h] - 1
+            t = length - h  # the unit taken from x[h] plus the trailing ones
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                length = h + 1
+            else:
+                length = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(tuple(x[:length]))
+    return out
 
 
 def enumerate_m_regular(n: int, m: int) -> list[Partition]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cherednik import characters, cli, hecke
+from cherednik import characters, cli, fock, hecke
 
 
 def run(capsys, *argv):
@@ -258,6 +259,24 @@ class TestReferenceOutput:
         assert "".join(lines) == (FIXTURES / name).read_text()
 
 
+COUNTING_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "counting_digests.json").read_text()
+)["digests"]
+
+
+class TestCountingDigests:
+    # sizes past the reference files, where the Fock census and the strata
+    # see thousands of partitions per degree
+    @pytest.mark.parametrize("command", sorted(COUNTING_DIGESTS))
+    def test_stdout_digest(self, capsys, command):
+        code, out = run(capsys, *command.split())
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        assert lines[2] == f'  "version": "{cli.__version__}",\n'
+        del lines[2]
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == COUNTING_DIGESTS[command]
+
+
 class TestExitCodes:
     def test_exit_0_when_identities_hold(self, capsys):
         code, out = run(capsys, "census", "--n", "4", "--m", "2")
@@ -294,6 +313,72 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"internal error: {exc(message)!r}\n"
         assert captured.err.count("\n") == 1
+
+
+@pytest.fixture
+def fresh_census():
+    # a census cached by an earlier test would skip the faulted operator
+    fock._eigenvalue_census.cache_clear()
+    yield
+    fock._eigenvalue_census.cache_clear()
+
+
+weight_operator = fock.weight_operator
+
+
+def moved_vector(m, k):
+    """A weight operator whose last mode annihilates without creating."""
+    total = 0
+    for i in range(m, len(k), m):
+        c = fock.annihilate(i, k)
+        total += c
+        if c and i + m < len(k):
+            fock.create(i, k)
+    return total
+
+
+class TestCountingFaults:
+    @pytest.mark.parametrize(
+        "fault",
+        [moved_vector, lambda m, k: weight_operator(m, k) + 1],
+        ids=["moved-vector", "coefficient-off-by-one"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["fock-trace", "--m", "2", "--max", "6"], ["bo-verify", "--n-max", "6", "--m", "2,3"]],
+        ids=["fock-trace", "bo-verify"],
+    )
+    def test_operator_fault_exits_1(self, monkeypatch, capsys, fresh_census, fault, argv):
+        monkeypatch.setattr(fock, "weight_operator", fault)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("identity violation: ")
+
+    def test_wrong_support_invariant_count_exits_1(self, monkeypatch, capsys, fresh_census):
+        invariant = fock.support_invariant
+        monkeypatch.setattr(fock, "support_invariant", lambda lam, m: invariant(lam, m) + (lam == (2, 2)))
+        code, payload = run_json(capsys, "bo-verify", "--n-max", "6", "--m", "2")
+        assert code == 1
+        bad = [(row["n"], row["q"]) for row in payload["result"]["rows"] if not row["ok"]]
+        assert bad == [(4, 2)]
+
+    def test_fock_trace_accepts_m_1(self, capsys):
+        code, payload = run_json(capsys, "fock-trace", "--m", "1", "--max", "4")
+        assert code == 0
+        assert [row["coeff"] for row in payload["result"]["rows"] if row["deg_s"] == 4] == [0, 0, 0, 0, 5]
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_fock_trace_refuses_nonpositive_m(self, capsys, m):
+        code = cli.main(["fock-trace", "--m", m, "--max", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: m must be positive, got {m}\n"
+
+    def test_bo_verify_refuses_m_1(self, capsys):
+        code = cli.main(["bo-verify", "--n-max", "4", "--m", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # runs one command in a fresh interpreter and reports its exit code and

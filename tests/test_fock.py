@@ -4,41 +4,124 @@ from cherednik import fock as F
 from cherednik import partitions as P
 
 
+# The operators as the library had them on dict vectors {partition: coeff},
+# kept as a differential oracle for the multiplicity-vector form.
+
+
+def basis_vector(lam):
+    return {tuple(lam): 1}
+
+
+def _scaled(v, factor):
+    return {k: c * factor for k, c in v.items()} if factor else {}
+
+
+def _accumulate(acc, v):
+    for k, c in v.items():
+        new = acc.get(k, 0) + c
+        if new:
+            acc[k] = new
+        else:
+            acc.pop(k, None)
+
+
+def dict_create(i, v):
+    """Creation in mode i: insert one part i into every basis partition."""
+    out = {}
+    for lam, coeff in v.items():
+        _accumulate(out, {tuple(sorted(lam + (i,), reverse=True)): coeff})
+    return out
+
+
+def dict_annihilate(i, v):
+    """Annihilation in mode i: on a basis partition with k parts equal to i,
+    produce i*k times the partition with one such part removed."""
+    out = {}
+    for lam, coeff in v.items():
+        k = lam.count(i)
+        if k == 0:
+            continue
+        removed = list(lam)
+        removed.remove(i)
+        _accumulate(out, {tuple(removed): coeff * i * k})
+    return out
+
+
+def dict_weight_operator(m, v):
+    top = max((lam[0] for lam in v if lam), default=0)
+    out = {}
+    for i in range(1, top // m + 1):
+        _accumulate(out, dict_create(i * m, dict_annihilate(i * m, v)))
+    return out
+
+
+def as_partition(k):
+    """The partition whose multiplicity vector is k."""
+    return tuple(i for i in range(len(k) - 1, 0, -1) for _ in range(k[i]))
+
+
+def annihilated(i, lam):
+    """Library annihilation on the basis vector lam, as a dict vector."""
+    k = F.multiplicity_vector(lam)
+    c = F.annihilate(i, k)
+    return {as_partition(k): c} if c else {}
+
+
+def created(i, lam):
+    """Library creation on the basis vector lam, as a dict vector."""
+    k = F.multiplicity_vector(lam)
+    F.create(i, k)
+    return {as_partition(k): 1}
+
+
 class TestLadderOperators:
     def test_annihilate_examples(self):
-        assert F.annihilate(1, {(): 1}) == {}
-        assert F.annihilate(2, F.basis_vector((2,))) == {(): 2}
-        assert F.annihilate(2, F.basis_vector((2, 2))) == {(2,): 4}
+        assert annihilated(1, ()) == {}
+        assert annihilated(2, (2,)) == {(): 2}
+        assert annihilated(2, (2, 2)) == {(2,): 4}
+        k = F.multiplicity_vector((3, 1))
+        assert F.annihilate(2, k) == 0
+        assert k == [0, 1, 0, 1]
 
     def test_create_examples(self):
-        assert F.create(3, {(): 1}) == {(3,): 1}
-        assert F.create(1, F.basis_vector((2,))) == {(2, 1): 1}
-        assert F.create(2, F.annihilate(2, F.basis_vector((2,)))) == {
-            (2,): 2
-        }
+        assert created(3, ()) == {(3,): 1}
+        assert created(1, (2,)) == {(2, 1): 1}
+        k = F.multiplicity_vector((2,))
+        assert F.annihilate(2, k) == 2
+        F.create(2, k)
+        assert k == F.multiplicity_vector((2,))
 
     def test_coefficients_are_ints(self):
-        v = F.create(2, F.create(2, F.basis_vector((3, 1))))
-        for image in (v, F.annihilate(2, v), F.weight_operator(2, v)):
-            assert image and all(type(coeff) is int for coeff in image.values())
+        k = F.multiplicity_vector((3, 1))
+        F.create(2, k)
+        F.create(2, k)
+        assert all(type(entry) is int for entry in k)
+        assert type(F.weight_operator(2, k)) is int
+        assert type(F.annihilate(2, k)) is int
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            F.create(0, {(): 1})
+            F.create(0, [0])
         with pytest.raises(ValueError):
-            F.annihilate(-1, {(): 1})
+            F.annihilate(-1, [0])
+        with pytest.raises(ValueError, match="m must be positive"):
+            F.weight_operator(0, [0])
 
     def test_heisenberg_commutator(self):
         # [a_i, a_{-j}] = i delta_{ i j } on every basis vector of degree <= 12
         modes = range(1, 13)
         for n in range(13):
             for lam in P.enumerate_partitions(n):
-                v = F.basis_vector(lam)
                 for i in modes:
                     for j in modes:
-                        lhs = F.annihilate(i, F.create(j, v))
-                        rhs = F.create(j, F.annihilate(i, v))
-                        diff = dict(rhs)
+                        k = F.multiplicity_vector(lam)
+                        F.create(j, k)
+                        c = F.annihilate(i, k)
+                        lhs = {as_partition(k): c} if c else {}
+                        k = F.multiplicity_vector(lam)
+                        c = F.annihilate(i, k)
+                        F.create(j, k)
+                        diff = {as_partition(k): c} if c else {}
                         for key, coeff in lhs.items():
                             new = diff.get(key, 0) - coeff
                             if new:
@@ -52,21 +135,44 @@ class TestLadderOperators:
                         assert diff == expected, (lam, i, j)
 
 
+class TestDictOracle:
+    def test_ladder_operators_agree(self):
+        for n in range(13):
+            for lam in P.enumerate_partitions(n):
+                v = basis_vector(lam)
+                for i in range(1, 13):
+                    assert annihilated(i, lam) == dict_annihilate(i, v), (lam, i)
+                    assert created(i, lam) == dict_create(i, v), (lam, i)
+
+    def test_weight_operator_agrees(self):
+        for n in range(13):
+            for lam in P.enumerate_partitions(n):
+                for m in range(1, 13):
+                    k = F.multiplicity_vector(lam)
+                    coeff = F.weight_operator(m, k)
+                    assert as_partition(k) == lam
+                    expected = dict_weight_operator(m, basis_vector(lam))
+                    assert _scaled(basis_vector(lam), coeff) == expected, (lam, m)
+
+
 class TestWeightOperator:
     def test_examples(self):
-        assert F.weight_operator(2, F.basis_vector((3, 1))) == {}
-        assert F.weight_operator(2, F.basis_vector((2, 2))) == {(2, 2): 4}
+        k = F.multiplicity_vector((3, 1))
+        assert F.weight_operator(2, k) == 0
+        assert k == F.multiplicity_vector((3, 1))
+        assert F.weight_operator(2, F.multiplicity_vector((2, 2))) == 4
         for lam in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]:
-            assert F.weight_operator(1, F.basis_vector(lam)) == {lam: 4}
+            k = F.multiplicity_vector(lam)
+            assert F.weight_operator(1, k) == 4
+            assert as_partition(k) == lam
 
     def test_diagonal_with_closed_form_eigenvalue(self):
         for n in range(15):
             for lam in P.enumerate_partitions(n):
                 for m in (1, 2, 3):
-                    image = F.weight_operator(m, F.basis_vector(lam))
-                    eig = F.divisible_weight(lam, m)
-                    expected = {lam: eig} if eig else {}
-                    assert image == expected
+                    k = F.multiplicity_vector(lam)
+                    assert F.weight_operator(m, k) == F.divisible_weight(lam, m)
+                    assert k == F.multiplicity_vector(lam)
 
     def test_eigenspace_examples(self):
         assert F.eigenspace_dimension(4, 2, 4) == 2
@@ -113,6 +219,20 @@ class TestSeries:
             ts = F.trace_series(m, 12)
             ps = F.product_series(m, 12)
             assert ts.coeffs == ps.coeffs
+
+
+class TestCensus:
+    def test_one_pass_counts_the_strata(self):
+        for n in range(13):
+            for m in (2, 3, 5):
+                census = F._eigenvalue_census(n, m)
+                assert census.invariants == {q: len(g) for q, g in P.strata(n, m).items()}
+                assert sum(census.eigenvalues.values()) == P.count_partitions(n)
+
+    def test_m_1_has_no_strata(self):
+        census = F._eigenvalue_census(4, 1)
+        assert census.eigenvalues == {4: 5}
+        assert census.invariants == {}
 
 
 class TestVerify:

@@ -18,6 +18,17 @@ def conjugate_by_columns(lam):
         j += 1
 
 
+def gen_partitions(n, max_part):
+    """Independent oracle: the recursive generator the library used before its
+    iterative enumeration, largest first part first."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, max_part), 0, -1):
+        for rest in gen_partitions(n - k, k):
+            yield (k,) + rest
+
+
 class TestConjugate:
     def test_examples(self):
         assert P.conjugate(()) == ()
@@ -205,6 +216,15 @@ class TestEnumeration:
             assert P.count_partitions(n) == expected
             assert len(P.enumerate_partitions(n)) == expected
         assert P.count_partitions(30) == 5604
+
+    def test_matches_recursive_generator(self):
+        for n in range(26):
+            assert P.enumerate_partitions(n) == list(gen_partitions(n, n)), n
+
+    def test_returns_a_list(self):
+        assert isinstance(P.enumerate_partitions(5), list)
+        with pytest.raises(ValueError):
+            P.enumerate_partitions(-1)
 
 
 class TestSupportLevelAndLabels:
