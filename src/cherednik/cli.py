@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from . import __version__, characters, dunkl, fock, hecke, partitions
+from . import __version__, characters, dunkl, fock, partitions
 from .errors import IdentityViolation
 from .serialize import (
     fraction_str,
@@ -263,6 +263,8 @@ def cmd_fock_trace(args):
 
 
 def cmd_hecke_simples(args):
+    from . import hecke  # only this command loads it; see __init__
+
     report = hecke.count_simples(args.p, args.m, seed=args.seed)
     row = {
         "p": report.p,

@@ -343,12 +343,10 @@ def singular_vectors(cfg: EngineConfig, d: int) -> list[SparsePolynomial]:
             img = dunkl_apply(i, SparsePolynomial.monomial(mon), cfg)
             for exp, coeff in img.terms.items():
                 rows[i * len(target) + target_index[exp]][k] += coeff
-    basis = linalg.kernel_basis(rows, len(cols))
-    out = []
-    for vec in basis:
-        poly = SparsePolynomial(n, {cols[k]: v for k, v in enumerate(vec) if v})
-        out.append(poly)
-    return out
+    return [
+        SparsePolynomial(n, {cols[k]: Fraction(v, den) for k, v in enumerate(vec) if v})
+        for vec, den in linalg.kernel_basis(rows, len(cols))
+    ]
 
 
 def block_patterns(n: int, m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -415,10 +413,9 @@ def stratum_ideal_basis(n: int, m: int, q: int, d: int) -> list[SparsePolynomial
                 row_index[key] = len(rows)
                 rows.append([Fraction(0)] * len(cols))
             rows[row_index[key]][k] += coeff
-    basis = linalg.kernel_basis(rows, len(cols))
     return [
-        SparsePolynomial(n, {cols[k]: v for k, v in enumerate(vec) if v})
-        for vec in basis
+        SparsePolynomial(n, {cols[k]: Fraction(v, den) for k, v in enumerate(vec) if v})
+        for vec, den in linalg.kernel_basis(rows, len(cols))
     ]
 
 

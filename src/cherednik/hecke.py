@@ -16,6 +16,13 @@ with the generators.  Splitness over Q(zeta_m) is audited by decomposing
 that center into primitive idempotents with rational-only factorization
 (:mod:`cherednik.polyfactor`); each block dimension is one trace over P.
 
+Every number on this path is an integer.  The gram and the structure
+constants of H are integral, and each kernel is kept as integer vectors
+over one common denominator (D for the radical, D_Z for the center), so
+`reduce` returns D times the normal form and the center algebra carries one
+denominator per element.  Only the projector coefficients of the split
+audit, from `polyfactor.gcdex`, are fractions.
+
 The verdict of :func:`count_simples` begins with :func:`check_relations`:
 the quadratic, braid and commuting relations of the generators, checked as
 exact identities of term dicts.
@@ -25,10 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations as _itperms
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .errors import IdentityViolation
@@ -40,6 +46,8 @@ from .partitions import count_m_regular
 
 Permutation = tuple[int, ...]
 CycElement = tuple  # coefficients of 1, zeta, ..., zeta^(phi-1)
+# a kernel over the field: common denominator, (free column, integer vector)
+IntKernel = tuple[int, list[tuple[int, list[CycElement]]]]
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +170,18 @@ class CyclotomicField:
             raise ArithmeticError("element shares a factor with the modulus")
         return self.element(s)
 
-    def format(self, a: CycElement) -> str:
+    def format(self, a: CycElement, den: int = 1) -> str:
+        """The element a / den, each coefficient in lowest terms."""
         if self.is_zero(a):
             return "0"
         bits = []
         for k, c in enumerate(a):
             if not c:
                 continue
+            g = gcd(c, den)
+            c = f"{c // g}" if den == g else f"{c // g}/{den // g}"
             unit = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            bits.append(f"{c}*{unit}" if k else f"{c}")
+            bits.append(f"{c}*{unit}" if k else c)
         return " + ".join(bits)
 
 
@@ -212,8 +223,8 @@ class HeckeAlgebra:
     Elements are term dicts {permutation: coefficient} with no zero
     coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`.
     A single term times b is an `lmul_gen` word; every other product is a
-    right sweep (`right_translates`) over the weak order: general products
-    in `mul_raw`, and the trace form from the Casimir element.
+    right sweep (`right_sweep`) over the weak order: general products in
+    `mul_raw`, the trace form from the Casimir element, and block traces.
     """
 
     def __init__(self, p: int, m: int, r: int = 1):
@@ -244,11 +255,19 @@ class HeckeAlgebra:
                 ract[w] = (wsi, w[i] < w[i + 1])
             self._left.append(lact)
             self._right.append(ract)
-        # factorizations w = parent * s_j by length; the identity, first, has none
-        self._right_bfs = []
+        # factorizations w = parent * s_j by length; the identity, first, has
+        # none.  Each step also says whether it builds the parent's last
+        # child and whether w has children, so a sweep keeps a translate only
+        # while its children are still to come
+        steps = []
         for w in sorted(self.perms, key=lambda v: (perm_length(v), v))[1:]:
             j = min(k for k in range(p - 1) if w[k] > w[k + 1])
-            self._right_bfs.append((w, j, self._right[j][w][0]))
+            steps.append((w, j, self._right[j][w][0]))
+        last = {parent: k for k, (_, _, parent) in enumerate(steps)}
+        self._right_bfs = [
+            (w, j, parent, last[parent] == k, w in last)
+            for k, (w, j, parent) in enumerate(steps)
+        ]
 
     # -- raw dict arithmetic ------------------------------------------------
 
@@ -275,13 +294,18 @@ class HeckeAlgebra:
                 out[w] = F.add(out[w], oc) if w in out else oc
         return {w: c for w, c in out.items() if not F.is_zero(c)}
 
-    def right_translates(self, a: dict) -> dict[Permutation, dict]:
-        """All products a * (basis element indexed by w), swept up the weak
-        order in one pass."""
-        h = {self.identity_perm: a}
-        for w, j, parent in self._right_bfs:
-            h[w] = self.rmul_gen(j, h[parent])
-        return h
+    def right_sweep(self, a: dict):
+        """Yield (w, a T_w) for every permutation w, swept up the weak order
+        in one pass; each translate is dropped once its children are built."""
+        live = {self.identity_perm: a}
+        yield self.identity_perm, a
+        for w, j, parent, drop, keep in self._right_bfs:
+            t = self.rmul_gen(j, live[parent])
+            if drop:
+                del live[parent]
+            if keep:
+                live[w] = t
+            yield w, t
 
     def mul_raw(self, a: dict, b: dict) -> dict:
         if not a or not b:
@@ -295,13 +319,26 @@ class HeckeAlgebra:
             if cv == F.one:
                 return cur
             return {w: c for w, c in ((w, F.mul(cv, cw)) for w, cw in cur.items()) if not F.is_zero(c)}
-        h = self.right_translates(a)
-        out: dict[Permutation, CycElement] = {}
-        for w, cw in b.items():
-            for x, cx in h[w].items():
-                prod = F.mul(cx, cw)
-                out[x] = F.add(out[x], prod) if x in out else prod
-        return {x: c for x, c in out.items() if not F.is_zero(c)}
+        return self.products(a, [b])[0]
+
+    def products(self, a: dict, bs: list[dict]) -> list[dict]:
+        """The products a * b for every b in `bs`, from one right sweep of a
+        that stops once every b's support has been met."""
+        F = self.field
+        outs: list[dict[Permutation, CycElement]] = [{} for _ in bs]
+        left = sum(len(b) for b in bs)
+        for w, t in self.right_sweep(a):
+            for b, out in zip(bs, outs):
+                cw = b.get(w)
+                if cw is None:
+                    continue
+                for x, cx in t.items():
+                    prod = F.mul(cx, cw)
+                    out[x] = F.add(out[x], prod) if x in out else prod
+                left -= 1
+            if not left:
+                break
+        return [{x: c for x, c in out.items() if not F.is_zero(c)} for out in outs]
 
     # -- trace form, radical, center ------------------------------------------
 
@@ -324,13 +361,19 @@ class HeckeAlgebra:
 
         Since tau(T_v T_x) = delta_(v,x^-1) q^l(v) and C is central,
         theta(T_v T_w) = tau(T_v C T_w) = q^l(v) (C T_w)_(v^-1): one right
-        sweep of C gives every entry."""
+        sweep of C gives every entry, column w as soon as C T_w is built."""
         F = self.field
-        translates = self.right_translates(self.casimir)
-        rows = []
-        for v in self.perms:
-            qv, vinv = F.zeta(self.r * perm_length(v)), perm_inverse(v)
-            rows.append([F.mul(qv, translates[w].get(vinv, F.zero)) for w in self.perms])
+        rows = [[F.zero] * self.dim for _ in self.perms]
+        # the term at x of a translate lands in row x^-1, scaled by q^l(x)
+        place = {
+            x: (rows[self.index[perm_inverse(x)]], F.zeta(self.r * perm_length(x)))
+            for x in self.perms
+        }
+        for w, t in self.right_sweep(self.casimir):
+            col = self.index[w]
+            for x, c in t.items():
+                row, qx = place[x]
+                row[col] = F.mul(qx, c)
         return rows
 
     def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[list]:
@@ -350,58 +393,79 @@ class HeckeAlgebra:
                 out.append([block[k][t] for block in blocks for k in range(d)])
         return out
 
-    def _fkernel(
-        self, fmatrix: list[list[CycElement]], ncols: int
-    ) -> list[tuple[int, list[CycElement]]]:
-        """RREF kernel over the cyclotomic field, as (free column, vector)
-        pairs, via the rational blowup.
+    def _fkernel(self, fmatrix: list[list[CycElement]], ncols: int) -> IntKernel:
+        """RREF kernel over the cyclotomic field via the rational blowup, as
+        one common denominator den and (free column f, den * K_f) pairs with
+        integer coefficients; den is the least that makes them integral.
 
         The rational kernel is closed under multiplication by zeta, so its
         free columns come in whole blocks (f, 0), ..., (f, d-1), and the
         vector for (f, 0) is the field's RREF kernel vector for column f."""
-        d = self.field.degree
+        F = self.field
+        d = F.degree
         rows = [r for r in self._blowup_rows(fmatrix) if any(r)]
         kern = linalg.kernel_basis(rows, ncols * d)
-        out = []
+        firsts = []
         for start in range(0, len(kern), d):
-            free = [_last_nonzero(v) for v in kern[start : start + d]]
+            free = [_last_nonzero(v) for v, _ in kern[start : start + d]]
             f = free[0] // d
             if free != list(range(f * d, f * d + d)):
                 raise ArithmeticError(
                     f"free columns {free} of the rational kernel are not a whole block"
                 )
-            flat = kern[start]
-            out.append((f, [tuple(flat[j * d : j * d + d]) for j in range(ncols)]))
-        return out
+            firsts.append((f, kern[start]))
+        common = lcm(*(den for _, (_, den) in firsts))
+        out = []
+        for f, (flat, den) in firsts:
+            s = common // den
+            vec = [flat[j * d : j * d + d] for j in range(ncols)]
+            out.append((f, [tuple(s * x for x in c) if any(c) else F.zero for c in vec]))
+        return common, out
 
     @cached_property
-    def _radical(self) -> list[tuple[int, list[CycElement]]]:
-        """RREF basis of the radical, the kernel K of the trace form."""
+    def _radical(self) -> IntKernel:
+        """RREF basis of the radical, the kernel K of the trace form, as its
+        common denominator D and the pairs (f, D K_f)."""
         return self._fkernel(self.gram, self.dim)
 
     @cached_property
     def quotient_columns(self) -> list[int]:
         """The pivot columns P of the radical kernel; they coordinatise the
         quotient by the radical."""
-        free = {f for f, _ in self._radical}
+        free = {f for f, _ in self._radical[1]}
         return [c for c in range(self.dim) if c not in free]
 
+    @cached_property
+    def _radical_on_quotient(self) -> list[tuple[Permutation, dict[int, CycElement]]]:
+        """Each radical vector D K_f at the columns c in P, as the
+        permutation of f and {position of c in P: nonzero entry}."""
+        F = self.field
+        cols = list(enumerate(self.quotient_columns))
+        return [
+            (self.perms[f], {pos: vec[c] for pos, c in cols if not F.is_zero(vec[c])})
+            for f, vec in self._radical[1]
+        ]
+
     def radical_dimension(self) -> int:
-        return len(self._radical)
+        return len(self._radical[1])
 
     def reduce(self, terms: dict) -> list[CycElement]:
-        """Coordinates on P of the normal form x - sum_f x_f K_f of `terms`
-        modulo the radical; zero exactly on the radical."""
+        """D times the coordinates on P of the normal form x - sum_f x_f K_f
+        of `terms` modulo the radical, D its common denominator: integral
+        for integral terms, and zero exactly on the radical."""
         F = self.field
-        cols = self.quotient_columns
-        out = [terms.get(self.perms[c], F.zero) for c in cols]
-        for f, vec in self._radical:
-            x = terms.get(self.perms[f])
+        D = self._radical[0]
+        out = [F.zero] * len(self.quotient_columns)
+        for pos, c in enumerate(self.quotient_columns):
+            x = terms.get(self.perms[c])
+            if x is not None:
+                out[pos] = F.scale(x, D) if D != 1 else x
+        for f, entries in self._radical_on_quotient:
+            x = terms.get(f)
             if x is None:
                 continue
-            for pos, c in enumerate(cols):
-                if not F.is_zero(vec[c]):
-                    out[pos] = F.sub(out[pos], F.mul(x, vec[c]))
+            for pos, k in entries.items():
+                out[pos] = F.sub(out[pos], F.mul(x, k))
         return out
 
     def quotient_terms(self, vec: list[CycElement]) -> dict:
@@ -414,9 +478,10 @@ class HeckeAlgebra:
         }
 
     @cached_property
-    def _center(self) -> list[tuple[int, list[CycElement]]]:
+    def _center(self) -> IntKernel:
         """RREF basis, in coordinates on P, of the center of the quotient:
-        the z with [T_i, z] in the radical for every generator."""
+        the z with [T_i, z] in the radical for every generator.  As its
+        common denominator D_Z and the pairs (f, D_Z z_f)."""
         F = self.field
         rows: list[list[CycElement]] = []
         for i in range(self.p - 1):
@@ -434,7 +499,7 @@ class HeckeAlgebra:
     def center_dimension(self) -> int:
         """Dimension over the cyclotomic field of the center of the quotient
         by the radical."""
-        return len(self._center)
+        return len(self._center[1])
 
 
 def _last_nonzero(vec) -> int:
@@ -507,40 +572,69 @@ class HeckeSimplesReport:
 
 
 class _CenterAlgebra:
-    """The center of the semisimple quotient with exact structure constants,
-    small enough for direct idempotent hunting.
+    """The center of the semisimple quotient with exact integer structure
+    constants, small enough for direct idempotent hunting.
 
-    Elements are coordinate lists over the RREF center basis.  Each basis
-    vector is 1 at its own free column and 0 at the others', so the
-    coordinates of a central element are its values at those columns."""
+    The RREF center basis is z_s = Z_s / D_Z with integer Z_s in coordinates
+    on P.  Each z_s is 1 at its own free column and 0 at the others', so the
+    coordinates of a central element are its values at those columns.  An
+    element is a pair (coords, den), the element sum_s coords[s] z_s / den,
+    with integer coords, den > 0 and no common factor, so equal elements are
+    equal pairs.  The product z_s z_t is sum_r gamma[s][t][r] z_r / gamma_den
+    with integer gamma and gamma_den = D D_Z^2, D the radical's denominator."""
 
     def __init__(self, H: HeckeAlgebra):
         self.H = H
         self.F = H.field
-        self.free = [f for f, _ in H._center]
-        self.basis_vectors = [vec for _, vec in H._center]
+        self.basis_den, center = H._center
+        self.free = [f for f, _ in center]
+        self.basis_vectors = [vec for _, vec in center]
         self.k = len(self.basis_vectors)
-        # structure constants gamma[s][t] as coordinate lists
+        D = H._radical[0]
+        self.gamma_den = D * self.basis_den**2
+        # structure constants gamma[s][t] as coordinate lists over gamma_den
         self.gamma: list[list[list[CycElement] | None]] = [
             [None] * self.k for _ in range(self.k)
         ]
+        terms = [H.quotient_terms(vec) for vec in self.basis_vectors]
         for s in range(self.k):
-            ds = H.quotient_terms(self.basis_vectors[s])
-            for t in range(s, self.k):
-                prod = H.mul_raw(ds, H.quotient_terms(self.basis_vectors[t]))
+            for t, prod in enumerate(H.products(terms[s], terms[s:]), s):
                 coords = self._coords_of_vector(H.reduce(prod))
                 self.gamma[s][t] = coords
                 self.gamma[t][s] = coords
-        self.identity = self._coords_of_vector(H.reduce({H.identity_perm: self.F.one}))
+        unit = self._coords_of_vector(H.reduce({H.identity_perm: self.F.one}))
+        self.identity = self._normal(unit, D)
+
+    def _combine(self, coords: list[CycElement]) -> list[CycElement]:
+        """sum_s coords[s] Z_s, in coordinates on P."""
+        F = self.F
+        out = [F.zero] * len(self.H.quotient_columns)
+        for c, row in zip(coords, self.basis_vectors):
+            if F.is_zero(c):
+                continue
+            for j, x in enumerate(row):
+                if not F.is_zero(x):
+                    out[j] = F.add(out[j], F.mul(c, x))
+        return out
 
     def _coords_of_vector(self, vec: list[CycElement]) -> list[CycElement]:
+        """The values at the free columns of the P-vector `vec`, after
+        checking that `vec` is in the span of the center basis:
+        sum_r vec[f_r] Z_r == D_Z vec."""
         coords = [vec[f] for f in self.free]
-        if self.to_quotient_vector(coords) != vec:
+        if self._combine(coords) != [self.F.scale(x, self.basis_den) for x in vec]:
             raise AuditInconclusive("product left the span of the center")
         return coords
 
-    def mul(self, u: list[CycElement], v: list[CycElement]) -> list[CycElement]:
+    def _normal(self, coords: list[CycElement], den: int) -> tuple[list[CycElement], int]:
+        g = gcd(den, *(x for c in coords for x in c))
+        if g == 1:
+            return coords, den
+        return [tuple(x // g for x in c) for c in coords], den // g
+
+    def mul(self, u, v):
         F = self.F
+        (u, a), (v, b) = u, v
         out = [F.zero] * self.k
         for s, us in enumerate(u):
             if F.is_zero(us):
@@ -553,29 +647,37 @@ class _CenterAlgebra:
                 for r in range(self.k):
                     if not F.is_zero(row[r]):
                         out[r] = F.add(out[r], F.mul(coeff, row[r]))
-        return out
+        return self._normal(out, a * b * self.gamma_den)
 
-    def scale(self, u, factor: Fraction) -> list[CycElement]:
-        return [self.F.scale(c, factor) for c in u]
+    def scale(self, u, factor):
+        """u times an int or Fraction factor."""
+        coords, den = u
+        num = factor.numerator
+        return self._normal([self.F.scale(c, num) for c in coords], den * factor.denominator)
 
-    def add(self, u, v) -> list[CycElement]:
-        return [self.F.add(a, b) for a, b in zip(u, v)]
-
-    def to_quotient_vector(self, u: list[CycElement]) -> list[CycElement]:
+    def add(self, u, v):
         F = self.F
-        out = [F.zero] * len(self.H.quotient_columns)
-        for c, row in zip(u, self.basis_vectors):
-            if F.is_zero(c):
-                continue
-            for j, x in enumerate(row):
-                if not F.is_zero(x):
-                    out[j] = F.add(out[j], F.mul(c, x))
-        return out
+        (us, a), (vs, b) = u, v
+        den = lcm(a, b)
+        sa, sb = den // a, den // b
+        return self._normal([F.add(F.scale(x, sa), F.scale(y, sb)) for x, y in zip(us, vs)], den)
+
+    def to_quotient_vector(self, u) -> tuple[list[CycElement], int]:
+        """The element u as an integer P-vector over a denominator."""
+        coords, den = u
+        return self._combine(coords), den * self.basis_den
+
+    def zero_element(self):
+        return [self.F.zero] * self.k, 1
 
 
-def _rational_columns(elems: list) -> list[list]:
-    """The rational matrix whose columns are the flattened center elements."""
-    return [list(row) for row in zip(*([x for c in u for x in c] for u in elems))]
+def _rational_columns(elems: list) -> list[list[int]]:
+    """The integer matrix whose columns are the flattened center elements
+    brought to their least common denominator: a multiple of the rational
+    matrix, with the same kernel."""
+    common = lcm(*(den for _, den in elems))
+    cols = [[x * (common // den) for c in coords for x in c] for coords, den in elems]
+    return [list(row) for row in zip(*cols)]
 
 
 def _min_poly(center: _CenterAlgebra, e, z, dim_bound: int) -> tuple[list[int], list]:
@@ -591,10 +693,11 @@ def _min_poly(center: _CenterAlgebra, e, z, dim_bound: int) -> tuple[list[int], 
     kern = linalg.kernel_basis(_rational_columns(powers), dim_bound + 1)
     if not kern:
         raise AuditInconclusive("minimal polynomial search exceeded the dimension bound")
-    return polyfactor.primitive(kern[0][: _last_nonzero(kern[0]) + 1]), powers
+    vec, _ = kern[0]
+    return polyfactor.primitive(vec[: _last_nonzero(vec) + 1]), powers
 
 
-def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]]:
+def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[tuple, int]]:
     """Recursively split the unital commutative piece (e, basis) into fields;
     returns (idempotent, rational dimension) pairs.  Seeded random
     combinations of the basis come before the basis elements: one of them
@@ -606,11 +709,11 @@ def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]
         return [(e, dim)]
     candidates = []
     for _ in range(24):
-        combo = [center.F.zero] * center.k
+        combo = center.zero_element()
         for b in basis:
-            combo = center.add(combo, center.scale(b, Fraction(rng.randint(-3, 3))))
+            combo = center.add(combo, center.scale(b, rng.randint(-3, 3)))
         candidates.append(combo)
-    candidates.extend(list(b) for b in basis)
+    candidates.extend(basis)
     for z in candidates:
         mu, powers = _min_poly(center, e, z, dim)
         if len(polyfactor.poly_gcd(mu, polyfactor.derivative(mu))) != 1:
@@ -627,8 +730,8 @@ def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]
             if len(h) != 1:
                 raise AuditInconclusive("factors of the minimal polynomial are not coprime")
             # the projector s * cof, of degree below deg mu, summed over the
-            # stored powers of z
-            eg = [center.F.zero] * center.k
+            # stored powers of z; its coefficients are the only fractions
+            eg = center.zero_element()
             for c, zj in zip(polyfactor.mul(s, cof), powers):
                 if c:
                     eg = center.add(eg, center.scale(zj, c))
@@ -638,7 +741,7 @@ def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[list, int]
             # the candidates before them
             cands = [center.mul(eg, b) for b in basis]
             kern = linalg.kernel_basis(_rational_columns(cands), len(cands))
-            free = {_last_nonzero(v) for v in kern}
+            free = {_last_nonzero(v) for v, _ in kern}
             sub_basis = [c for j, c in enumerate(cands) if j not in free]
             out.extend(_split_piece(center, eg, sub_basis, rng))
         return out
@@ -672,7 +775,7 @@ def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
             for k in range(H.field.degree):
                 coords = [H.field.zero] * center.k
                 coords[s] = H.field.zeta(k)
-                basis.append(coords)
+                basis.append((coords, 1))
         pieces = _split_piece(center, unit_coords, basis, rng)
         qdims = [qdim for _, qdim in pieces]
         if len(pieces) != simples:
@@ -708,21 +811,28 @@ def _is_square(d: int) -> bool:
     return d >= 0 and isqrt(d) ** 2 == d
 
 
-def _block_dimension(H: HeckeAlgebra, center: _CenterAlgebra, e_coords) -> int:
+def _block_dimension(H: HeckeAlgebra, center: _CenterAlgebra, e) -> int:
     """Dimension of the block cut out by a central idempotent e: the trace
     of left multiplication by e on the quotient, summed over c in P as
-    (e T_c)_c - sum_f (e T_c)_f K_f[c]."""
+    (e T_c)_c - sum_f (e T_c)_f K_f[c].  With e = E / den for an integer
+    element E, that is an integer trace of E over D den."""
     F = H.field
-    e_terms = H.quotient_terms(center.to_quotient_vector(e_coords))
-    translates = H.right_translates(e_terms)
-    total = F.zero
-    for c in H.quotient_columns:
-        y = translates[H.perms[c]]
-        total = F.add(total, y.get(H.perms[c], F.zero))
-        for f, vec in H._radical:
-            x = y.get(H.perms[f])
-            if x is not None and not F.is_zero(vec[c]):
-                total = F.sub(total, F.mul(x, vec[c]))
-    if any(total[1:]) or Fraction(total[0]).denominator != 1:
-        raise AuditInconclusive(f"block trace {F.format(total)} is not an integer")
-    return int(total[0])
+    vec, den = center.to_quotient_vector(e)
+    D = H._radical[0]
+    position = {H.perms[c]: pos for pos, c in enumerate(H.quotient_columns)}
+    diagonal = correction = F.zero
+    for w, y in H.right_sweep(H.quotient_terms(vec)):
+        pos = position.get(w)
+        if pos is None:
+            continue
+        if w in y:
+            diagonal = F.add(diagonal, y[w])
+        for f, entries in H._radical_on_quotient:
+            x = y.get(f)
+            if x is not None and pos in entries:
+                correction = F.add(correction, F.mul(x, entries[pos]))
+    total = F.sub(F.scale(diagonal, D), correction)
+    den *= D
+    if any(total[1:]) or total[0] % den:
+        raise AuditInconclusive(f"block trace {F.format(total, den)} is not an integer")
+    return total[0] // den

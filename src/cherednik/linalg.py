@@ -3,9 +3,10 @@ integer elimination.
 
 Each row is cleared of denominators and kept as a primitive sparse integer
 row {column: value}.  Rows are combined with gcd-scaled integer multiples
-(fraction-free Gauss-Jordan), so the elimination never builds a fraction;
-only the kernel vectors read off at the end are rational.  Only plain Python
-ints and fractions.Fraction cross this boundary.
+(fraction-free Gauss-Jordan), so the elimination never builds a fraction,
+and neither do the kernel vectors read off at the end: each is an integer
+vector with one positive denominator.  Plain Python ints and
+fractions.Fraction go in; only ints come out.
 """
 
 from __future__ import annotations
@@ -38,15 +39,18 @@ def _eliminate(row: IntRow, pivot_row: IntRow, col: int) -> IntRow:
     return _primitive(out) if out else out
 
 
-def kernel_basis(rows: list[list[Rational]], ncols: int) -> list[tuple[Fraction, ...]]:
+def kernel_basis(
+    rows: list[list[Rational]], ncols: int
+) -> list[tuple[tuple[int, ...], int]]:
     """Basis of {x : A x = 0} for the matrix A given by `rows`.
 
-    Returns length-`ncols` Fraction tuples read off the reduced row echelon
-    form of A: one vector per free (non-pivot) column, in increasing column
-    order.  The vector for free column f is 1 at f, 0 at every other free
-    column and 0 after f, so f is its last nonzero entry.  Callers rely on
-    this normal form.  The empty matrix (no rows) has the standard basis as
-    kernel.
+    Returns one (vec, den) pair per free (non-pivot) column of the reduced
+    row echelon form of A, in increasing column order: `vec` is a
+    length-`ncols` int tuple, den > 0, gcd(den, *vec) == 1, and vec/den is
+    the RREF kernel vector.  The vector for free column f is den at f, 0 at
+    every other free column and 0 after f, so f is its last nonzero entry.
+    Callers rely on this normal form.  The empty matrix (no rows) has the
+    standard basis as kernel.
     """
     for row in rows:
         if len(row) != ncols:
@@ -69,16 +73,17 @@ def kernel_basis(rows: list[list[Rational]], ncols: int) -> list[tuple[Fraction,
             if p in other:
                 pivots[q] = _eliminate(other, r, p)
         pivots[p] = r
-    zero, one = Fraction(0), Fraction(1)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = [zero] * ncols
-        vec[f] = one
-        for p, r in pivots.items():
-            x = r.get(f)
-            if x:
-                vec[p] = Fraction(-x, r[p])
-        basis.append(tuple(vec))
+        # the RREF entry at pivot p is -r[f]/r[p]; den is the lcm of their
+        # reduced denominators, so the vector comes out primitive
+        meets = [(p, r[f], r[p]) for p, r in pivots.items() if f in r]
+        den = lcm(*(y // gcd(x, y) for _, x, y in meets))
+        vec = [0] * ncols
+        vec[f] = den
+        for p, x, y in meets:
+            vec[p] = -x * den // y
+        basis.append((tuple(vec), den))
     return basis

@@ -244,6 +244,12 @@ REFERENCE = [
     ("fock-trace_m2_max10.json", ["fock-trace", "--m", "2", "--max", "10"]),
     ("hecke-simples_p3_m2.json", ["hecke-simples", "--p", "3", "--m", "2"]),
     ("hecke-simples_p4_m3.json", ["hecke-simples", "--p", "4", "--m", "3"]),
+    ("singular_n5_c1_2_degree5.json", ["singular", "--n", "5", "--c", "1/2", "--degree", "5"]),
+    ("singular_n4_c1_4_degree7.json", ["singular", "--n", "4", "--c", "1/4", "--degree", "7"]),
+    (
+        "ideal-check_n5_m2_q2_degree5.json",
+        ["ideal-check", "--n", "5", "--m", "2", "--q", "2", "--degree", "5"],
+    ),
 ]
 
 
@@ -424,16 +430,20 @@ class TestImportBoundary:
         assert probe(argv) == {"code": 0, "sympy": False}
 
     def test_import_leaves_the_factorizer_unloaded(self):
-        # only the hecke-simples path loads cherednik.polyfactor
+        # only the hecke-simples path loads cherednik.polyfactor, and
+        # cherednik.hecke itself
         path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-        code = "import sys; from cherednik import cli; print('cherednik.polyfactor' in sys.modules)"
+        code = (
+            "import sys; from cherednik import cli; "
+            "print([m in sys.modules for m in ('cherednik.polyfactor', 'cherednik.hecke')])"
+        )
         res = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
             text=True,
         )
-        assert res.stdout == "False\n", res.stderr
+        assert res.stdout == "[False, False]\n", res.stderr
 
     @pytest.mark.parametrize("p,m", [(3, 2), (4, 5)])
     def test_hecke_audit_leaves_sympy_unloaded(self, p, m):

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 import sympy
 
+from cherednik import cli
 from cherednik import hecke as Hk
 from cherednik import polyfactor
 from cherednik.errors import IdentityViolation
@@ -64,11 +67,19 @@ def sweep_trace(H):
 
 
 def radical_elements(H):
-    """The RREF radical basis as term dicts."""
+    """The RREF radical basis, each vector times the common denominator D, as
+    integral term dicts."""
     F = H.field
     return [
-        {w: c for w, c in zip(H.perms, vec) if not F.is_zero(c)} for _, vec in H._radical
+        {w: c for w, c in zip(H.perms, vec) if not F.is_zero(c)} for _, vec in H._radical[1]
     ]
+
+
+def rational_view(kernel):
+    """A kernel over the field as (free column, [Fraction tuples]) pairs,
+    the form the radical and the center had before they were integral."""
+    den, pairs = kernel
+    return [(f, [tuple(Fraction(x, den) for x in c) for c in vec]) for f, vec in pairs]
 
 
 # sha256 of repr(gram) keyed "p,m,r", recorded from the gram that the
@@ -76,6 +87,13 @@ def radical_elements(H):
 GRAM_DIGESTS = json.loads(
     (Path(__file__).parent / "fixtures" / "hecke_gram_digests.json").read_text()
 )["digests"]
+
+# sha256 of repr() of the rational view of the radical and the center, and
+# the minimal polynomials that the split audit factors at seed 0, recorded
+# from the Fraction-valued kernels
+KERNEL_FIXTURE = json.loads(
+    (Path(__file__).parent / "fixtures" / "hecke_kernel_digests.json").read_text()
+)
 
 
 class TestCyclotomicField:
@@ -265,9 +283,9 @@ class TestRadical:
         assert H.reduce(line) == [F.zero]
 
     def test_semisimple_cases_have_zero_radical(self):
-        assert Hk.HeckeAlgebra(2, 3)._radical == []
-        assert Hk.HeckeAlgebra(3, 4)._radical == []
-        assert Hk.HeckeAlgebra(3, 5)._radical == []
+        assert Hk.HeckeAlgebra(2, 3)._radical == (1, [])
+        assert Hk.HeckeAlgebra(3, 4)._radical == (1, [])
+        assert Hk.HeckeAlgebra(3, 5)._radical == (1, [])
 
     @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (4, 2), (4, 3)])
     def test_radical_is_a_two_sided_ideal(self, p, m):
@@ -389,11 +407,22 @@ REFERENCE = {
 
 class TestReference:
     @pytest.mark.parametrize("p,m", sorted(REFERENCE))
-    def test_count_simples(self, p, m):
+    def test_count_simples(self, monkeypatch, p, m):
+        # the audit also factors the recorded minimal polynomials, in order
+        seen = []
+        real = Hk._min_poly
+
+        def spy(center, e, z, dim_bound):
+            mu, powers = real(center, e, z, dim_bound)
+            seen.append(list(mu))
+            return mu, powers
+
+        monkeypatch.setattr(Hk, "_min_poly", spy)
         report = Hk.count_simples(p, m)
         assert (report.rad_dim, report.simples, report.block_dims) == REFERENCE[p, m]
         assert report.split_audit
         assert not report.upper_bound_only
+        assert seen == KERNEL_FIXTURE["minpolys"][f"{p},{m}"]
 
     @pytest.mark.parametrize("p,m", sorted(REFERENCE))
     def test_algebra_dimensions(self, p, m):
@@ -424,10 +453,14 @@ class TestKernels:
     def test_radical_basis_is_in_rref_over_the_field(self, p, m):
         H = Hk.HeckeAlgebra(p, m)
         F = H.field
-        free = [f for f, _ in H._radical]
+        D, radical = H._radical
+        free = [f for f, _ in radical]
         assert sorted(free + H.quotient_columns) == list(range(H.dim))
-        for f, vec in H._radical:
-            assert vec[f] == F.one
+        # D is the least common denominator
+        assert D > 0
+        assert gcd(D, *(x for _, vec in radical for c in vec for x in c)) == 1
+        for f, vec in radical:
+            assert vec[f] == F.scale(F.one, D)
             assert all(F.is_zero(vec[g]) for g in free if g != f)
             assert all(F.is_zero(x) for x in vec[f + 1 :])
             for row in H.gram:
@@ -437,24 +470,127 @@ class TestKernels:
                 assert F.is_zero(acc)
 
     def test_normal_form(self):
+        # reduce gives D times the normal form
         H = Hk.HeckeAlgebra(4, 3)
         F = H.field
+        D = H._radical[0]
         P = H.quotient_columns
         for pos, c in enumerate(P):
             unit = [F.zero] * len(P)
             unit[pos] = F.one
-            assert H.reduce({H.perms[c]: F.one}) == unit
+            assert H.reduce({H.perms[c]: F.one}) == [F.scale(x, D) for x in unit]
             assert H.quotient_terms(unit) == {H.perms[c]: F.one}
         for r in radical_elements(H):
             assert H.reduce(r) == [F.zero] * len(P)
 
-    @pytest.mark.parametrize("flat", [[(0, 1, 0, 0)], [(0, 1, 0, 0), (0, 0, 1, 0)]])
+    @pytest.mark.parametrize(
+        "flat", [[((0, 1, 0, 0), 1)], [((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1)]]
+    )
     def test_fkernel_rejects_free_columns_that_split_a_block(self, monkeypatch, flat):
         H = Hk.HeckeAlgebra(2, 3)
         zero = H.field.zero
         monkeypatch.setattr(Hk.linalg, "kernel_basis", lambda rows, ncols: flat)
         with pytest.raises(ArithmeticError):
             H._fkernel([[zero, zero]], 2)
+
+
+class TestKernelDigests:
+    @pytest.mark.parametrize("key", sorted(KERNEL_FIXTURE["radical"]))
+    def test_radical_and_center_match_recorded_digests(self, key):
+        p, m, r = map(int, key.split(","))
+        H = Hk.HeckeAlgebra(p, m, r)
+        for name, kernel in (("radical", H._radical), ("center", H._center)):
+            digest = hashlib.sha256(repr(rational_view(kernel)).encode()).hexdigest()
+            assert digest == KERNEL_FIXTURE[name][key], name
+
+    def test_center_basis_is_integral_over_its_denominator(self):
+        # at (4, 4) the RREF center basis has halves
+        H = Hk.HeckeAlgebra(4, 4)
+        F = H.field
+        DZ, center = H._center
+        assert DZ == 2
+        assert len(center) == H.center_dimension() == 4
+        assert gcd(DZ, *(x for _, vec in center for c in vec for x in c)) == 1
+        for f, vec in center:
+            assert vec[f] == F.scale(F.one, DZ)
+            assert all(type(x) is int for c in vec for x in c)
+
+
+class TestDenominators:
+    """Negative controls for the integer bookkeeping: a wrong denominator
+    must fail the audit, not pass it."""
+
+    def test_reduce_off_by_a_factor_fails_the_verdict(self, monkeypatch, capsys):
+        real = Hk.HeckeAlgebra.reduce
+
+        def doubled(self, terms):
+            return [self.field.scale(x, 2) for x in real(self, terms)]
+
+        monkeypatch.setattr(Hk.HeckeAlgebra, "reduce", doubled)
+        code = cli.main(["hecke-simples", "--p", "4", "--m", "3"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 1
+        assert not result["ok"]
+        assert result["upper_bound_only"]
+        assert result["audit_note"]
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (4, 3), (4, 4)])
+    def test_results_do_not_depend_on_the_denominators(self, monkeypatch, p, m):
+        # D = 1 at every reference row, so store the radical over 3 and the
+        # center over 5 times their least denominators: each vector is the
+        # same kernel vector, and every count must come out the same
+        real = Hk.HeckeAlgebra._fkernel
+        factors = iter((3, 5))
+
+        def scaled(self, fmatrix, ncols):
+            k = next(factors)
+            den, pairs = real(self, fmatrix, ncols)
+            return k * den, [(f, [self.field.scale(c, k) for c in vec]) for f, vec in pairs]
+
+        monkeypatch.setattr(Hk.HeckeAlgebra, "_fkernel", scaled)
+        report = Hk.count_simples(p, m)
+        assert (report.rad_dim, report.simples, report.block_dims) == REFERENCE[p, m]
+        assert report.split_audit
+
+    def test_product_outside_the_center_fails_the_span_check(self, monkeypatch):
+        # every center product picks up T_0, which is not central modulo J
+        H = Hk.HeckeAlgebra(3, 2)
+        assert H.center_dimension() == 2
+        real = H.products
+        t0 = gen(H, 0)
+
+        def pushed(a, bs):
+            return [combine(H, (H.field.one, prod), (H.field.one, t0)) for prod in real(a, bs)]
+
+        monkeypatch.setattr(H, "products", pushed)
+        with pytest.raises(Hk.AuditInconclusive, match="^product left the span of the center$"):
+            Hk._CenterAlgebra(H)
+
+    def test_center_elements_are_normalized_pairs(self):
+        center = Hk._CenterAlgebra(Hk.HeckeAlgebra(4, 3))
+        e = center.identity
+        assert center.mul(e, e) == e
+        half = center.scale(e, Fraction(1, 2))
+        assert center.add(half, half) == e
+        assert center.scale(e, 0) == center.zero_element() == ([center.F.zero] * center.k, 1)
+        for coords, den in (e, half, center.mul(half, half)):
+            assert den > 0
+            assert gcd(den, *(x for c in coords for x in c)) == 1
+
+    def test_hecke_builds_no_fraction(self, monkeypatch):
+        # outside polyfactor (the projector coefficients) the path is integral
+        builders = set()
+        real = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            builders.add(sys._getframe(1).f_code.co_filename)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+        report = Hk.count_simples(4, 3)
+        assert report.split_audit
+        assert Hk.__file__ not in builders
+        assert Hk.linalg.__file__ not in builders
 
 
 class TestAuditFallback:
@@ -468,8 +604,12 @@ class TestAuditFallback:
     def test_non_idempotent_block_gives_upper_bound(self, monkeypatch, p, m, scalar):
         def fake_split(center, e, basis, rng):
             F = center.F
-            c = F.zeta() if scalar == "zeta" else F.scale(F.one, scalar)
-            return [([F.mul(c, x) for x in e], F.degree)] * center.k
+            if scalar == "zeta":
+                coords, den = e
+                piece = ([F.mul(F.zeta(), x) for x in coords], den)
+            else:
+                piece = center.scale(e, scalar)
+            return [(piece, F.degree)] * center.k
 
         monkeypatch.setattr(Hk, "_split_piece", fake_split)
         report = Hk.count_simples(p, m)
