@@ -1,17 +1,19 @@
 """Symmetric group character data at the Grothendieck-group level.
 
 Character values come from the Murnaghan-Nakayama recursion and induction
-multiplicities from Littlewood-Richardson tableau counts.  All arithmetic is
-integer or Fraction arithmetic; nothing here is numeric.
+multiplicities from Littlewood-Richardson tableau counts.  Everything is
+exact integer arithmetic; only the weights, -c times an integer content sum,
+are Fractions.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .errors import IdentityViolation
-from .partitions import Partition, add, enumerate_partitions, size
+from .partitions import Partition, add, dominates, enumerate_partitions, size
 
 # multiplicity vector over partitions of a fixed n; zero entries are absent
 CharacterVector = dict[Partition, int]
@@ -152,29 +154,34 @@ def lr_induce(lam: Partition, mu: Partition) -> CharacterVector:
     return out
 
 
-def leading_term_of_induction(
-    lam: Partition, mu: Partition, c: Fraction
-) -> tuple[Partition, Fraction]:
-    """Lowest-order constituent of the induction product: the componentwise
-    sum lam + mu with its weight.
+@dataclass(frozen=True)
+class InductionVerdict:
+    """The induction product of lam and mu with its leading term lam + mu,
+    and the lowest weight of that term when a parameter was given."""
 
-    Verifies that lam + mu occurs with coefficient exactly 1 and strictly
-    minimizes the weight among all constituents; a violation raises.
+    product: CharacterVector
+    leading: Partition
+    weight: Fraction | None
+    ok: bool
+
+
+def induction_verdict(lam: Partition, mu: Partition, c: Fraction | None) -> InductionVerdict:
+    """Compute the induction product once and check its leading term.
+
+    ok means that lam + mu occurs with coefficient exactly 1 and dominates
+    every constituent, and, for a parameter c (which must be positive), that
+    its weight is strictly below the weight of every other constituent.
     """
-    c = Fraction(c)
-    if c <= 0:
+    if c is not None and c <= 0:
         raise ValueError("leading term analysis requires a positive parameter")
     target = add(lam, mu)
     product = lr_induce(lam, mu)
-    if product.get(target) != 1:
-        raise IdentityViolation(f"{target} does not occur with coefficient 1 in {product}")
-    w0 = lowest_weight(target, c)
-    for nu in product:
-        if nu != target and lowest_weight(nu, c) <= w0:
-            raise IdentityViolation(f"weight of {nu} is not above the leading term {target}")
-    return target, w0
-
-
+    ok = product.get(target) == 1 and all(dominates(target, nu) for nu in product)
+    weight = None
+    if c is not None:
+        weight = lowest_weight(target, c)
+        ok = ok and all(lowest_weight(nu, c) > weight for nu in product if nu != target)
+    return InductionVerdict(product, target, weight, ok)
 
 
 def dominance_weight_consistent(weights: dict[Partition, Fraction], c: Fraction) -> bool:

@@ -164,11 +164,9 @@ def cmd_weights(args):
 def cmd_lr(args):
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
-    product = characters.lr_induce(lam, mu)
-    target = partitions.add(lam, mu)
-    ok = product.get(target) == 1 and all(
-        partitions.dominates(target, nu) for nu in product
-    )
+    c = parse_fraction(args.c) if args.c is not None else None
+    verdict = characters.induction_verdict(lam, mu, c)
+    product = verdict.product
     rows = [
         {"nu": partition_key(nu), "coeff": product[nu]}
         for nu in sorted(product, reverse=True)
@@ -177,14 +175,12 @@ def cmd_lr(args):
         "lambda": partition_json(lam),
         "mu": partition_json(mu),
         "product": {partition_key(nu): product[nu] for nu in sorted(product, reverse=True)},
-        "leading": partition_json(target),
-        "ok": ok,
+        "leading": partition_json(verdict.leading),
+        "ok": verdict.ok,
     }
-    if args.c is not None:
-        c = parse_fraction(args.c)
-        leading, weight = characters.leading_term_of_induction(lam, mu, c)
-        payload["leading_weight"] = fraction_str(weight)
-    return payload, rows, ok
+    if c is not None:
+        payload["leading_weight"] = fraction_str(verdict.weight)
+    return payload, rows, verdict.ok
 
 
 def cmd_dunkl_check(args):
@@ -221,7 +217,7 @@ def cmd_singular(args):
         "c": fraction_str(cfg.c),
         "degree": args.degree,
         "dimension": len(basis),
-        "basis": [poly_json(f) for f in basis],
+        "basis": [poly_json(f, den) for f, den in basis],
     }
     return payload, rows, True
 

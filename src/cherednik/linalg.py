@@ -1,20 +1,18 @@
 """Exact rational kernels in reduced row echelon form, by pure-Python
 integer elimination.
 
-Each row is cleared of denominators and kept as a primitive sparse integer
-row {column: value}.  Rows are combined with gcd-scaled integer multiples
+The matrix comes in as rows of Python ints (a rational matrix is brought
+there first by clearing each row's denominators, which leaves the kernel
+unchanged).  Each row is kept as a primitive sparse integer row
+{column: value}, and rows are combined with gcd-scaled integer multiples
 (fraction-free Gauss-Jordan), so the elimination never builds a fraction,
 and neither do the kernel vectors read off at the end: each is an integer
-vector with one positive denominator.  Plain Python ints and
-fractions.Fraction go in; only ints come out.
+vector with one positive denominator.  Only ints go in or come out.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-Rational = Fraction | int
 
 IntRow = dict[int, int]
 
@@ -40,9 +38,9 @@ def _eliminate(row: IntRow, pivot_row: IntRow, col: int) -> IntRow:
 
 
 def kernel_basis(
-    rows: list[list[Rational]], ncols: int
+    rows: list[list[int]], ncols: int
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Basis of {x : A x = 0} for the matrix A given by `rows`.
+    """Basis of {x : A x = 0} for the integer matrix A given by `rows`.
 
     Returns one (vec, den) pair per free (non-pivot) column of the reduced
     row echelon form of A, in increasing column order: `vec` is a
@@ -59,8 +57,7 @@ def kernel_basis(
     # and which is zero at every other pivot column
     pivots: dict[int, IntRow] = {}
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        r = {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+        r = {j: x for j, x in enumerate(row) if x}
         if not r:
             continue
         r = _primitive(r)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 # good primes compared before the one with the fewest modular factors is kept
 _PRIMES_COMPARED = 5
@@ -38,15 +38,13 @@ def derivative(f: list) -> list:
     return [k * c for k, c in enumerate(f)][1:]
 
 
-def primitive(a: list) -> list[int]:
-    """The primitive integer polynomial with positive leading coefficient
-    that is a rational multiple of the nonzero polynomial a."""
-    den = lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (den // c.denominator) for c in a]
-    content = gcd(*ints)
-    if ints[-1] < 0:
+def primitive(a: list[int]) -> list[int]:
+    """The primitive part of the nonzero integer polynomial a, with positive
+    leading coefficient."""
+    content = gcd(*a)
+    if a[-1] < 0:
         content = -content
-    return [c // content for c in ints]
+    return [c // content for c in a]
 
 
 def poly_gcd(a: list[int], b: list[int]) -> list[int]:

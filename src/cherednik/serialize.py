@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dunkl import SparsePolynomial
 from .partitions import Partition, check_partition
 
 
@@ -44,8 +43,10 @@ def partition_json(lam: Partition) -> list[int]:
     return list(lam)
 
 
-def poly_json(f: SparsePolynomial) -> list[dict]:
+def poly_json(f: dict[tuple[int, ...], int], den: int) -> list[dict]:
+    """The polynomial f/den, for f with integer coefficients, leading term
+    first."""
     return [
-        {"exponents": list(exp), "coeff": fraction_str(f.terms[exp])}
-        for exp in sorted(f.terms, reverse=True)
+        {"exponents": list(exp), "coeff": str(Fraction(f[exp], den))}
+        for exp in sorted(f, reverse=True)
     ]

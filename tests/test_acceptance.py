@@ -68,9 +68,12 @@ def test_c04_euler_spectrum():
             for d in range(6):
                 expected = C.lowest_weight((n,), c) + d
                 assert expected == d - c * Fraction(n * (n - 1), 2)
+                # euler_apply is s times the Euler operator, for c = r/s
+                scaled = c.denominator * d - c.numerator * n * (n - 1) // 2
+                assert scaled == c.denominator * expected
                 for mon in D.monomials(n, d):
-                    f = D.SparsePolynomial.monomial(mon)
-                    assert D.euler_apply(f, cfg) == expected * f
+                    f = {mon: 1}
+                    assert D.euler_apply(f, cfg) == D.combine((scaled, f))
 
 
 @criterion(5, "joint kernel has dimension n-1 at c=1/n and 0 at c=1/(n+1)")

@@ -189,19 +189,20 @@ class TestLittlewoodRichardson:
 
 class TestLeadingTerm:
     def test_examples(self):
-        assert C.leading_term_of_induction((1,), (1,), Fraction(1, 2)) == (
-            (2,),
-            Fraction(-1, 2),
+        verdict = C.induction_verdict((1,), (1,), Fraction(1, 2))
+        assert verdict == C.InductionVerdict(
+            {(2,): 1, (1, 1): 1}, (2,), Fraction(-1, 2), True
         )
-        assert C.leading_term_of_induction((2,), (2,), Fraction(1, 3)) == (
-            (4,),
-            Fraction(-2),
-        )
-        assert C.leading_term_of_induction((1,), (), Fraction(1, 2)) == ((1,), 0)
+        verdict = C.induction_verdict((2,), (2,), Fraction(1, 3))
+        assert (verdict.leading, verdict.weight, verdict.ok) == ((4,), Fraction(-2), True)
+        verdict = C.induction_verdict((1,), (), Fraction(1, 2))
+        assert (verdict.leading, verdict.weight, verdict.ok) == ((1,), 0, True)
+        verdict = C.induction_verdict((2, 1), (1,), None)
+        assert (verdict.leading, verdict.weight, verdict.ok) == ((3, 1), None, True)
 
     def test_requires_positive_parameter(self):
         with pytest.raises(ValueError):
-            C.leading_term_of_induction((1,), (1,), Fraction(-1, 2))
+            C.induction_verdict((1,), (1,), Fraction(-1, 2))
 
     def test_strict_minimality_small(self):
         c = Fraction(5, 7)
@@ -209,9 +210,24 @@ class TestLeadingTerm:
             for b in range(1, 5):
                 for lam in P.enumerate_partitions(a):
                     for mu in P.enumerate_partitions(b):
-                        target, weight = C.leading_term_of_induction(lam, mu, c)
-                        assert target == P.add(lam, mu)
-                        assert weight == C.lowest_weight(target, c)
+                        verdict = C.induction_verdict(lam, mu, c)
+                        assert verdict.ok
+                        assert verdict.product == C.lr_induce(lam, mu)
+                        assert verdict.leading == P.add(lam, mu)
+                        assert verdict.weight == C.lowest_weight(verdict.leading, c)
+
+    @pytest.mark.parametrize("c", [None, Fraction(1, 2)])
+    def test_wrong_product_fails_the_verdict(self, monkeypatch, c):
+        # a leading coefficient of 2 is reported in the verdict, not raised
+        monkeypatch.setattr(C, "lr_induce", lambda lam, mu: {(3, 1): 2, (2, 2): 1})
+        assert not C.induction_verdict((2, 1), (1,), c).ok
+
+    def test_product_is_computed_once(self, monkeypatch):
+        calls = []
+        real = C.lr_induce
+        monkeypatch.setattr(C, "lr_induce", lambda lam, mu: calls.append(1) or real(lam, mu))
+        assert C.induction_verdict((3, 2, 1), (2, 1), Fraction(1, 2)).ok
+        assert len(calls) == 1
 
 
 def weights_of(n, c):

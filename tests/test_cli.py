@@ -250,6 +250,20 @@ REFERENCE = [
         "ideal-check_n5_m2_q2_degree5.json",
         ["ideal-check", "--n", "5", "--m", "2", "--q", "2", "--degree", "5"],
     ),
+    # recorded from the Fraction Dunkl engine and the CLI-side lr verdict
+    (
+        "dunkl-check_n4_c-2_3_degree3.json",
+        ["dunkl-check", "--n", "4", "--c", "-2/3", "--degree", "3"],
+    ),
+    ("singular_n4_c-3_4_degree4.json", ["singular", "--n", "4", "--c", "-3/4", "--degree", "4"]),
+    (
+        "lr_lambda3-2-1_mu2-1_c1_2.json",
+        ["lr", "--lambda", "3,2,1", "--mu", "2,1", "--c", "1/2"],
+    ),
+    (
+        "lr_lambda3-2-1_mu2-1_c1_2.csv",
+        ["--format", "csv", "lr", "--lambda", "3,2,1", "--mu", "2,1", "--c", "1/2"],
+    ),
 ]
 
 

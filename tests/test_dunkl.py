@@ -1,20 +1,34 @@
+import json
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
+from cherednik import cli
 from cherednik import dunkl as D
 from cherednik import partitions as P
-from cherednik.dunkl import EngineConfig, SparsePolynomial
+from cherednik.dunkl import EngineConfig
 
 
 def var(i, n):
-    return SparsePolynomial.variable(i, n)
+    return {tuple(int(k == i) for k in range(n)): 1}
+
+
+def const(k, n=2):
+    """k times the constant polynomial 1."""
+    return {(0,) * n: k} if k else {}
+
+
+def mul(f, g):
+    """Product of two integer polynomials."""
+    return D.combine(
+        *((a * b, {tuple(map(sum, zip(e, h))): 1}) for e, a in f.items() for h, b in g.items())
+    )
 
 
 def total_degree(f):
     """Total degree; the zero polynomial reports -1."""
-    return max((sum(e) for e in f.terms), default=-1)
+    return max((sum(e) for e in f), default=-1)
 
 
 def span_equal(basis_a, basis_b, n, degree):
@@ -27,8 +41,8 @@ def span_equal(basis_a, basis_b, n, degree):
     def rows(basis):
         out = []
         for f in basis:
-            row = [Fraction(0)] * len(cols)
-            for exp, coeff in f.terms.items():
+            row = [0] * len(cols)
+            for exp, coeff in f.items():
                 row[index[exp]] = coeff
             out.append(row)
         return out
@@ -42,17 +56,68 @@ def span_equal(basis_a, basis_b, n, degree):
     return rank(ra + rb) == rank(ra)
 
 
+def fraction_dunkl_apply(i, terms, cfg):
+    """D_i f on a {exponent: Fraction} polynomial: the Fraction engine that
+    the integral s D_i replaced, kept as its differential oracle."""
+    n, c = cfg.n, cfg.c
+    out = {}
+    for exp, coeff in terms.items():
+        a = exp[i]
+        if a:
+            e2 = exp[:i] + (a - 1,) + exp[i + 1 :]
+            new = out.get(e2, 0) + a * coeff
+            if new:
+                out[e2] = new
+            else:
+                out.pop(e2, None)
+        for j in range(n):
+            if j == i:
+                continue
+            b = exp[j]
+            if a == b:
+                continue
+            base = -c * coeff if a > b else c * coeff
+            tot = a + b - 1
+            work = list(exp)
+            for t in range(min(a, b), max(a, b)):
+                work[i] = t
+                work[j] = tot - t
+                e2 = tuple(work)
+                new = out.get(e2, 0) + base
+                if new:
+                    out[e2] = new
+                else:
+                    out.pop(e2, None)
+    return out
+
+
+@pytest.fixture
+def unscaled_derivative(monkeypatch):
+    """A fault in the engine: the derivative term loses its factor s."""
+    real = D.dunkl_apply
+
+    def faulty(i, f, cfg):
+        derivative = real(i, f, EngineConfig(cfg.n, 0))
+        return D.combine((1, real(i, f, cfg)), (1 - cfg.c.denominator, derivative))
+
+    monkeypatch.setattr(D, "dunkl_apply", faulty)
+
+
 class TestSparsePolynomial:
+    # polynomials are sparse {exponent: int} dicts; x_i f and integer
+    # linear combinations are the only arithmetic the engine needs
     def test_arithmetic(self):
         n = 3
-        x, y, z = (var(i, n) for i in range(n))
-        f = (x + y) * (x - y)
-        assert f == x * x - y * y
-        assert (f - f).is_zero()
-        assert (2 * f).terms == {(2, 0, 0): Fraction(2), (0, 2, 0): Fraction(-2)}
+        x, y = var(0, n), var(1, n)
+        f = D.combine((1, D.times_variable(0, x)), (-1, D.times_variable(1, y)))
+        assert f == {(2, 0, 0): 1, (0, 2, 0): -1}
+        assert f == mul(D.combine((1, x), (1, y)), D.combine((1, x), (-1, y)))
+        assert D.combine((1, f), (-1, f)) == {}
+        assert D.combine((2, f)) == {(2, 0, 0): 2, (0, 2, 0): -2}
+        assert D.times_variable(0, y) == D.times_variable(1, x) == {(1, 1, 0): 1}
         assert total_degree(f) == 2
-        assert total_degree(SparsePolynomial.zero(n)) == -1
-        assert x * SparsePolynomial.zero(n) == SparsePolynomial.zero(n)
+        assert total_degree({}) == -1
+        assert D.times_variable(2, {}) == {}
 
     def test_monomial_enumeration(self):
         for n in (1, 2, 3, 4):
@@ -63,21 +128,25 @@ class TestSparsePolynomial:
                 assert mons == sorted(mons, reverse=True)
 
     def test_zero_coefficients_dropped(self):
-        f = SparsePolynomial(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
-        assert f.terms == {(0, 1): Fraction(2)}
+        f = D.combine((1, {(1, 0): 1, (0, 1): 2}), (-1, {(1, 0): 1}))
+        assert f == {(0, 1): 2}
+        # x1 - x2 at c = 1/2: the derivative and the divided difference cancel
+        assert D.dunkl_apply(0, {(1, 0): 1, (0, 1): -1}, EngineConfig(2, Fraction(1, 2))) == {}
 
 
 class TestPermute:
     def test_examples(self):
         x1, x2 = var(0, 2), var(1, 2)
         assert D.permute((1, 0), x1) == x2
-        assert D.permute((0, 1), x1 * x2) == x1 * x2
-        assert D.permute((1, 0), x1 * x2) == x1 * x2
+        assert D.permute((0, 1), mul(x1, x2)) == mul(x1, x2)
+        assert D.permute((1, 0), mul(x1, x2)) == mul(x1, x2)
 
     def test_action_composition(self):
         n = 3
-        f = var(0, n) * var(0, n) + 3 * var(1, n)
+        f = {(2, 0, 0): 1, (0, 1, 0): 3}
         perms = [(1, 0, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0)]
+        # x_1 -> x_3, x_2 -> x_1
+        assert D.permute((2, 0, 1), f) == {(0, 0, 2): 1, (1, 0, 0): 3}
         for v in perms:
             for w in perms:
                 vw = tuple(v[w[i]] for i in range(n))
@@ -87,35 +156,71 @@ class TestPermute:
 class TestDunklApply:
     def test_degree_zero_kernel(self):
         cfg = EngineConfig(2, Fraction(1, 2))
-        assert D.dunkl_apply(0, SparsePolynomial.monomial((0, 0), 1), cfg).is_zero()
+        assert D.dunkl_apply(0, const(1), cfg) == {}
 
     def test_hand_evaluations(self):
+        # s D_1 x_1 = s - r and s D_1 x_2 = r at n = 2, c = r/s
         for c in (Fraction(1, 2), Fraction(5, 7), Fraction(-1, 3)):
             cfg = EngineConfig(2, c)
-            assert D.dunkl_apply(0, var(0, 2), cfg) == SparsePolynomial.monomial((0, 0), 1 - c)
-            assert D.dunkl_apply(0, var(1, 2), cfg) == SparsePolynomial.monomial((0, 0), c)
+            r, s = c.numerator, c.denominator
+            assert D.dunkl_apply(0, var(0, 2), cfg) == const(s - r)
+            assert D.dunkl_apply(0, var(1, 2), cfg) == const(r)
 
     def test_lowers_degree_and_is_linear(self):
         cfg = EngineConfig(3, Fraction(2, 5))
-        f = var(0, 3) * var(0, 3) * var(1, 3)
-        g = var(2, 3) * var(2, 3) * var(2, 3)
+        f = {(2, 1, 0): 1}
+        g = {(0, 0, 3): 1}
         for i in range(3):
             assert total_degree(D.dunkl_apply(i, f, cfg)) <= total_degree(f) - 1
-            lhs = D.dunkl_apply(i, f + g, cfg)
-            assert lhs == D.dunkl_apply(i, f, cfg) + D.dunkl_apply(i, g, cfg)
+            lhs = D.dunkl_apply(i, D.combine((1, f), (1, g)), cfg)
+            assert lhs == D.combine((1, D.dunkl_apply(i, f, cfg)), (1, D.dunkl_apply(i, g, cfg)))
 
     def test_divided_difference_is_exact_division(self):
         # at n = 2 the reflection part is a single divided difference, so
         # multiplying back by (x_1 - x_2) must reproduce f - s(f)
         cfg = EngineConfig(2, Fraction(1))
-        x1, x2 = var(0, 2), var(1, 2)
+        x1_minus_x2 = {(1, 0): 1, (0, 1): -1}
         swap = (1, 0)
         for d in range(6):
             for mon in D.monomials(2, d):
-                f = SparsePolynomial.monomial(mon)
+                f = {mon: 1}
                 derivative_part = D.dunkl_apply(0, f, EngineConfig(2, Fraction(0)))
-                reflection = derivative_part - D.dunkl_apply(0, f, cfg)
-                assert (x1 - x2) * reflection == f - D.permute(swap, f)
+                reflection = D.combine((1, derivative_part), (-1, D.dunkl_apply(0, f, cfg)))
+                assert mul(x1_minus_x2, reflection) == D.combine((1, f), (-1, D.permute(swap, f)))
+
+    @pytest.mark.parametrize(
+        "c", [Fraction(1, 2), Fraction(5, 7), Fraction(-1, 3), Fraction(0), Fraction(2)]
+    )
+    def test_scaled_operator_matches_fraction_oracle(self, c):
+        for n in (2, 3, 4):
+            cfg = EngineConfig(n, c)
+            s = c.denominator
+            for d in range(5):
+                for mon in D.monomials(n, d):
+                    for i in range(n):
+                        image = D.dunkl_apply(i, {mon: 1}, cfg)
+                        oracle = fraction_dunkl_apply(i, {mon: Fraction(1)}, cfg)
+                        assert image == {e: s * x for e, x in oracle.items()}, (n, mon, i)
+                        assert all(type(x) is int for x in image.values())
+
+    def test_engine_builds_no_fraction(self, monkeypatch):
+        cfg = EngineConfig(3, Fraction(1, 3))
+        made = []
+        real = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+        assert D.verify_relations(cfg, 2).ok
+        assert len(D.singular_vectors(cfg, 1)) == 2
+        basis = D.stratum_ideal_basis(4, 2, 1, 3)
+        assert all(D.in_stratum_ideal(f, 4, 2, 1) for f in basis)
+        assert made == []
+        # the spy sees a Fraction built while it is installed
+        Fraction(1, 3)
+        assert made == [(1, 3)]
 
 
 class TestRelations:
@@ -129,62 +234,84 @@ class TestRelations:
         assert report.checked > 0
 
     def test_diagonal_commutator_on_constants(self):
-        # [D_1, X_1] applied to 1 equals (1 - c) times 1 at n = 2
+        # [sD_1, X_1] applied to 1 equals (s - r) times 1 at n = 2
         for c in (Fraction(1, 2), Fraction(3, 4)):
             cfg = EngineConfig(2, c)
-            one = SparsePolynomial.monomial((0, 0), 1)
-            x1 = var(0, 2)
-            lhs = D.dunkl_apply(0, x1, cfg)
-            assert lhs == SparsePolynomial.monomial((0, 0), 1 - c)
+            r, s = c.numerator, c.denominator
+            one = const(1)
+            lhs = D.dunkl_apply(0, var(0, 2), cfg)
+            assert lhs == const(s - r)
             swapped = D.permute((1, 0), one)
-            assert lhs == one - c * swapped
+            assert lhs == D.combine((s, one), (-r, swapped))
+
+    def test_unscaled_derivative_is_reported(self, unscaled_derivative):
+        report = D.verify_relations(EngineConfig(3, Fraction(1, 2)), 2)
+        assert not report.ok
+        assert report.checked == D.verify_relations(EngineConfig(3, Fraction(1)), 2).checked
+        assert all("both sides times s=2" in v for v in report.violations)
+        assert any(v.startswith("[D,X] diagonal") for v in report.violations)
+
+    def test_unscaled_derivative_exits_1(self, unscaled_derivative, capsys):
+        code = cli.main(["dunkl-check", "--n", "3", "--c", "1/2", "--degree", "2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["result"]["violations"]
 
 
 class TestEuler:
     def test_examples(self):
-        c = Fraction(2, 7)
-        cfg = EngineConfig(2, c)
-        one = SparsePolynomial.monomial((0, 0), 1)
+        # s times the Euler operator, at c = r/s = 2/7 and n = 2
+        cfg = EngineConfig(2, Fraction(2, 7))
+        one = const(1)
         x1, x2 = var(0, 2), var(1, 2)
-        assert D.euler_apply(one, cfg) == (-c) * one
-        assert D.euler_apply(x1, cfg) == (1 - c) * x1
-        assert D.euler_apply(x1 + x2, cfg) == (1 - c) * (x1 + x2)
+        assert D.euler_apply(one, cfg) == const(-2)
+        assert D.euler_apply(x1, cfg) == D.combine((5, x1))
+        assert D.euler_apply(D.combine((1, x1), (1, x2)), cfg) == D.combine((5, x1), (5, x2))
 
     def test_homogeneous_spectrum(self):
         for n in (2, 3):
             for c in (Fraction(1, 2), Fraction(5, 7)):
                 cfg = EngineConfig(n, c)
                 for d in range(5):
-                    expected = d - c * n * (n - 1) / 2
+                    expected = c.denominator * d - c.numerator * n * (n - 1) // 2
                     for mon in D.monomials(n, d):
-                        f = SparsePolynomial.monomial(mon)
-                        assert D.euler_apply(f, cfg) == expected * f
+                        f = {mon: 1}
+                        assert D.euler_apply(f, cfg) == D.combine((expected, f))
 
     def test_grading_commutators(self):
-        # [eu, X_i] = X_i and [eu, D_i] = -D_i up to degree 4
+        # [s eu, X_i] = s X_i and [s eu, s D_i] = -s (s D_i) up to degree 4
         n, c = 3, Fraction(4, 9)
         cfg = EngineConfig(n, c)
+        s = c.denominator
         for d in range(5):
             for mon in D.monomials(n, d):
-                f = SparsePolynomial.monomial(mon)
+                f = {mon: 1}
                 for i in range(n):
-                    xi_f = var(i, n) * f
-                    lhs = D.euler_apply(xi_f, cfg) - var(i, n) * D.euler_apply(f, cfg)
-                    assert lhs == xi_f
-                    lhs = D.euler_apply(D.dunkl_apply(i, f, cfg), cfg) - D.dunkl_apply(
-                        i, D.euler_apply(f, cfg), cfg
+                    xi_f = D.times_variable(i, f)
+                    lhs = D.combine(
+                        (1, D.euler_apply(xi_f, cfg)),
+                        (-1, D.times_variable(i, D.euler_apply(f, cfg))),
                     )
-                    assert lhs == -1 * D.dunkl_apply(i, f, cfg)
+                    assert lhs == D.combine((s, xi_f))
+                    lhs = D.combine(
+                        (1, D.euler_apply(D.dunkl_apply(i, f, cfg), cfg)),
+                        (-1, D.dunkl_apply(i, D.euler_apply(f, cfg), cfg)),
+                    )
+                    assert lhs == D.combine((-s, D.dunkl_apply(i, f, cfg)))
 
 
 class TestSingularVectors:
     def test_examples(self):
-        basis = D.singular_vectors(EngineConfig(2, Fraction(1, 2)), 1)
+        basis = [f for f, _ in D.singular_vectors(EngineConfig(2, Fraction(1, 2)), 1)]
         x1, x2 = var(0, 2), var(1, 2)
-        assert span_equal(basis, [x1 - x2], 2, 1)
+        assert span_equal(basis, [D.combine((1, x1), (-1, x2))], 2, 1)
         assert D.singular_vectors(EngineConfig(2, Fraction(1, 3)), 1) == []
-        basis = D.singular_vectors(EngineConfig(3, Fraction(1, 3)), 1)
-        expected = [var(0, 3) - var(1, 3), var(1, 3) - var(2, 3)]
+        basis = [f for f, _ in D.singular_vectors(EngineConfig(3, Fraction(1, 3)), 1)]
+        expected = [
+            D.combine((1, var(0, 3)), (-1, var(1, 3))),
+            D.combine((1, var(1, 3)), (-1, var(2, 3))),
+        ]
         assert span_equal(basis, expected, 3, 1)
 
     def test_dimensions_at_special_parameters(self):
@@ -194,9 +321,11 @@ class TestSingularVectors:
 
     def test_kernel_elements_are_killed(self):
         cfg = EngineConfig(3, Fraction(1, 3))
-        for f in D.singular_vectors(cfg, 1):
+        for f, den in D.singular_vectors(cfg, 1):
+            # f/den in the normal form of linalg.kernel_basis
+            assert den > 0 and gcd(den, *f.values()) == 1
             for i in range(3):
-                assert D.dunkl_apply(i, f, cfg).is_zero()
+                assert D.dunkl_apply(i, f, cfg) == {}
 
     def test_support_corroboration(self):
         # the trivial label at n = 2 sits one stratum up at denominator 2,
@@ -214,18 +343,17 @@ class TestStratumIdeal:
         assert len(D.block_patterns(6, 3, 2)) == 10
 
     def test_substitution(self):
-        f = var(0, 4) - var(1, 4)
-        glued = D.glue_substitution(f, ((0, 1),), 4)
-        assert glued.is_zero()
-        f = var(0, 4) - var(2, 4)
-        glued = D.glue_substitution(f, ((0, 1),), 4)
-        assert not glued.is_zero()
+        f = D.combine((1, var(0, 4)), (-1, var(1, 4)))
+        assert D.glue_substitution(f, ((0, 1),), 4) == {}
+        f = D.combine((1, var(0, 4)), (-1, var(2, 4)))
+        assert D.glue_substitution(f, ((0, 1),), 4) == {(1, 0, 0): 1, (0, 1, 0): -1}
 
     def test_membership(self):
         x1, x2 = var(0, 2), var(1, 2)
-        assert D.in_stratum_ideal(x1 - x2, 2, 2, 1)
-        assert not D.in_stratum_ideal(x1 + x2, 2, 2, 1)
-        assert D.in_stratum_ideal((x1 - x2) * (x1 + x2), 2, 2, 1)
+        diff, total = D.combine((1, x1), (-1, x2)), D.combine((1, x1), (1, x2))
+        assert D.in_stratum_ideal(diff, 2, 2, 1)
+        assert not D.in_stratum_ideal(total, 2, 2, 1)
+        assert D.in_stratum_ideal(mul(diff, total), 2, 2, 1)
 
     def test_graded_dims_for_one_glued_pair(self):
         # ideal of the single hyperplane x1 = x2: degree d slice has
@@ -233,6 +361,7 @@ class TestStratumIdeal:
         for d in range(1, 4):
             basis = D.stratum_ideal_basis(2, 2, 1, d)
             assert len(basis) == len(D.monomials(2, d)) - 1
+            assert all(gcd(*f.values()) == 1 for f in basis)
 
     def test_stability_examples(self):
         assert D.ideal_stability_check(2, 2, 1, 3).stable

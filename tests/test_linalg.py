@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -19,6 +19,16 @@ def free_column(vec):
 def rational(kern):
     """The kernel vectors vec/den as Fraction tuples."""
     return [tuple(Fraction(x, den) for x in vec) for vec, den in kern]
+
+
+def integer_rows(rows):
+    """Each row times the lcm of its denominators: an integer matrix with
+    the same kernel."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
 
 
 def random_matrix(rng, big):
@@ -59,7 +69,7 @@ def sympy_kernel(rows, ncols):
 def test_kernel_basis_is_the_rref_nullspace(seed, big):
     rng = random.Random(seed)
     rows, ncols = random_matrix(rng, big)
-    kern = linalg.kernel_basis(rows, ncols)
+    kern = linalg.kernel_basis(integer_rows(rows), ncols)
     assert rational(kern) == sympy_kernel(rows, ncols)
     assert len(kern) == ncols - sympy.Matrix(rows).rank()
     free = [free_column(v) for v, _ in kern]
@@ -77,7 +87,7 @@ def test_zero_and_empty_matrices():
     assert linalg.kernel_basis([], 2) == [((1, 0), 1), ((0, 1), 1)]
     assert linalg.kernel_basis([[0, 0]], 2) == [((1, 0), 1), ((0, 1), 1)]
     rows = [[0, Fraction(0), 0]] * 2
-    assert rational(linalg.kernel_basis(rows, 3)) == sympy_kernel(rows, 3)
+    assert rational(linalg.kernel_basis(integer_rows(rows), 3)) == sympy_kernel(rows, 3)
     assert linalg.kernel_basis([[1, 2]], 2) == [((-2, 1), 1)]
     assert linalg.kernel_basis([[2, 3]], 2) == [((-3, 2), 2)]
 
@@ -99,8 +109,8 @@ def test_full_rank_matches_sympy(seed):
     for i in range(1, n):
         rows[i] = [a + rng.randint(-3, 3) * b for a, b in zip(rows[i], rows[0])]
     extra = [[Fraction(rng.randint(-5, 5), 3) for _ in range(n)]]
-    assert linalg.kernel_basis(rows, n) == sympy_kernel(rows, n) == []
-    assert linalg.kernel_basis(rows + extra, n) == []
+    assert linalg.kernel_basis(integer_rows(rows), n) == sympy_kernel(rows, n) == []
+    assert linalg.kernel_basis(integer_rows(rows + extra), n) == []
 
 
 @pytest.mark.parametrize("p,m,rad_dim", [(4, 5, 0), (4, 3, 4)])
@@ -135,7 +145,7 @@ def matrices(draw):
 @given(matrices())
 def test_kernel_vectors_are_primitive_integer_vectors(case):
     rows, ncols = case
-    kern = linalg.kernel_basis(rows, ncols)
+    kern = linalg.kernel_basis(integer_rows(rows), ncols)
     free = [free_column(vec) for vec, _ in kern]
     for (vec, den), f in zip(kern, free):
         assert type(den) is int and den > 0
