@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
 from . import __version__, characters, dunkl, fock, partitions
 from .errors import IdentityViolation
 from .serialize import (
     fraction_str,
+    json_text,
     parse_fraction,
     parse_partition,
     partition_json,
@@ -385,7 +385,7 @@ def _emit(args, payload: dict, rows: list[dict], ok: bool) -> None:
             "ok": ok,
             "result": payload,
         }
-        print(json.dumps(envelope, indent=2))
+        sys.stdout.write(json_text(envelope) + "\n")
         return
     if not rows:
         return

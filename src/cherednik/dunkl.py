@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import linalg
@@ -254,9 +255,11 @@ def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
     ]
 
 
-def block_patterns(n: int, m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+@cache
+def block_patterns(n: int, m: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All unordered collections of q pairwise disjoint m-element blocks of
-    coordinate indices, one per translate of the gluing pattern."""
+    coordinate indices, one per translate of the gluing pattern; cached,
+    since every membership test of a stratum ideal runs through them."""
     out: list[tuple[tuple[int, ...], ...]] = []
 
     def pack(support: tuple[int, ...], acc):
@@ -271,7 +274,7 @@ def block_patterns(n: int, m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
 
     for chosen in combinations(range(n), q * m):
         pack(chosen, [])
-    return out
+    return tuple(out)
 
 
 def glue_substitution(

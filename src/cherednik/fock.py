@@ -8,6 +8,12 @@ creation raises it again.  That is the rule [a_i, a_j] = i * delta_{i,-j},
 and each operator changes one entry.  The diagonal operator built from
 modes divisible by m ties partition counts to generating function
 coefficients.
+
+One depth-first walk per (m, N) reaches every basis vector of degree at
+most N, vacuum included: it appends parts in nonincreasing order to one
+multiplicity vector per first part, checks the weight operator on each
+vector it reaches, and carries the eigenvalue and the support invariant
+along.  Its recursion goes one level per part, so at most N levels deep.
 """
 
 from __future__ import annotations
@@ -18,22 +24,7 @@ from functools import cache
 from types import MappingProxyType
 
 from .errors import IdentityViolation
-from .partitions import (
-    Partition,
-    count_m_regular,
-    count_partitions,
-    enumerate_partitions,
-    support_invariant,
-)
-
-
-def multiplicity_vector(lam: Partition) -> list[int]:
-    """The basis vector of lam: entry i counts the parts equal to i, up to
-    the largest part."""
-    k = [0] * (lam[0] + 1 if lam else 1)
-    for p in lam:
-        k[p] += 1
-    return k
+from .partitions import Partition, count_m_regular, count_partitions
 
 
 def annihilate(i: int, k: list[int]) -> int:
@@ -57,20 +48,14 @@ def create(i: int, k: list[int]) -> None:
     k[i] += 1
 
 
-def divisible_weight(lam: Partition, m: int) -> int:
-    """Total size carried by parts divisible by m; the closed-form eigenvalue
-    of :func:`weight_operator` on a basis partition."""
-    return sum([p for p in lam if not p % m])
-
-
 def weight_operator(m: int, k: list[int]) -> int:
     """Apply sum_{i>0} create(i*m) o annihilate(i*m) to the basis vector k,
     mode by mode and in place, and return the summed coefficient.
 
     Each mode should hand k back unchanged, so the operator is diagonal on
-    the basis with eigenvalue divisible_weight.  The operator composition
-    here is the computation; the census checks that k came back and that
-    the coefficient equals the closed form.
+    the basis, with eigenvalue the total size of the parts divisible by m.
+    The operator composition here is the computation; the walk checks that
+    k came back and that the coefficient equals the eigenvalue it carries.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -83,50 +68,88 @@ def weight_operator(m: int, k: list[int]) -> int:
     return total
 
 
+def _partition(k: list[int]) -> Partition:
+    """The partition whose multiplicity vector is k."""
+    return tuple(i for i in range(len(k) - 1, 0, -1) for _ in range(k[i]))
+
+
 @dataclass(frozen=True)
 class _Census:
-    """Counts from one pass over the partitions of n at denominator m,
-    read-only because the cache hands the same census to every caller."""
+    """Counts from one walk over the partitions of n <= truncation at
+    denominator m, read-only because the cache hands the same census to
+    every caller."""
 
-    eigenvalues: Mapping[int, int]  # weight-operator eigenvalue -> multiplicity
-    invariants: Mapping[int, int]  # support invariant -> count; empty for m = 1
+    # row n, entry e: basis vectors of degree n with eigenvalue e
+    eigenvalues: tuple[tuple[int, ...], ...]
+    # row n: support invariant -> count; empty for m = 1
+    invariants: tuple[Mapping[int, int], ...]
+
+
+def _visit(m, truncation, k, n, last, length, eig, q, eigenvalues, invariants) -> None:
+    """Check the basis vector k of one partition of n against the mode-m
+    weight operator, tally it, then visit each partition that extends it by
+    one part p <= last while the degree stays at most truncation.
+
+    The partition has `length` parts, the smallest equal to `last`, weight
+    operator eigenvalue eig and support invariant q.  k is extended in place
+    and handed back as it came.
+    """
+    before = k[:]
+    coeff = weight_operator(m, k)
+    if k != before:
+        lam = _partition(before)
+        raise IdentityViolation(f"operator is not diagonal on {lam}: it moved {before} to {k}")
+    if coeff != eig:
+        raise IdentityViolation(f"operator has eigenvalue {coeff} on {_partition(k)}, not {eig}")
+    eigenvalues[n][eig] += 1
+    if invariants is not None:
+        tally = invariants[n]
+        tally[q] = tally.get(q, 0) + 1
+    for p in range(1, min(last, truncation - n) + 1):
+        k[p] += 1
+        # q is the sum over rows i of i * ((lam_i - lam_{i+1}) // m), with a
+        # zero after the last row: the term length * (last // m) becomes
+        # length * ((last - p) // m), and the new row adds (length + 1) * (p // m)
+        _visit(
+            m,
+            truncation,
+            k,
+            n + p,
+            p,
+            length + 1,
+            eig if p % m else eig + p,
+            q + length * ((last - p) // m - last // m) + (length + 1) * (p // m),
+            eigenvalues,
+            invariants,
+        )
+        k[p] -= 1
 
 
 @cache
-def _eigenvalue_census(n: int, m: int) -> _Census:
-    """Visit each partition of n once: check its basis vector against the
-    mode-m weight operator, tally the eigenvalue and, for m >= 2, tally its
-    support invariant."""
+def _walk(m: int, truncation: int) -> _Census:
+    """Visit each partition of each n <= truncation once, the empty one
+    included: check its basis vector against the mode-m weight operator,
+    tally the eigenvalue and, for m >= 2, tally the support invariant.
+
+    Each first part a gets its own vector of length a + 1, the length the
+    operator sees for every partition with largest part a.
+    """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    eigenvalues: dict[int, int] = {}
-    invariants: dict[int, int] = {}
-    for lam in enumerate_partitions(n):
-        k = multiplicity_vector(lam)
-        before = k[:]
-        eig = divisible_weight(lam, m)
-        coeff = weight_operator(m, k)
-        if k != before:
-            raise IdentityViolation(f"operator is not diagonal on {lam}: it moved {before} to {k}")
-        if coeff != eig:
-            raise IdentityViolation(f"operator has eigenvalue {coeff} on {lam}, not {eig}")
-        eigenvalues[eig] = eigenvalues.get(eig, 0) + 1
-        if m > 1:
-            q = support_invariant(lam, m)
-            invariants[q] = invariants.get(q, 0) + 1
-    return _Census(MappingProxyType(eigenvalues), MappingProxyType(invariants))
-
-
-def eigenspace_dimension(n: int, m: int, e: int) -> int:
-    """Dimension of the eigenvalue-e eigenspace of the mode-m weight operator
-    on the degree-n slice.
-
-    Counts basis partitions by the closed-form eigenvalue after verifying
-    each against the operator action itself.
-    """
-    if n < 0 or e < 0:
-        raise ValueError("n and e must be nonnegative")
-    return _eigenvalue_census(n, m).eigenvalues.get(e, 0)
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    eigenvalues = [[0] * (n + 1) for n in range(truncation + 1)]
+    invariants = [{} for _ in range(truncation + 1)]
+    tallied = invariants if m > 1 else None
+    _visit(m, truncation, [0], 0, 0, 0, 0, 0, eigenvalues, tallied)
+    for a in range(1, truncation + 1):
+        k = [0] * (a + 1)
+        k[a] = 1
+        _visit(m, truncation, k, a, a, 1, 0 if a % m else a, a // m, eigenvalues, tallied)
+    return _Census(
+        tuple(tuple(row) for row in eigenvalues),
+        tuple(MappingProxyType(row) for row in invariants),
+    )
 
 
 @dataclass(frozen=True)
@@ -175,20 +198,16 @@ def _product_table(m: int, truncation: int) -> list[list[int]]:
 def trace_series(m: int, truncation: int) -> PowerSeries2:
     """Bigraded trace of s^(degree) t^(mode-m weight) over Fock space.
 
-    Computed by summing over the partition basis with operator-derived
-    eigenvalues, then checked coefficientwise against the Euler-product
-    expansion; a mismatch raises.
+    Computed by summing over the partition basis with operator-checked
+    eigenvalues, in one walk for the whole triangle, then checked
+    coefficientwise against the Euler-product expansion; a mismatch raises.
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    table = [[0] * (n + 1) for n in range(truncation + 1)]
-    for n in range(truncation + 1):
-        for eig, count in _eigenvalue_census(n, m).eigenvalues.items():
-            table[n][eig] += count
-    product = _product_table(m, truncation)
-    if table != product:
+    table = _walk(m, truncation).eigenvalues
+    if list(map(list, table)) != _product_table(m, truncation):
         raise IdentityViolation("trace sum disagrees with its product expansion")
-    return PowerSeries2(truncation, tuple(tuple(row) for row in table))
+    return PowerSeries2(truncation, table)
 
 
 def product_series(m: int, truncation: int) -> PowerSeries2:
@@ -242,8 +261,8 @@ def verify_bo(
 ) -> list[StratumCounts]:
     """Four-way count comparison per stratum q: direct census of the support
     invariant, the product of partition counts, the eigenspace dimension and
-    the series coefficients.  The first and third come from the same pass
-    over the partitions of n.
+    the series coefficients.  The first and third come from the walk behind
+    the trace series.
 
     Precomputed series may be passed in when sweeping many n for one m.
     """
@@ -251,7 +270,8 @@ def verify_bo(
         raise ValueError("need n >= 0 and m >= 2")
     trace = _trace if _trace is not None and _trace.truncation >= n else trace_series(m, n)
     product = _product if _product is not None and _product.truncation >= n else product_series(m, n)
-    invariants = _eigenvalue_census(n, m).invariants
+    census = _walk(m, trace.truncation)
+    invariants, eigenvalues = census.invariants[n], census.eigenvalues[n]
     out = []
     for q in range(n // m + 1):
         out.append(
@@ -259,7 +279,7 @@ def verify_bo(
                 q=q,
                 count_qm=invariants.get(q, 0),
                 count_product=count_partitions(q) * count_m_regular(n - q * m, m),
-                dim_eigenspace=eigenspace_dimension(n, m, q * m),
+                dim_eigenspace=eigenvalues[q * m],
                 coeff_series=product.coeff(n, q * m),
                 coeff_trace=trace.coeff(n, q * m),
             )

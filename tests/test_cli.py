@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cherednik import characters, cli, fock, hecke
+from cherednik import characters, cli, fock, hecke, partitions
 
 
 def run(capsys, *argv):
@@ -337,10 +337,10 @@ class TestExitCodes:
 
 @pytest.fixture
 def fresh_census():
-    # a census cached by an earlier test would skip the faulted operator
-    fock._eigenvalue_census.cache_clear()
+    # a walk cached by an earlier test would skip the faulted operator
+    fock._walk.cache_clear()
     yield
-    fock._eigenvalue_census.cache_clear()
+    fock._walk.cache_clear()
 
 
 weight_operator = fock.weight_operator
@@ -377,12 +377,46 @@ class TestCountingFaults:
         assert captured.err.startswith("identity violation: ")
 
     def test_wrong_support_invariant_count_exits_1(self, monkeypatch, capsys, fresh_census):
-        invariant = fock.support_invariant
-        monkeypatch.setattr(fock, "support_invariant", lambda lam, m: invariant(lam, m) + (lam == (2, 2)))
+        # the walk hands (2, 2) the invariant 3 instead of 2, and the
+        # partitions that extend it inherit the error
+        visit = fock._visit
+
+        def corrupted(m, truncation, k, n, last, length, eig, q, *tallies):
+            visit(m, truncation, k, n, last, length, eig, q + (k == [0, 0, 2]), *tallies)
+
+        monkeypatch.setattr(fock, "_visit", corrupted)
         code, payload = run_json(capsys, "bo-verify", "--n-max", "6", "--m", "2")
         assert code == 1
         bad = [(row["n"], row["q"]) for row in payload["result"]["rows"] if not row["ok"]]
-        assert bad == [(4, 2)]
+        # (2,2) moves from q = 2 to 3, (2,2,1) and (2,2,1,1) from 0 to 1,
+        # and (2,2,2) from 3 to 4
+        assert bad == [(4, 2), (5, 0), (5, 1), (6, 0), (6, 1), (6, 3)]
+
+    @pytest.mark.parametrize(
+        "argv,m_values",
+        [
+            (["bo-verify", "--n-max", "12", "--m", "2,3"], [2, 3]),
+            (["fock-trace", "--m", "3", "--max", "12"], [3]),
+        ],
+        ids=["bo-verify", "fock-trace"],
+    )
+    def test_operator_checks_every_basis_vector_once(
+        self, monkeypatch, capsys, fresh_census, argv, m_values
+    ):
+        seen = {}
+
+        def spy(m, k):
+            seen.setdefault(m, []).append(tuple(i for i in range(len(k) - 1, 0, -1) for _ in range(k[i])))
+            return weight_operator(m, k)
+
+        monkeypatch.setattr(fock, "weight_operator", spy)
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        basis = sorted(lam for n in range(13) for lam in partitions.enumerate_partitions(n))
+        assert len(basis) == sum(partitions.count_partitions(n) for n in range(13))
+        assert sorted(seen) == m_values
+        for m in m_values:
+            assert sorted(seen[m]) == basis, m
 
     def test_fock_trace_accepts_m_1(self, capsys):
         code, payload = run_json(capsys, "fock-trace", "--m", "1", "--max", "4")

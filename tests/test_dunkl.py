@@ -341,6 +341,9 @@ class TestStratumIdeal:
         assert len(D.block_patterns(4, 2, 2)) == 3
         assert len(D.block_patterns(6, 3, 1)) == 20
         assert len(D.block_patterns(6, 3, 2)) == 10
+        # cached and shared by every membership test, so it must be immutable
+        assert isinstance(D.block_patterns(6, 3, 2), tuple)
+        assert D.block_patterns(6, 3, 2) is D.block_patterns(6, 3, 2)
 
     def test_substitution(self):
         f = D.combine((1, var(0, 4)), (-1, var(1, 4)))

@@ -1,7 +1,61 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from cherednik import fock as F
 from cherednik import partitions as P
+from cherednik.errors import IdentityViolation
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def multiplicity_vector(lam):
+    """The basis vector of lam: entry i counts the parts equal to i, up to
+    the largest part."""
+    k = [0] * (lam[0] + 1 if lam else 1)
+    for p in lam:
+        k[p] += 1
+    return k
+
+
+def divisible_weight(lam, m):
+    """Total size of the parts divisible by m: the eigenvalue of the mode-m
+    weight operator on lam."""
+    return sum(p for p in lam if not p % m)
+
+
+def oracle_census(n, m):
+    """The census as the library had it before the walk, kept as a
+    differential oracle: one ZS1 pass over the partitions of n, each basis
+    vector built from scratch, checked against the weight operator, and its
+    eigenvalue and (for m >= 2) support invariant tallied."""
+    eigenvalues, invariants = {}, {}
+    for lam in P.enumerate_partitions(n):
+        k = multiplicity_vector(lam)
+        before = k[:]
+        eig = divisible_weight(lam, m)
+        assert F.weight_operator(m, k) == eig and k == before, lam
+        eigenvalues[eig] = eigenvalues.get(eig, 0) + 1
+        if m > 1:
+            q = P.support_invariant(lam, m)
+            invariants[q] = invariants.get(q, 0) + 1
+    return eigenvalues, invariants
+
+
+def walk_census(n, m, truncation=None):
+    """The walk's tallies at degree n, as dicts of the nonzero counts."""
+    census = F._walk(m, n if truncation is None else truncation)
+    eigenvalues = {e: c for e, c in enumerate(census.eigenvalues[n]) if c}
+    return eigenvalues, dict(census.invariants[n])
+
+
+@pytest.fixture
+def fresh_walk():
+    # a walk cached by an earlier test would not pass through a spy
+    F._walk.cache_clear()
+    yield
+    F._walk.cache_clear()
 
 
 # The operators as the library had them on dict vectors {partition: coeff},
@@ -62,14 +116,14 @@ def as_partition(k):
 
 def annihilated(i, lam):
     """Library annihilation on the basis vector lam, as a dict vector."""
-    k = F.multiplicity_vector(lam)
+    k = multiplicity_vector(lam)
     c = F.annihilate(i, k)
     return {as_partition(k): c} if c else {}
 
 
 def created(i, lam):
     """Library creation on the basis vector lam, as a dict vector."""
-    k = F.multiplicity_vector(lam)
+    k = multiplicity_vector(lam)
     F.create(i, k)
     return {as_partition(k): 1}
 
@@ -79,20 +133,20 @@ class TestLadderOperators:
         assert annihilated(1, ()) == {}
         assert annihilated(2, (2,)) == {(): 2}
         assert annihilated(2, (2, 2)) == {(2,): 4}
-        k = F.multiplicity_vector((3, 1))
+        k = multiplicity_vector((3, 1))
         assert F.annihilate(2, k) == 0
         assert k == [0, 1, 0, 1]
 
     def test_create_examples(self):
         assert created(3, ()) == {(3,): 1}
         assert created(1, (2,)) == {(2, 1): 1}
-        k = F.multiplicity_vector((2,))
+        k = multiplicity_vector((2,))
         assert F.annihilate(2, k) == 2
         F.create(2, k)
-        assert k == F.multiplicity_vector((2,))
+        assert k == multiplicity_vector((2,))
 
     def test_coefficients_are_ints(self):
-        k = F.multiplicity_vector((3, 1))
+        k = multiplicity_vector((3, 1))
         F.create(2, k)
         F.create(2, k)
         assert all(type(entry) is int for entry in k)
@@ -114,11 +168,11 @@ class TestLadderOperators:
             for lam in P.enumerate_partitions(n):
                 for i in modes:
                     for j in modes:
-                        k = F.multiplicity_vector(lam)
+                        k = multiplicity_vector(lam)
                         F.create(j, k)
                         c = F.annihilate(i, k)
                         lhs = {as_partition(k): c} if c else {}
-                        k = F.multiplicity_vector(lam)
+                        k = multiplicity_vector(lam)
                         c = F.annihilate(i, k)
                         F.create(j, k)
                         diff = {as_partition(k): c} if c else {}
@@ -148,7 +202,7 @@ class TestDictOracle:
         for n in range(13):
             for lam in P.enumerate_partitions(n):
                 for m in range(1, 13):
-                    k = F.multiplicity_vector(lam)
+                    k = multiplicity_vector(lam)
                     coeff = F.weight_operator(m, k)
                     assert as_partition(k) == lam
                     expected = dict_weight_operator(m, basis_vector(lam))
@@ -157,12 +211,12 @@ class TestDictOracle:
 
 class TestWeightOperator:
     def test_examples(self):
-        k = F.multiplicity_vector((3, 1))
+        k = multiplicity_vector((3, 1))
         assert F.weight_operator(2, k) == 0
-        assert k == F.multiplicity_vector((3, 1))
-        assert F.weight_operator(2, F.multiplicity_vector((2, 2))) == 4
+        assert k == multiplicity_vector((3, 1))
+        assert F.weight_operator(2, multiplicity_vector((2, 2))) == 4
         for lam in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]:
-            k = F.multiplicity_vector(lam)
+            k = multiplicity_vector(lam)
             assert F.weight_operator(1, k) == 4
             assert as_partition(k) == lam
 
@@ -170,22 +224,21 @@ class TestWeightOperator:
         for n in range(15):
             for lam in P.enumerate_partitions(n):
                 for m in (1, 2, 3):
-                    k = F.multiplicity_vector(lam)
-                    assert F.weight_operator(m, k) == F.divisible_weight(lam, m)
-                    assert k == F.multiplicity_vector(lam)
+                    k = multiplicity_vector(lam)
+                    assert F.weight_operator(m, k) == divisible_weight(lam, m)
+                    assert k == multiplicity_vector(lam)
 
     def test_eigenspace_examples(self):
-        assert F.eigenspace_dimension(4, 2, 4) == 2
-        assert F.eigenspace_dimension(4, 2, 2) == 1
-        assert F.eigenspace_dimension(4, 2, 0) == 2
+        assert F._walk(2, 4).eigenvalues[4] == (2, 0, 1, 0, 2)
+        assert oracle_census(4, 2)[0] == {0: 2, 2: 1, 4: 2}
 
     def test_eigenspaces_exhaust_each_degree(self):
-        for n in range(16):
-            for m in (2, 3, 4):
-                total = sum(
-                    F.eigenspace_dimension(n, m, e) for e in range(n + 1)
-                )
-                assert total == P.count_partitions(n)
+        for m in (2, 3, 4):
+            census = F._walk(m, 15)
+            for n in range(16):
+                assert len(census.eigenvalues[n]) == n + 1
+                assert sum(census.eigenvalues[n]) == P.count_partitions(n)
+                assert sum(oracle_census(n, m)[0].values()) == P.count_partitions(n)
 
 
 class TestSeries:
@@ -223,16 +276,68 @@ class TestSeries:
 
 class TestCensus:
     def test_one_pass_counts_the_strata(self):
-        for n in range(13):
-            for m in (2, 3, 5):
-                census = F._eigenvalue_census(n, m)
-                assert census.invariants == {q: len(g) for q, g in P.strata(n, m).items()}
-                assert sum(census.eigenvalues.values()) == P.count_partitions(n)
+        for m in (2, 3, 5):
+            census = F._walk(m, 12)
+            for n in range(13):
+                assert census.invariants[n] == {q: len(g) for q, g in P.strata(n, m).items()}
+                assert sum(census.eigenvalues[n]) == P.count_partitions(n)
 
     def test_m_1_has_no_strata(self):
-        census = F._eigenvalue_census(4, 1)
-        assert census.eigenvalues == {4: 5}
-        assert census.invariants == {}
+        assert walk_census(4, 1) == ({4: 5}, {})
+        assert oracle_census(4, 1) == ({4: 5}, {})
+
+    def test_walk_matches_the_recorded_census(self):
+        # tallies recorded from the ZS1 census before the walk replaced it
+        recorded = json.loads((FIXTURES / "fock_census.json").read_text())
+        assert len(recorded["census"]) == 6 * 23
+        for entry in recorded["census"]:
+            n, m = entry["n"], entry["m"]
+            expected = (dict(entry["eigenvalues"]), dict(entry["invariants"]))
+            assert walk_census(n, m, recorded["n_max"]) == expected, (n, m)
+            assert oracle_census(n, m) == expected, (n, m)
+
+    def test_walk_does_not_depend_on_its_truncation(self):
+        for m in (1, 2, 3):
+            for n in range(11):
+                assert walk_census(n, m) == walk_census(n, m, 10) == oracle_census(n, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_carried_values(self, monkeypatch, fresh_walk, m):
+        # every visit, the vacuum included, carries the degree, eigenvalue
+        # and support invariant of the partition whose vector it holds
+        seen = []
+        visit = F._visit
+
+        def spy(m, truncation, k, n, last, length, eig, q, *tallies):
+            lam = as_partition(k)
+            seen.append(lam)
+            assert k == multiplicity_vector(lam), lam
+            assert (n, len(lam), eig) == (sum(lam), length, divisible_weight(lam, m)), lam
+            assert last == (lam[-1] if lam else 0), lam
+            assert q == P.support_invariant(lam, m), lam
+            visit(m, truncation, k, n, last, length, eig, q, *tallies)
+
+        monkeypatch.setattr(F, "_visit", spy)
+        F._walk(m, 20)
+        assert sorted(seen) == sorted(lam for n in range(21) for lam in P.enumerate_partitions(n))
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (lambda op, m, k: op(m, k) + (k == [0, 0, 2]), "operator has eigenvalue 5 on (2, 2), not 4"),
+            (
+                lambda op, m, k: op(m, k) if k != [0, 1, 1] else F.annihilate(2, k),
+                "operator is not diagonal on (2, 1): it moved [0, 1, 1] to [0, 1, 0]",
+            ),
+        ],
+        ids=["eigenvalue", "moved"],
+    )
+    def test_violation_names_the_partition(self, monkeypatch, fresh_walk, fault, message):
+        operator = F.weight_operator
+        monkeypatch.setattr(F, "weight_operator", lambda m, k: fault(operator, m, k))
+        with pytest.raises(IdentityViolation) as info:
+            F._walk(2, 6)
+        assert str(info.value) == message
 
 
 class TestVerify:
@@ -259,3 +364,15 @@ class TestVerify:
             for n in range(11):
                 for row in F.verify_bo(n, m, trace, product):
                     assert row.ok, (n, m, row)
+
+    def test_a_wrong_product_count_fails_only_its_column(self, monkeypatch):
+        # the eigenspace and census columns come from the walk, not from the
+        # partition counts they are compared with
+        trace, product = F.trace_series(3, 9), F.product_series(3, 9)
+        regular = F.count_m_regular
+        monkeypatch.setattr(F, "count_m_regular", lambda n, m: regular(n, m) + 1)
+        for n in range(10):
+            for row in F.verify_bo(n, 3, trace, product):
+                assert not row.ok
+                assert row.count_product != row.count_qm
+                assert row.count_qm == row.dim_eigenspace == row.coeff_series == row.coeff_trace

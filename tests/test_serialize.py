@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik import serialize as S
 
@@ -41,3 +44,40 @@ def test_poly_json():
         {"exponents": [1, 0], "coeff": "1"},
         {"exponents": [0, 1], "coeff": "-1/3"},
     ]
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(["", "é", "naïve ∑", " ", "},\n  {", '"]', "\x00\n\t\\"])
+)
+KEYS = st.text() | st.integers() | st.floats(allow_nan=True) | st.booleans() | st.none()
+ROW = st.dictionaries(st.text(max_size=5), SCALARS, max_size=4) | st.lists(SCALARS, max_size=4)
+
+
+def nested(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.tuples(children, children)
+        | st.dictionaries(KEYS, children, max_size=5)
+        # tables: rows of scalars of one kind, which are encoded in one call
+        | st.lists(st.dictionaries(st.text(max_size=5), SCALARS, min_size=1, max_size=4), max_size=5)
+        | st.lists(st.lists(SCALARS, min_size=1, max_size=4) | ROW, max_size=5)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(SCALARS, nested, max_leaves=40))
+def test_json_text_is_json_dumps_indent_2(value):
+    assert S.json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_what_json_refuses():
+    for value in ({(1, 2): 0}, {"a": [Fraction(1, 2)]}, [{"a": 1}, {"b": Fraction(1, 2)}]):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            S.json_text(value)
