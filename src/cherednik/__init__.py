@@ -4,7 +4,7 @@ representation, Fock-space counting and Hecke simple modules."""
 
 __version__ = "0.1.0"
 
-# hecke is left to `from cherednik import hecke`, as the CLI does, so that
-# the other commands do not compile it: without cached bytecode that adds
-# about 10 ms and a few hundred kB to every process start
-from . import characters, dunkl, fock, partitions, serialize  # noqa: F401
+# No submodule is imported here: `import cherednik.cli` loads only the
+# argument parser and the partition and serialization helpers, and each
+# command imports the module it runs.  Without cached bytecode every module
+# loaded is also compiled, which every short CLI process pays for.

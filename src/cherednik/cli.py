@@ -11,11 +11,11 @@ header.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 
-from . import __version__, characters, dunkl, fock, partitions
+# each command imports the library module it runs, so a process loads and
+# compiles only what its command needs; these are shared by all of them
+from . import __version__, partitions
 from .errors import IdentityViolation
 from .serialize import (
     fraction_str,
@@ -118,6 +118,8 @@ def cmd_census(args):
 
 
 def cmd_bo_verify(args):
+    from . import fock
+
     m_values = [int(tok) for tok in args.m.split(",") if tok.strip()]
     if not m_values:
         raise ValueError(f"--m names no denominator: {args.m!r}")
@@ -146,6 +148,8 @@ def cmd_bo_verify(args):
 
 
 def cmd_weights(args):
+    from . import characters
+
     c = parse_fraction(args.c)
     weights = {
         lam: characters.lowest_weight(lam, c) for lam in partitions.enumerate_partitions(args.n)
@@ -162,6 +166,8 @@ def cmd_weights(args):
 
 
 def cmd_lr(args):
+    from . import characters
+
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     c = parse_fraction(args.c) if args.c is not None else None
@@ -184,6 +190,8 @@ def cmd_lr(args):
 
 
 def cmd_dunkl_check(args):
+    from . import dunkl
+
     cfg = dunkl.EngineConfig(args.n, parse_fraction(args.c))
     report = dunkl.verify_relations(cfg, args.degree)
     rows = [
@@ -207,6 +215,8 @@ def cmd_dunkl_check(args):
 
 
 def cmd_singular(args):
+    from . import dunkl
+
     cfg = dunkl.EngineConfig(args.n, parse_fraction(args.c))
     basis = dunkl.singular_vectors(cfg, args.degree)
     rows = [
@@ -223,6 +233,8 @@ def cmd_singular(args):
 
 
 def cmd_ideal_check(args):
+    from . import dunkl
+
     c = parse_fraction(args.c) if args.c is not None else None
     report = dunkl.ideal_stability_check(args.n, args.m, args.q, args.degree, c)
     rows = [
@@ -250,6 +262,8 @@ def cmd_ideal_check(args):
 
 
 def cmd_fock_trace(args):
+    from . import fock
+
     series = fock.trace_series(args.m, args.max)
     rows = [
         {"deg_s": n, "deg_t": e, "coeff": coeff} for n, e, coeff in series.rows()
@@ -259,7 +273,7 @@ def cmd_fock_trace(args):
 
 
 def cmd_hecke_simples(args):
-    from . import hecke  # only this command loads it; see __init__
+    from . import hecke
 
     report = hecke.count_simples(args.p, args.m, seed=args.seed)
     row = {
@@ -391,6 +405,9 @@ def _emit(args, payload: dict, rows: list[dict], ok: bool) -> None:
         return
     headers = list(rows[0].keys())
     if args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)

@@ -156,6 +156,18 @@ class TestEngineCommands:
         assert code == 2
         assert captured.err == f"error: m must be at least 2, got {m}\n"
 
+    def test_ideal_check_refuses_all_zero_slices(self, capsys):
+        # graded_dims 0, 0, 0: no generator, so nothing was checked, and
+        # this used to exit 0 with "stable": true
+        code = cli.main(["ideal-check", "--n", "6", "--m", "2", "--q", "2", "--degree", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the stratum ideal has no nonzero element of degree at most 3; "
+            "raise the degree bound\n"
+        )
+
     @pytest.mark.parametrize("degree", ["0", "-3"])
     def test_ideal_check_refuses_degree_below_one(self, capsys, degree):
         # a degree below 1 checked no slice and passed vacuously
@@ -264,14 +276,27 @@ REFERENCE = [
         "lr_lambda3-2-1_mu2-1_c1_2.csv",
         ["--format", "csv", "lr", "--lambda", "3,2,1", "--mu", "2,1", "--c", "1/2"],
     ),
+    # recorded from the glue that rebuilt the block map on every call; the
+    # c = 1/3 control fails, and its failure list is part of the record
+    (
+        "ideal-check_n6_m3_q2_degree4.json",
+        ["ideal-check", "--n", "6", "--m", "3", "--q", "2", "--degree", "4"],
+    ),
+    (
+        "ideal-check_n4_m2_q2_degree4_c1_3.json",
+        ["ideal-check", "--n", "4", "--m", "2", "--q", "2", "--degree", "4", "--c", "1/3"],
+    ),
 ]
+
+# every other reference command exits 0
+REFERENCE_EXIT = {"ideal-check_n4_m2_q2_degree4_c1_3.json": 1}
 
 
 class TestReferenceOutput:
     @pytest.mark.parametrize("name,argv", REFERENCE, ids=[name for name, _ in REFERENCE])
     def test_stdout_matches(self, capsys, name, argv):
         code, out = run(capsys, *argv)
-        assert code == 0
+        assert code == REFERENCE_EXIT.get(name, 0)
         lines = out.splitlines(keepends=True)
         if name.endswith(".json"):
             assert lines[2] == f'  "version": "{cli.__version__}",\n'
@@ -435,14 +460,18 @@ class TestCountingFaults:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-# runs one command in a fresh interpreter and reports its exit code and
-# whether sympy was loaded
+# runs one command in a fresh interpreter and reports its exit code, whether
+# sympy was loaded and which modules of the package it loaded
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cherednik import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps({"code": code, "sympy": "sympy" in sys.modules}))
+print(json.dumps({
+    "code": code,
+    "sympy": "sympy" in sys.modules,
+    "modules": sorted(m for m in sys.modules if m.startswith("cherednik.")),
+}))
 """
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -472,29 +501,53 @@ def probe(argv):
     return json.loads(res.stdout)
 
 
+LIBRARY = {"characters", "dunkl", "fock", "hecke", "linalg", "polyfactor"}
+
+
+def loaded_library(argv):
+    """The modules of LIBRARY that running argv in a fresh interpreter loads."""
+    out = probe(argv)
+    assert out["code"] == 0
+    return {name for name in LIBRARY if f"cherednik.{name}" in out["modules"]}
+
+
 class TestImportBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["census", "--n", "10", "--m", "3"],
+            ["support", "--lambda", "3,1", "--m", "2"],
+            ["decompose", "--lambda", "5,3,1", "--m", "2"],
+        ],
+        ids=lambda a: a[0] if a else "import",
+    )
+    def test_partition_commands_load_no_library_module(self, argv):
+        assert loaded_library(argv) == set()
+
+    def test_ideal_check_loads_only_the_operator_modules(self):
+        argv = ["ideal-check", "--n", "3", "--m", "3", "--q", "1", "--degree", "2"]
+        assert loaded_library(argv) == {"dunkl", "linalg"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lr", "--lambda", "2,1", "--mu", "1", "--c", "1/2"],
+            ["weights", "--n", "5", "--c", "1/2"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_character_commands_load_only_characters(self, argv):
+        assert loaded_library(argv) == {"characters"}
+
     @pytest.mark.parametrize("argv", SYMPY_FREE, ids=lambda a: a[0] if a else "import")
     def test_sympy_is_not_imported(self, argv):
-        assert probe(argv) == {"code": 0, "sympy": False}
-
-    def test_import_leaves_the_factorizer_unloaded(self):
-        # only the hecke-simples path loads cherednik.polyfactor, and
-        # cherednik.hecke itself
-        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-        code = (
-            "import sys; from cherednik import cli; "
-            "print([m in sys.modules for m in ('cherednik.polyfactor', 'cherednik.hecke')])"
-        )
-        res = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-        )
-        assert res.stdout == "[False, False]\n", res.stderr
+        out = probe(argv)
+        assert (out["code"], out["sympy"]) == (0, False)
 
     @pytest.mark.parametrize("p,m", [(3, 2), (4, 5)])
     def test_hecke_audit_leaves_sympy_unloaded(self, p, m):
         # (4, 5) factors a degree-20 minimal polynomial in the split audit
         argv = ["hecke-simples", "--p", str(p), "--m", str(m)]
-        assert probe(argv) == {"code": 0, "sympy": False}
+        out = probe(argv)
+        assert (out["code"], out["sympy"]) == (0, False)

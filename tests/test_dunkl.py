@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik import cli
 from cherednik import dunkl as D
@@ -89,6 +91,83 @@ def fraction_dunkl_apply(i, terms, cfg):
                 else:
                     out.pop(e2, None)
     return out
+
+
+def oracle_glue_substitution(f, pattern, n):
+    """The glue that rebuilt its block-to-variable map on every call, kept
+    as the differential oracle of dunkl.glue_substitution."""
+    q = len(pattern)
+    blocked = {i for block in pattern for i in block}
+    mapping = {}
+    for k, block in enumerate(pattern):
+        for i in block:
+            mapping[i] = k
+    free = [i for i in range(n) if i not in blocked]
+    for rank, i in enumerate(free):
+        mapping[i] = q + rank
+    target_n = q + len(free)
+    out = {}
+    for exp, coeff in f.items():
+        new = [0] * target_n
+        for i, e in enumerate(exp):
+            new[mapping[i]] += e
+        key = tuple(new)
+        out[key] = out.get(key, 0) + coeff
+    return {exp: coeff for exp, coeff in out.items() if coeff}
+
+
+def oracle_stratum_ideal_basis(n, m, q, d):
+    """dunkl.stratum_ideal_basis as it was, on the oracle glue."""
+    from cherednik import linalg
+
+    cols = D.monomials(n, d)
+    row_index = {}
+    rows = []
+    for pid, pattern in enumerate(D.block_patterns(n, m, q)):
+        for k, mon in enumerate(cols):
+            ((exp, _),) = oracle_glue_substitution({mon: 1}, pattern, n).items()
+            if (pid, exp) not in row_index:
+                row_index[(pid, exp)] = len(rows)
+                rows.append([0] * len(cols))
+            rows[row_index[(pid, exp)]][k] = 1
+    return [
+        {cols[k]: v for k, v in enumerate(vec) if v}
+        for vec, _ in linalg.kernel_basis(rows, len(cols))
+    ]
+
+
+def oracle_in_stratum_ideal(f, n, m, q):
+    """dunkl.in_stratum_ideal as it was, on the oracle glue."""
+    return not any(oracle_glue_substitution(f, p, n) for p in D.block_patterns(n, m, q))
+
+
+def generic(n, max_degree):
+    """Every monomial of degree at most max_degree, with distinct positive
+    coefficients: no glued term cancels, and a monomial glued to the wrong
+    place changes some coefficient."""
+    mons = [mon for d in range(max_degree + 1) for mon in D.monomials(n, d)]
+    return {mon: k + 1 for k, mon in enumerate(mons)}
+
+
+def strata(max_n):
+    """Every (n, m, q) with 2 <= m and 1 <= q <= n // m, for n <= max_n."""
+    return [
+        (n, m, q)
+        for n in range(2, max_n + 1)
+        for m in range(2, n + 1)
+        for q in range(1, n // m + 1)
+    ]
+
+
+@st.composite
+def stratum_and_polynomial(draw, max_n=6):
+    """(n, m, q, f) with f a sparse integer polynomial in n variables whose
+    small coefficients and exponents make cancellations under gluing likely."""
+    n, m, q = draw(st.sampled_from(strata(max_n)))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.integers(-2, 2).filter(bool)
+    f = draw(st.dictionaries(exps, coeffs, max_size=8))
+    return n, m, q, f
 
 
 @pytest.fixture
@@ -382,11 +461,111 @@ class TestStratumIdeal:
         with pytest.raises(ValueError, match="max_degree must be at least 1"):
             D.ideal_stability_check(4, 2, 1, degree)
 
+    @pytest.mark.parametrize("n,m,q,degree", [(6, 2, 2, 3), (4, 2, 1, 5), (4, 2, 1, 1)])
+    def test_all_zero_slices_are_refused(self, n, m, q, degree):
+        # no generator means no operator image is checked: a vacuous pass
+        match = f"no nonzero element of degree at most {degree}"
+        with pytest.raises(ValueError, match=match):
+            D.ideal_stability_check(n, m, q, degree)
+        with pytest.raises(ValueError, match=match):
+            D.ideal_stability_check(n, m, q, degree, c=Fraction(1, 3))
+
+    def test_first_nonzero_slice_is_checked(self):
+        report = D.ideal_stability_check(4, 2, 1, 6)
+        assert report.graded_dims == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1}
+        assert report.stable
+
     @pytest.mark.parametrize("m", [0, 1])
     def test_m_below_two_is_refused(self, m):
         # m = 0 divided by zero; m = 1 gave zero ideal slices, a vacuous pass
         with pytest.raises(ValueError, match="m must be at least 2"):
             D.ideal_stability_check(4, m, 1, 1)
+
+
+class TestGlue:
+    """The glue tables against the glue that rebuilt its map on every call."""
+
+    @pytest.mark.parametrize("n,m,q", strata(6))
+    def test_every_pattern_matches_oracle(self, n, m, q):
+        f = generic(n, 3)
+        for pattern in D.block_patterns(n, m, q):
+            assert D.glue_substitution(f, pattern, n) == oracle_glue_substitution(f, pattern, n)
+            for mon in f:
+                assert D.glue_substitution({mon: -2}, pattern, n) == oracle_glue_substitution(
+                    {mon: -2}, pattern, n
+                ), (pattern, mon)
+
+    def test_same_pattern_on_two_numbers_of_variables(self):
+        # the free coordinates follow the blocks, so the map depends on n as
+        # well as on the pattern; a table keyed on the pattern alone is wrong
+        pattern = ((0, 1),)
+        for n in (4, 6, 4, 3, 6):
+            f = generic(n, 2)
+            assert D.glue_substitution(f, pattern, n) == oracle_glue_substitution(f, pattern, n)
+        assert D.glue_substitution(var(5, 6), pattern, 6) == {(0, 0, 0, 0, 1): 1}
+        assert D.glue_substitution(var(3, 4), pattern, 4) == {(0, 0, 1): 1}
+        for n in (4, 6):
+            f = D.combine((1, var(0, n)), (-1, var(n - 1, n)))
+            assert D.in_stratum_ideal(f, n, 2, 1) is oracle_in_stratum_ideal(f, n, 2, 1) is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(stratum_and_polynomial())
+    def test_random_polynomials_match_oracle(self, case):
+        n, m, q, f = case
+        for pattern in D.block_patterns(n, m, q):
+            assert D.glue_substitution(f, pattern, n) == oracle_glue_substitution(f, pattern, n)
+        assert D.in_stratum_ideal(f, n, m, q) == oracle_in_stratum_ideal(f, n, m, q)
+
+    @settings(max_examples=50, deadline=None)
+    @given(stratum_and_polynomial(max_n=5))
+    def test_random_ideal_elements_are_members(self, case):
+        # x_a - x_b vanishes on a translate whose first block holds a and b,
+        # so the product over every translate lies in the ideal, times any g
+        n, m, q, g = case
+        pairs = {pattern[0][:2] for pattern in D.block_patterns(n, m, q)}
+        f = {(0,) * n: 1}
+        for a, b in sorted(pairs):
+            f = mul(f, D.combine((1, var(a, n)), (-1, var(b, n))))
+        f = mul(f, g)
+        assert D.in_stratum_ideal(f, n, m, q) is oracle_in_stratum_ideal(f, n, m, q) is True
+
+    @pytest.mark.parametrize("n,m,q", strata(6))
+    def test_ideal_basis_matches_oracle(self, n, m, q):
+        for d in range(1, 4 if n < 6 else 3):
+            assert D.stratum_ideal_basis(n, m, q, d) == oracle_stratum_ideal_basis(n, m, q, d)
+
+    @pytest.mark.parametrize("n,m,q,degree", [(4, 2, 2, 3), (3, 3, 1, 3), (6, 3, 2, 3)])
+    def test_membership_of_operator_images_matches_oracle(self, n, m, q, degree):
+        # off c = 1/m some images leave the ideal and some stay
+        cfg = EngineConfig(n, Fraction(1, m + 1))
+        seen = set()
+        for d in range(1, degree + 1):
+            for f in D.stratum_ideal_basis(n, m, q, d):
+                for i in range(n):
+                    img = D.dunkl_apply(i, f, cfg)
+                    verdict = D.in_stratum_ideal(img, n, m, q)
+                    assert verdict == oracle_in_stratum_ideal(img, n, m, q)
+                    seen.add(verdict)
+        assert seen == {True, False}
+
+    def test_each_monomial_is_glued_once_per_translate(self, monkeypatch):
+        calls = []
+        real = D.glue_substitution
+
+        def spy(f, pattern, n):
+            calls.append(pattern)
+            return real(f, pattern, n)
+
+        monkeypatch.setattr(D, "glue_substitution", spy)
+        n, m, q = 7, 3, 2
+        f = generic(n, 2)
+        assert not D.in_stratum_ideal(f, n, m, q)
+        first = len(calls)
+        assert first <= len(f) * len(D.block_patterns(n, m, q))
+        # every monomial of degree 2 is a term of f, so nothing is glued again
+        D.in_stratum_ideal(f, n, m, q)
+        D.stratum_ideal_basis(n, m, q, 2)
+        assert len(calls) == first
 
 
 class TestSignTwist:
