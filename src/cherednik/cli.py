@@ -275,7 +275,7 @@ def cmd_fock_trace(args):
 def cmd_hecke_simples(args):
     from . import hecke
 
-    report = hecke.count_simples(args.p, args.m, seed=args.seed)
+    report = hecke.count_simples(args.p, args.m)
     row = {
         "p": report.p,
         "m": report.m,
@@ -316,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         "type-A rational Cherednik algebra at c = r/m.",
     )
     parser.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="accepted for compatibility; no command uses it"
+    )
     # the common flags are accepted on either side of the subcommand;
     # SUPPRESS keeps an unset trailing flag from clobbering a leading one
     common = argparse.ArgumentParser(add_help=False)

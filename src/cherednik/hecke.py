@@ -12,16 +12,15 @@ element C with one right sweep: the normal form of x modulo J is
 x - sum_f x_f K_f over the free columns f, and the quotient H/J has
 coordinates on the remaining pivot columns P.  Simple modules are counted
 through the center of H/J, the kernel in P-coordinates of the commutators
-with the generators.  Splitness over Q(zeta_m) is audited by decomposing
-that center into primitive idempotents with rational-only factorization
-(:mod:`cherednik.polyfactor`); each block dimension is one trace over P.
+with the generators.  The block dimensions (dim D^mu)^2 come from the LLT
+canonical basis (:func:`cherednik.fock.simple_dimensions`), a path with no
+linear algebra, and are cross-checked against the radical and the center:
+as many blocks as the center has dimensions, summing to dim H - dim J.
 
 Every number on this path is an integer.  The gram and the structure
 constants of H are integral, and each kernel is kept as integer vectors
 over one common denominator (D for the radical, D_Z for the center), so
-`reduce` returns D times the normal form and the center algebra carries one
-denominator per element.  Only the projector coefficients of the split
-audit, from `polyfactor.gcdex`, are fractions.
+`reduce` returns D times the normal form.
 
 The verdict of :func:`count_simples` begins with :func:`check_relations`:
 the quadratic, braid and commuting relations of the generators, checked as
@@ -30,19 +29,15 @@ exact identities of term dicts.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations as _itperms
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from . import linalg
 from .errors import IdentityViolation
+from .fock import simple_dimensions
 from .partitions import count_m_regular
-
-# polyfactor is imported by the functions that use it, all on the
-# hecke-simples path, so that the other commands do not load it: without
-# cached bytecode its compilation adds several ms to every process start
 
 Permutation = tuple[int, ...]
 CycElement = tuple  # coefficients of 1, zeta, ..., zeta^(phi-1)
@@ -56,9 +51,8 @@ IntKernel = tuple[int, list[tuple[int, list[CycElement]]]]
 
 @cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the m-th cyclotomic polynomial."""
-    from . import polyfactor
-
+    """Ascending integer coefficients of the m-th cyclotomic polynomial:
+    x^m - 1 divided exactly by the monic Phi_d for each proper divisor d."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if m == 1:
@@ -66,9 +60,17 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = polyfactor.exact_quotient(poly, cyclotomic_polynomial(d))
-            if poly is None:
+            divisor = cyclotomic_polynomial(d)
+            n = len(divisor)
+            quot = [0] * (len(poly) - n + 1)
+            for k in range(len(quot) - 1, -1, -1):
+                c = quot[k] = poly[k + n - 1]
+                if c:
+                    for j in range(n):
+                        poly[k + j] -= c * divisor[j]
+            if any(poly):
                 raise ArithmeticError("polynomial division left a remainder")
+            poly = quot
     return tuple(poly)
 
 
@@ -159,16 +161,22 @@ class CyclotomicField:
         return not any(a)
 
     def inv(self, a: CycElement) -> CycElement:
-        """Field inverse: the Bezout cofactor of a against the cyclotomic
-        modulus."""
-        from .polyfactor import gcdex
+        """Field inverse, with Fraction coefficients: the x with a x = 1, read
+        off the kernel of [M | -n e_0], where a = A / n with A integral and
+        M is the matrix of multiplication by A."""
+        from fractions import Fraction
 
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
-        s, _, h = gcdex(a, self.modulus)
-        if h != [1]:
-            raise ArithmeticError("element shares a factor with the modulus")
-        return self.element(s)
+        n = lcm(*(x.denominator for x in a))
+        A = tuple(int(x * n) for x in a)
+        cols = [self.mul(A, self.zeta(k)) for k in range(self.degree)]
+        rows = [[col[t] for col in cols] + [-n if t == 0 else 0] for t in range(self.degree)]
+        kern = linalg.kernel_basis(rows, self.degree + 1)
+        if len(kern) != 1:
+            raise ArithmeticError("multiplication by a nonzero element is singular")
+        vec, den = kern[0]
+        return tuple(Fraction(x, den) for x in vec[: self.degree])
 
     def format(self, a: CycElement, den: int = 1) -> str:
         """The element a / den, each coefficient in lowest terms."""
@@ -224,7 +232,9 @@ class HeckeAlgebra:
     coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`.
     A single term times b is an `lmul_gen` word; every other product is a
     right sweep (`right_sweep`) over the weak order: general products in
-    `mul_raw`, the trace form from the Casimir element, and block traces.
+    `mul_raw`, and the trace form from the Casimir element.  From the trace
+    form come the radical, the normal form modulo it (`reduce`) and the
+    center of the quotient.
     """
 
     def __init__(self, p: int, m: int, r: int = 1):
@@ -319,26 +329,20 @@ class HeckeAlgebra:
             if cv == F.one:
                 return cur
             return {w: c for w, c in ((w, F.mul(cv, cw)) for w, cw in cur.items()) if not F.is_zero(c)}
-        return self.products(a, [b])[0]
-
-    def products(self, a: dict, bs: list[dict]) -> list[dict]:
-        """The products a * b for every b in `bs`, from one right sweep of a
-        that stops once every b's support has been met."""
-        F = self.field
-        outs: list[dict[Permutation, CycElement]] = [{} for _ in bs]
-        left = sum(len(b) for b in bs)
+        # one right sweep of a, stopped once b's support has been met
+        out: dict[Permutation, CycElement] = {}
+        left = len(b)
         for w, t in self.right_sweep(a):
-            for b, out in zip(bs, outs):
-                cw = b.get(w)
-                if cw is None:
-                    continue
-                for x, cx in t.items():
-                    prod = F.mul(cx, cw)
-                    out[x] = F.add(out[x], prod) if x in out else prod
-                left -= 1
+            cw = b.get(w)
+            if cw is None:
+                continue
+            for x, cx in t.items():
+                prod = F.mul(cx, cw)
+                out[x] = F.add(out[x], prod) if x in out else prod
+            left -= 1
             if not left:
                 break
-        return [{x: c for x, c in out.items() if not F.is_zero(c)} for out in outs]
+        return {x: c for x, c in out.items() if not F.is_zero(c)}
 
     # -- trace form, radical, center ------------------------------------------
 
@@ -468,15 +472,6 @@ class HeckeAlgebra:
                 out[pos] = F.sub(out[pos], F.mul(x, k))
         return out
 
-    def quotient_terms(self, vec: list[CycElement]) -> dict:
-        """The element with coordinates `vec` on P, as a term dict."""
-        F = self.field
-        return {
-            self.perms[c]: x
-            for c, x in zip(self.quotient_columns, vec)
-            if not F.is_zero(x)
-        }
-
     @cached_property
     def _center(self) -> IntKernel:
         """RREF basis, in coordinates on P, of the center of the quotient:
@@ -544,12 +539,7 @@ def check_relations(H: HeckeAlgebra) -> None:
 
 
 # ---------------------------------------------------------------------------
-# simple-module counting with splitness audit
-
-
-class AuditInconclusive(Exception):
-    """The center could not be split into primitive idempotents with the
-    candidates tried; counting falls back to an upper bound."""
+# simple-module counting, cross-checked against the LLT canonical basis
 
 
 @dataclass
@@ -560,10 +550,11 @@ class HeckeSimplesReport:
     rad_dim: int
     simples: int
     expected_m_regular: int
+    # the regular path and the LLT block dimensions agree
     split_audit: bool
     block_dims: list[int] | None
     upper_bound_only: bool
-    # why the audit failed; None when it passed
+    # the mismatch between the two paths; None when they agree
     audit_note: str | None = None
 
     @property
@@ -571,268 +562,41 @@ class HeckeSimplesReport:
         return self.split_audit and self.simples == self.expected_m_regular
 
 
-class _CenterAlgebra:
-    """The center of the semisimple quotient with exact integer structure
-    constants, small enough for direct idempotent hunting.
-
-    The RREF center basis is z_s = Z_s / D_Z with integer Z_s in coordinates
-    on P.  Each z_s is 1 at its own free column and 0 at the others', so the
-    coordinates of a central element are its values at those columns.  An
-    element is a pair (coords, den), the element sum_s coords[s] z_s / den,
-    with integer coords, den > 0 and no common factor, so equal elements are
-    equal pairs.  The product z_s z_t is sum_r gamma[s][t][r] z_r / gamma_den
-    with integer gamma and gamma_den = D D_Z^2, D the radical's denominator."""
-
-    def __init__(self, H: HeckeAlgebra):
-        self.H = H
-        self.F = H.field
-        self.basis_den, center = H._center
-        self.free = [f for f, _ in center]
-        self.basis_vectors = [vec for _, vec in center]
-        self.k = len(self.basis_vectors)
-        D = H._radical[0]
-        self.gamma_den = D * self.basis_den**2
-        # structure constants gamma[s][t] as coordinate lists over gamma_den
-        self.gamma: list[list[list[CycElement] | None]] = [
-            [None] * self.k for _ in range(self.k)
-        ]
-        terms = [H.quotient_terms(vec) for vec in self.basis_vectors]
-        for s in range(self.k):
-            for t, prod in enumerate(H.products(terms[s], terms[s:]), s):
-                coords = self._coords_of_vector(H.reduce(prod))
-                self.gamma[s][t] = coords
-                self.gamma[t][s] = coords
-        unit = self._coords_of_vector(H.reduce({H.identity_perm: self.F.one}))
-        self.identity = self._normal(unit, D)
-
-    def _combine(self, coords: list[CycElement]) -> list[CycElement]:
-        """sum_s coords[s] Z_s, in coordinates on P."""
-        F = self.F
-        out = [F.zero] * len(self.H.quotient_columns)
-        for c, row in zip(coords, self.basis_vectors):
-            if F.is_zero(c):
-                continue
-            for j, x in enumerate(row):
-                if not F.is_zero(x):
-                    out[j] = F.add(out[j], F.mul(c, x))
-        return out
-
-    def _coords_of_vector(self, vec: list[CycElement]) -> list[CycElement]:
-        """The values at the free columns of the P-vector `vec`, after
-        checking that `vec` is in the span of the center basis:
-        sum_r vec[f_r] Z_r == D_Z vec."""
-        coords = [vec[f] for f in self.free]
-        if self._combine(coords) != [self.F.scale(x, self.basis_den) for x in vec]:
-            raise AuditInconclusive("product left the span of the center")
-        return coords
-
-    def _normal(self, coords: list[CycElement], den: int) -> tuple[list[CycElement], int]:
-        g = gcd(den, *(x for c in coords for x in c))
-        if g == 1:
-            return coords, den
-        return [tuple(x // g for x in c) for c in coords], den // g
-
-    def mul(self, u, v):
-        F = self.F
-        (u, a), (v, b) = u, v
-        out = [F.zero] * self.k
-        for s, us in enumerate(u):
-            if F.is_zero(us):
-                continue
-            for t, vt in enumerate(v):
-                if F.is_zero(vt):
-                    continue
-                coeff = F.mul(us, vt)
-                row = self.gamma[s][t]
-                for r in range(self.k):
-                    if not F.is_zero(row[r]):
-                        out[r] = F.add(out[r], F.mul(coeff, row[r]))
-        return self._normal(out, a * b * self.gamma_den)
-
-    def scale(self, u, factor):
-        """u times an int or Fraction factor."""
-        coords, den = u
-        num = factor.numerator
-        return self._normal([self.F.scale(c, num) for c in coords], den * factor.denominator)
-
-    def add(self, u, v):
-        F = self.F
-        (us, a), (vs, b) = u, v
-        den = lcm(a, b)
-        sa, sb = den // a, den // b
-        return self._normal([F.add(F.scale(x, sa), F.scale(y, sb)) for x, y in zip(us, vs)], den)
-
-    def to_quotient_vector(self, u) -> tuple[list[CycElement], int]:
-        """The element u as an integer P-vector over a denominator."""
-        coords, den = u
-        return self._combine(coords), den * self.basis_den
-
-    def zero_element(self):
-        return [self.F.zero] * self.k, 1
-
-
-def _rational_columns(elems: list) -> list[list[int]]:
-    """The integer matrix whose columns are the flattened center elements
-    brought to their least common denominator: a multiple of the rational
-    matrix, with the same kernel."""
-    common = lcm(*(den for _, den in elems))
-    cols = [[x * (common // den) for c in coords for x in c] for coords, den in elems]
-    return [list(row) for row in zip(*cols)]
-
-
-def _min_poly(center: _CenterAlgebra, e, z, dim_bound: int) -> tuple[list[int], list]:
-    """Minimal polynomial of z over the rationals inside the unital piece
-    with identity e, as a primitive integer polynomial with ascending
-    coefficients, read off the first RREF kernel vector of the powers
-    e, z, ..., z^dim_bound; returned with those powers."""
-    from . import polyfactor
-
-    powers = [e]
-    for _ in range(dim_bound):
-        powers.append(center.mul(powers[-1], z))
-    kern = linalg.kernel_basis(_rational_columns(powers), dim_bound + 1)
-    if not kern:
-        raise AuditInconclusive("minimal polynomial search exceeded the dimension bound")
-    vec, _ = kern[0]
-    return polyfactor.primitive(vec[: _last_nonzero(vec) + 1]), powers
-
-
-def _split_piece(center: _CenterAlgebra, e, basis, rng) -> list[tuple[tuple, int]]:
-    """Recursively split the unital commutative piece (e, basis) into fields;
-    returns (idempotent, rational dimension) pairs.  Seeded random
-    combinations of the basis come before the basis elements: one of them
-    usually generates the whole piece, which then splits in one step."""
-    from . import polyfactor
-
-    dim = len(basis)
-    if dim == center.F.degree:
-        return [(e, dim)]
-    candidates = []
-    for _ in range(24):
-        combo = center.zero_element()
-        for b in basis:
-            combo = center.add(combo, center.scale(b, rng.randint(-3, 3)))
-        candidates.append(combo)
-    candidates.extend(basis)
-    for z in candidates:
-        mu, powers = _min_poly(center, e, z, dim)
-        if len(polyfactor.poly_gcd(mu, polyfactor.derivative(mu))) != 1:
-            raise AuditInconclusive(f"minimal polynomial {mu} is not squarefree")
-        factors = polyfactor.factor_squarefree(mu)
-        if len(factors) == 1:
-            if len(mu) - 1 == dim:
-                return [(e, dim)]
-            continue  # z generates a proper subfield; try another element
-        out = []
-        for g in factors:
-            cof = polyfactor.exact_quotient(mu, g)
-            s, _, h = polyfactor.gcdex(cof, g)
-            if len(h) != 1:
-                raise AuditInconclusive("factors of the minimal polynomial are not coprime")
-            # the projector s * cof, of degree below deg mu, summed over the
-            # stored powers of z; its coefficients are the only fractions
-            eg = center.zero_element()
-            for c, zj in zip(polyfactor.mul(s, cof), powers):
-                if c:
-                    eg = center.add(eg, center.scale(zj, c))
-            if center.mul(eg, eg) != eg:
-                raise AuditInconclusive("projector failed the idempotent check")
-            # keep the candidates at pivot columns: those independent of
-            # the candidates before them
-            cands = [center.mul(eg, b) for b in basis]
-            kern = linalg.kernel_basis(_rational_columns(cands), len(cands))
-            free = {_last_nonzero(v) for v, _ in kern}
-            sub_basis = [c for j, c in enumerate(cands) if j not in free]
-            out.extend(_split_piece(center, eg, sub_basis, rng))
-        return out
-    raise AuditInconclusive("no splitting element found")
-
-
-def count_simples(p: int, m: int, seed: int = 0) -> HeckeSimplesReport:
+def count_simples(p: int, m: int) -> HeckeSimplesReport:
     """Count the simple modules as the cyclotomic dimension of the center of
-    the quotient by the radical, with a splitness audit.
+    the quotient by the radical, and read the block dimensions off the LLT
+    canonical basis.
 
-    The audit decomposes the center into primitive idempotents using only
-    rational polynomial factorization, then demands that every block of the
-    quotient have square dimension and that the blocks exhaust it.  If the
-    audit cannot complete, the count is only an upper bound and is flagged as
-    such.  A failed defining relation raises IdentityViolation first.
+    The two paths are independent and must agree: LLT has one simple per
+    center dimension, the squares of its dimensions sum to p! - rad_dim, and
+    every dimension is positive.  If they disagree, the count is only an
+    upper bound, block_dims is None and audit_note names the mismatch.  A
+    failed defining relation raises IdentityViolation first.
     """
     H = HeckeAlgebra(p, m)
     check_relations(H)
     rad_dim = H.radical_dimension()
     simples = H.center_dimension()
-    expected = count_m_regular(p, m)
     quotient_dim = H.dim - rad_dim
-    rng = random.Random(seed)
-    block_dims: list[int] | None = None
+    dims = sorted(simple_dimensions(p, m).values(), reverse=True)
+    blocks = [d * d for d in dims]
     note = None
-    try:
-        center = _CenterAlgebra(H)
-        unit_coords = center.identity
-        basis = []
-        for s in range(center.k):
-            for k in range(H.field.degree):
-                coords = [H.field.zero] * center.k
-                coords[s] = H.field.zeta(k)
-                basis.append((coords, 1))
-        pieces = _split_piece(center, unit_coords, basis, rng)
-        qdims = [qdim for _, qdim in pieces]
-        if len(pieces) != simples:
-            note = f"{len(pieces)} pieces for {simples} simples"
-        elif any(qdim != H.field.degree for qdim in qdims):
-            note = f"pieces of rational dimensions {qdims}, not all {H.field.degree}"
-        else:
-            block_dims = sorted(
-                (_block_dimension(H, center, e) for e, _ in pieces), reverse=True
-            )
-            if sum(block_dims) != quotient_dim:
-                note = f"blocks {block_dims} do not sum to the quotient dimension {quotient_dim}"
-            elif not all(_is_square(d) for d in block_dims):
-                note = f"blocks {block_dims} are not all squares"
-    except AuditInconclusive as exc:
-        note = str(exc)
-    split_ok = note is None
+    if len(dims) != simples:
+        note = f"LLT gives {len(dims)} simples, the center {simples}"
+    elif not all(d > 0 for d in dims):
+        note = f"LLT dimensions {dims} are not all positive"
+    elif sum(blocks) != quotient_dim:
+        note = f"LLT blocks {blocks} do not sum to the quotient dimension {quotient_dim}"
+    agree = note is None
     return HeckeSimplesReport(
         p=p,
         m=m,
         dim=H.dim,
         rad_dim=rad_dim,
         simples=simples,
-        expected_m_regular=expected,
-        split_audit=split_ok,
-        block_dims=block_dims,
-        upper_bound_only=not split_ok,
+        expected_m_regular=count_m_regular(p, m),
+        split_audit=agree,
+        block_dims=blocks if agree else None,
+        upper_bound_only=not agree,
         audit_note=note,
     )
-
-
-def _is_square(d: int) -> bool:
-    return d >= 0 and isqrt(d) ** 2 == d
-
-
-def _block_dimension(H: HeckeAlgebra, center: _CenterAlgebra, e) -> int:
-    """Dimension of the block cut out by a central idempotent e: the trace
-    of left multiplication by e on the quotient, summed over c in P as
-    (e T_c)_c - sum_f (e T_c)_f K_f[c].  With e = E / den for an integer
-    element E, that is an integer trace of E over D den."""
-    F = H.field
-    vec, den = center.to_quotient_vector(e)
-    D = H._radical[0]
-    position = {H.perms[c]: pos for pos, c in enumerate(H.quotient_columns)}
-    diagonal = correction = F.zero
-    for w, y in H.right_sweep(H.quotient_terms(vec)):
-        pos = position.get(w)
-        if pos is None:
-            continue
-        if w in y:
-            diagonal = F.add(diagonal, y[w])
-        for f, entries in H._radical_on_quotient:
-            x = y.get(f)
-            if x is not None and pos in entries:
-                correction = F.add(correction, F.mul(x, entries[pos]))
-    total = F.sub(F.scale(diagonal, D), correction)
-    den *= D
-    if any(total[1:]) or total[0] % den:
-        raise AuditInconclusive(f"block trace {F.format(total, den)} is not an integer")
-    return total[0] // den

@@ -192,17 +192,13 @@ class TestEngineCommands:
         assert result["split_audit"]
         assert "audit_note" not in result
 
-    def test_hecke_simples_audit_note(self, monkeypatch, capsys):
-        def inconclusive(center, e, basis, rng):
-            raise hecke.AuditInconclusive("x")
-
-        monkeypatch.setattr(hecke, "_split_piece", inconclusive)
-        code, payload = run_json(capsys, "hecke-simples", "--p", "3", "--m", "2")
-        assert code == 1
-        result = payload["result"]
-        assert result["audit_note"] == "x"
-        assert result["upper_bound_only"]
-        assert not result["ok"]
+    def test_hecke_simples_ignores_seed(self, capsys):
+        # --seed still parses, and nothing the command prints depends on it
+        argv = ["hecke-simples", "--p", "4", "--m", "3"]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--seed", "7") == plain
+        assert run(capsys, "--seed", "7", *argv) == plain
 
     def test_hecke_simples_failed_relation_exits_1(self, monkeypatch, capsys):
         real_init = hecke.HeckeAlgebra.__init__
@@ -501,7 +497,7 @@ def probe(argv):
     return json.loads(res.stdout)
 
 
-LIBRARY = {"characters", "dunkl", "fock", "hecke", "linalg", "polyfactor"}
+LIBRARY = {"characters", "dunkl", "fock", "hecke", "linalg"}
 
 
 def loaded_library(argv):
@@ -545,9 +541,22 @@ class TestImportBoundary:
         out = probe(argv)
         assert (out["code"], out["sympy"]) == (0, False)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bo-verify", "--n-max", "6", "--m", "2,3"], ["fock-trace", "--m", "2", "--max", "6"]],
+        ids=lambda a: a[0],
+    )
+    def test_fock_commands_load_only_fock(self, argv):
+        # the LLT oracle imports characters only when it runs
+        assert loaded_library(argv) == {"fock"}
+
+    def test_hecke_simples_loads_hecke_linalg_fock_characters(self):
+        # the regular path, and the LLT oracle with the dimensions of S^lam
+        argv = ["hecke-simples", "--p", "3", "--m", "2"]
+        assert loaded_library(argv) == {"hecke", "linalg", "fock", "characters"}
+
     @pytest.mark.parametrize("p,m", [(3, 2), (4, 5)])
     def test_hecke_audit_leaves_sympy_unloaded(self, p, m):
-        # (4, 5) factors a degree-20 minimal polynomial in the split audit
         argv = ["hecke-simples", "--p", str(p), "--m", str(m)]
         out = probe(argv)
         assert (out["code"], out["sympy"]) == (0, False)

@@ -1,9 +1,13 @@
 import json
+from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik import fock as F
+from cherednik.characters import dimension
 from cherednik import partitions as P
 from cherednik.errors import IdentityViolation
 
@@ -376,3 +380,129 @@ class TestVerify:
                 assert not row.ok
                 assert row.count_product != row.count_qm
                 assert row.count_qm == row.dim_eigenspace == row.coeff_series == row.coeff_trace
+
+
+# (p, e) -> (rad_dim, simples, block_dims) of H_p(zeta_e): the rows that
+# test_hecke.py pins for the regular path, and six rows for p = 6, 7 that
+# only the LLT basis and Specht-module Gram ranks reached when recorded
+LLT_REFERENCE = {
+    (1, 2): (0, 1, [1]),
+    (1, 3): (0, 1, [1]),
+    (1, 4): (0, 1, [1]),
+    (1, 5): (0, 1, [1]),
+    (1, 6): (0, 1, [1]),
+    (2, 2): (1, 1, [1]),
+    (2, 3): (0, 2, [1, 1]),
+    (2, 4): (0, 2, [1, 1]),
+    (2, 5): (0, 2, [1, 1]),
+    (2, 6): (0, 2, [1, 1]),
+    (3, 2): (1, 2, [4, 1]),
+    (3, 3): (4, 2, [1, 1]),
+    (3, 4): (0, 3, [4, 1, 1]),
+    (3, 5): (0, 3, [4, 1, 1]),
+    (3, 6): (0, 3, [4, 1, 1]),
+    (4, 2): (19, 2, [4, 1]),
+    (4, 3): (4, 4, [9, 9, 1, 1]),
+    (4, 4): (14, 4, [4, 4, 1, 1]),
+    (4, 5): (0, 5, [9, 9, 4, 1, 1]),
+    (4, 6): (0, 5, [9, 9, 4, 1, 1]),
+    (5, 2): (78, 3, [25, 16, 1]),
+    (5, 3): (50, 5, [36, 16, 16, 1, 1]),
+    (5, 4): (34, 6, [36, 16, 16, 16, 1, 1]),
+    (6, 2): (422, 4, [256, 25, 16, 1]),
+    (6, 3): (488, 7, [81, 81, 36, 16, 16, 1, 1]),
+    (6, 4): (180, 9, [256, 100, 100, 25, 25, 16, 16, 1, 1]),
+    (6, 5): (290, 10, [100, 100, 64, 64, 25, 25, 25, 25, 1, 1]),
+    (7, 2): (4170, 5, [441, 196, 196, 36, 1]),
+    (7, 3): (3778, 9, [400, 225, 225, 169, 169, 36, 36, 1, 1]),
+}
+
+
+def e_core(lam, e):
+    """The e-core of lam: remove rim e-hooks, as moves b -> b - e on the
+    beta-set, until none is left."""
+    beta = {part + len(lam) - 1 - i for i, part in enumerate(lam)}
+    while True:
+        movable = [b for b in beta if b >= e and b - e not in beta]
+        if not movable:
+            break
+        beta.remove(movable[0])
+        beta.add(movable[0] - e)
+    ordered = sorted(beta, reverse=True)
+    parts = (b - (len(ordered) - 1 - i) for i, b in enumerate(ordered))
+    return tuple(x for x in parts if x)
+
+
+def check_decomposition_matrix(p, e):
+    """The properties of the decomposition matrix at (p, e)."""
+    d = F._decomposition_numbers(p, e)
+    dims = F.simple_dimensions(p, e)
+    regular = [lam for lam in P.enumerate_partitions(p) if P.is_m_regular(lam, e)]
+    assert list(dims) == regular
+    assert sorted(d) == sorted(regular)
+    for mu, column in d.items():
+        assert column[mu] == 1
+        for lam, x in column.items():
+            assert x > 0
+            assert P.dominates(mu, lam)
+            assert e_core(lam, e) == e_core(mu, e)
+    assert all(type(x) is int and x > 0 for x in dims.values())
+    # the solve reads only the e-regular rows; the others must agree too
+    for lam in P.enumerate_partitions(p):
+        assert dimension(lam) == sum(column.get(lam, 0) * dims[mu] for mu, column in d.items())
+
+
+class TestLLTOracle:
+    @pytest.mark.parametrize("p,e", sorted(LLT_REFERENCE))
+    def test_reference_rows(self, p, e):
+        dims = F.simple_dimensions(p, e)
+        blocks = sorted((d * d for d in dims.values()), reverse=True)
+        assert (factorial(p) - sum(blocks), len(dims), blocks) == LLT_REFERENCE[p, e]
+
+    def test_two_row_example(self):
+        # e = 2, p = 3: S^(2,1) stays simple and S^(1,1,1) is the sign
+        # representation, which equals D^(3) at q = -1
+        assert F._decomposition_numbers(3, 2) == {
+            (2, 1): {(2, 1): 1},
+            (3,): {(3,): 1, (1, 1, 1): 1},
+        }
+        assert F.simple_dimensions(3, 2) == {(3,): 1, (2, 1): 2}
+
+    def test_counting_addable_nodes_below_breaks_coefficient_one(self, monkeypatch):
+        # v^(a - b) with a, b counted below gamma instead of above it
+        real = F._i_nodes
+        monkeypatch.setattr(F, "_i_nodes", lambda lam, i, e: real(lam, i, e)[::-1])
+        with pytest.raises(IdentityViolation, match=r"^\(3,\) has coefficient \{1: 1\} in A"):
+            F._decomposition_numbers(3, 2)
+
+    def test_column_first_ladders_break_coefficient_one(self, monkeypatch):
+        # ladders c + (e - 1) r: (2, 1, 1) does not occur in A((2, 1, 1))
+        monkeypatch.setattr(F, "_ladder", lambda r, c, e: c + (e - 1) * r)
+        with pytest.raises(IdentityViolation, match=r"^\(2, 1, 1\) has coefficient \{\} in A"):
+            F._decomposition_numbers(4, 3)
+
+    def test_quantum_division(self):
+        # [2] [3] = v^-3 + 2 v^-1 + 2 v + v^3
+        product = {-3: 1, -1: 2, 1: 2, 3: 1}
+        assert F._divide_quantum(product, 2) == {-2: 1, 0: 1, 2: 1}
+        assert F._divide_quantum(product, 3) == {-1: 1, 1: 1}
+        with pytest.raises(IdentityViolation, match=r"^\[2\] does not divide"):
+            F._divide_quantum({0: 1}, 2)
+        with pytest.raises(IdentityViolation):
+            F._divide_quantum(product, 4)
+
+    def test_e_below_2_is_refused(self):
+        with pytest.raises(ValueError):
+            F.simple_dimensions(3, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(2, 6))
+    def test_decomposition_matrix(self, p, e):
+        check_decomposition_matrix(p, e)
+
+    def test_bar_invariant_correction(self):
+        # at e = 2, p = 12 is the least size where a coefficient to correct
+        # has terms of negative degree: without their mirror images in
+        # alpha, one dimension comes out as -25
+        check_decomposition_matrix(12, 2)
+

@@ -11,7 +11,6 @@ import sympy
 
 from cherednik import cli
 from cherednik import hecke as Hk
-from cherednik import polyfactor
 from cherednik.errors import IdentityViolation
 from cherednik.partitions import count_m_regular, count_partitions
 
@@ -88,9 +87,8 @@ GRAM_DIGESTS = json.loads(
     (Path(__file__).parent / "fixtures" / "hecke_gram_digests.json").read_text()
 )["digests"]
 
-# sha256 of repr() of the rational view of the radical and the center, and
-# the minimal polynomials that the split audit factors at seed 0, recorded
-# from the Fraction-valued kernels
+# sha256 of repr() of the rational view of the radical and the center,
+# recorded from the Fraction-valued kernels
 KERNEL_FIXTURE = json.loads(
     (Path(__file__).parent / "fixtures" / "hecke_kernel_digests.json").read_text()
 )
@@ -363,11 +361,6 @@ class TestCountSimples:
         report = Hk.count_simples(3, 2)
         assert report.block_dims == [4, 1]
 
-    def test_seed_invariance(self):
-        a = Hk.count_simples(3, 3, seed=0)
-        b = Hk.count_simples(3, 3, seed=12345)
-        assert (a.simples, a.rad_dim, a.block_dims) == (b.simples, b.rad_dim, b.block_dims)
-
     def test_power_parameter_variant(self):
         # q = zeta^2 for m = 5 is another primitive 5th root: same counts
         base = Hk.HeckeAlgebra(3, 5)
@@ -407,22 +400,12 @@ REFERENCE = {
 
 class TestReference:
     @pytest.mark.parametrize("p,m", sorted(REFERENCE))
-    def test_count_simples(self, monkeypatch, p, m):
-        # the audit also factors the recorded minimal polynomials, in order
-        seen = []
-        real = Hk._min_poly
-
-        def spy(center, e, z, dim_bound):
-            mu, powers = real(center, e, z, dim_bound)
-            seen.append(list(mu))
-            return mu, powers
-
-        monkeypatch.setattr(Hk, "_min_poly", spy)
+    def test_count_simples(self, p, m):
         report = Hk.count_simples(p, m)
         assert (report.rad_dim, report.simples, report.block_dims) == REFERENCE[p, m]
         assert report.split_audit
         assert not report.upper_bound_only
-        assert seen == KERNEL_FIXTURE["minpolys"][f"{p},{m}"]
+        assert report.audit_note is None
 
     @pytest.mark.parametrize("p,m", sorted(REFERENCE))
     def test_algebra_dimensions(self, p, m):
@@ -479,7 +462,6 @@ class TestKernels:
             unit = [F.zero] * len(P)
             unit[pos] = F.one
             assert H.reduce({H.perms[c]: F.one}) == [F.scale(x, D) for x in unit]
-            assert H.quotient_terms(unit) == {H.perms[c]: F.one}
         for r in radical_elements(H):
             assert H.reduce(r) == [F.zero] * len(P)
 
@@ -517,22 +499,28 @@ class TestKernelDigests:
 
 
 class TestDenominators:
-    """Negative controls for the integer bookkeeping: a wrong denominator
-    must fail the audit, not pass it."""
+    """Negative controls for the integer bookkeeping: a wrong radical must
+    fail the verdict, not pass it."""
 
-    def test_reduce_off_by_a_factor_fails_the_verdict(self, monkeypatch, capsys):
-        real = Hk.HeckeAlgebra.reduce
+    def test_dropped_radical_vector_fails_the_sum_of_squares(self, monkeypatch, capsys):
+        # at (3, 2) the center keeps its dimension 2 without the radical
+        # line, but the quotient grows to 6 while the LLT blocks sum to 5
+        real = Hk.HeckeAlgebra._fkernel
 
-        def doubled(self, terms):
-            return [self.field.scale(x, 2) for x in real(self, terms)]
+        def dropped(self, fmatrix, ncols):
+            den, pairs = real(self, fmatrix, ncols)
+            return (den, pairs[:-1]) if ncols == self.dim else (den, pairs)
 
-        monkeypatch.setattr(Hk.HeckeAlgebra, "reduce", doubled)
-        code = cli.main(["hecke-simples", "--p", "4", "--m", "3"])
+        monkeypatch.setattr(Hk.HeckeAlgebra, "_fkernel", dropped)
+        code = cli.main(["hecke-simples", "--p", "3", "--m", "2"])
         result = json.loads(capsys.readouterr().out)["result"]
         assert code == 1
+        assert (result["rad_dim"], result["simples"]) == (0, 2)
         assert not result["ok"]
+        assert not result["split_audit"]
         assert result["upper_bound_only"]
-        assert result["audit_note"]
+        assert result["block_dims"] is None
+        assert result["audit_note"] == "LLT blocks [4, 1] do not sum to the quotient dimension 6"
 
     @pytest.mark.parametrize("p,m", [(3, 2), (4, 3), (4, 4)])
     def test_results_do_not_depend_on_the_denominators(self, monkeypatch, p, m):
@@ -552,33 +540,8 @@ class TestDenominators:
         assert (report.rad_dim, report.simples, report.block_dims) == REFERENCE[p, m]
         assert report.split_audit
 
-    def test_product_outside_the_center_fails_the_span_check(self, monkeypatch):
-        # every center product picks up T_0, which is not central modulo J
-        H = Hk.HeckeAlgebra(3, 2)
-        assert H.center_dimension() == 2
-        real = H.products
-        t0 = gen(H, 0)
-
-        def pushed(a, bs):
-            return [combine(H, (H.field.one, prod), (H.field.one, t0)) for prod in real(a, bs)]
-
-        monkeypatch.setattr(H, "products", pushed)
-        with pytest.raises(Hk.AuditInconclusive, match="^product left the span of the center$"):
-            Hk._CenterAlgebra(H)
-
-    def test_center_elements_are_normalized_pairs(self):
-        center = Hk._CenterAlgebra(Hk.HeckeAlgebra(4, 3))
-        e = center.identity
-        assert center.mul(e, e) == e
-        half = center.scale(e, Fraction(1, 2))
-        assert center.add(half, half) == e
-        assert center.scale(e, 0) == center.zero_element() == ([center.F.zero] * center.k, 1)
-        for coords, den in (e, half, center.mul(half, half)):
-            assert den > 0
-            assert gcd(den, *(x for c in coords for x in c)) == 1
-
     def test_hecke_builds_no_fraction(self, monkeypatch):
-        # outside polyfactor (the projector coefficients) the path is integral
+        # the regular path and the LLT oracle are integral throughout
         builders = set()
         real = Fraction.__new__
 
@@ -589,110 +552,36 @@ class TestDenominators:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
         report = Hk.count_simples(4, 3)
         assert report.split_audit
-        assert Hk.__file__ not in builders
-        assert Hk.linalg.__file__ not in builders
+        assert builders == set()
 
 
-class TestAuditFallback:
+class TestCrossCheck:
+    """The block dimensions come from the LLT canonical basis; the radical
+    and the center must agree with them."""
+
     @pytest.mark.parametrize(
-        "p,m,scalar",
+        "dims,note",
         [
-            (3, 3, "zeta"),  # trace 2*zeta on the 2-dimensional quotient
-            (3, 2, Fraction(1, 2)),  # trace 5/2 on the 5-dimensional quotient
+            ({(4,): 1, (3, 1): 3, (2, 2): 1}, "LLT gives 3 simples, the center 4"),
+            (
+                {(4,): 1, (3, 1): 3, (2, 2): -1, (2, 1, 1): 3},
+                "LLT dimensions [3, 3, 1, -1] are not all positive",
+            ),
+            (
+                {(4,): 1, (3, 1): 3, (2, 2): 2, (2, 1, 1): 3},
+                "LLT blocks [9, 9, 4, 1] do not sum to the quotient dimension 20",
+            ),
         ],
+        ids=["count", "positive", "sum"],
     )
-    def test_non_idempotent_block_gives_upper_bound(self, monkeypatch, p, m, scalar):
-        def fake_split(center, e, basis, rng):
-            F = center.F
-            if scalar == "zeta":
-                coords, den = e
-                piece = ([F.mul(F.zeta(), x) for x in coords], den)
-            else:
-                piece = center.scale(e, scalar)
-            return [(piece, F.degree)] * center.k
-
-        monkeypatch.setattr(Hk, "_split_piece", fake_split)
-        report = Hk.count_simples(p, m)
-        assert report.upper_bound_only
-        assert not report.split_audit
-        assert report.block_dims is None
-        trace = "2*z" if scalar == "zeta" else "5/2"
-        assert report.audit_note == f"block trace {trace} is not an integer"
-
-    def test_inconclusive_split_message_is_the_note(self, monkeypatch):
-        def fake_split(center, e, basis, rng):
-            raise Hk.AuditInconclusive("no splitting element found")
-
-        monkeypatch.setattr(Hk, "_split_piece", fake_split)
-        report = Hk.count_simples(3, 2)
-        assert report.upper_bound_only
-        assert report.audit_note == "no splitting element found"
-
-    def test_piece_count_mismatch_is_noted(self, monkeypatch):
-        # the whole unit as the only piece: one piece for two simples
-        monkeypatch.setattr(Hk, "_split_piece", lambda center, e, basis, rng: [(e, 1)])
-        report = Hk.count_simples(3, 2)
-        assert report.upper_bound_only
-        assert report.audit_note == "1 pieces for 2 simples"
-
-    def test_field_degree_mismatch_is_noted(self, monkeypatch):
-        monkeypatch.setattr(
-            Hk, "_split_piece", lambda center, e, basis, rng: [(e, 1), (e, 3)]
-        )
-        report = Hk.count_simples(3, 3)
-        assert report.upper_bound_only
-        assert report.audit_note == "pieces of rational dimensions [1, 3], not all 2"
-
-    def test_blocks_that_do_not_sum_to_the_quotient_are_noted(self, monkeypatch):
-        # the unit split into two copies of itself: blocks 5 + 5 at (3, 2)
-        monkeypatch.setattr(
-            Hk, "_split_piece", lambda center, e, basis, rng: [(e, 1), (e, 1)]
-        )
-        report = Hk.count_simples(3, 2)
-        assert report.upper_bound_only
-        assert report.block_dims == [5, 5]
-        assert report.audit_note == "blocks [5, 5] do not sum to the quotient dimension 5"
-
-    def test_non_square_blocks_are_noted(self, monkeypatch):
-        # 2/5 and 3/5 of the unit: traces 2 + 3 on the 5-dimensional quotient
-        def fake_split(center, e, basis, rng):
-            return [(center.scale(e, Fraction(k, 5)), 1) for k in (2, 3)]
-
-        monkeypatch.setattr(Hk, "_split_piece", fake_split)
-        report = Hk.count_simples(3, 2)
-        assert report.upper_bound_only
-        assert report.block_dims == [3, 2]
-        assert report.audit_note == "blocks [3, 2] are not all squares"
-
-    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (4, 5)])
-    def test_passing_audit_has_no_note(self, p, m):
-        assert Hk.count_simples(p, m).audit_note is None
-
-
-class TestSplitPath:
-    def test_one_factorization_at_p4_m5(self, monkeypatch):
-        # a random combination tried first generates the whole 20-dimensional
-        # center over Q, so one minimal polynomial splits it into all 5 fields
-        calls = []
-        real = polyfactor.factor_squarefree
-
-        def counted(f):
-            calls.append(len(f) - 1)
-            return real(f)
-
-        monkeypatch.setattr(polyfactor, "factor_squarefree", counted)
-        report = Hk.count_simples(4, 5, seed=0)
-        assert report.split_audit
-        assert calls == [20]
-
-    def test_non_squarefree_minimal_polynomial_is_inconclusive(self, monkeypatch):
-        real = Hk._min_poly
-
-        def squared(center, e, z, dim_bound):
-            mu, powers = real(center, e, z, dim_bound)
-            return polyfactor.mul(mu, mu), powers
-
-        monkeypatch.setattr(Hk, "_min_poly", squared)
-        report = Hk.count_simples(3, 2)
-        assert report.upper_bound_only
-        assert report.audit_note.endswith("is not squarefree")
+    def test_wrong_oracle_dimension_exits_1(self, monkeypatch, capsys, dims, note):
+        # the oracle gives {(4,): 1, (3, 1): 3, (2, 2): 1, (2, 1, 1): 3} at
+        # (4, 3); each case changes one thing
+        monkeypatch.setattr(Hk, "simple_dimensions", lambda p, e: dims)
+        code = cli.main(["hecke-simples", "--p", "4", "--m", "3"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 1
+        assert result["split_audit"] is False
+        assert result["upper_bound_only"] is True
+        assert result["block_dims"] is None
+        assert result["audit_note"] == note

@@ -14,7 +14,6 @@ SRC = PACKAGE.parent
 ALLOWLIST = {
     "dunkl.euler_apply": "acceptance criterion 4 (the Euler spectrum)",
     "partitions.enumerate_m_regular": "acceptance criterion 10",
-    "characters.dimension": "its hook-length test, and the LLT oracle of ROADMAP item 1",
     "hecke.CyclotomicField.inv": "wrapped by name in the benchmark's tracing shim",
 }
 
