@@ -8,9 +8,9 @@ are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .errors import IdentityViolation
 from .partitions import Partition, add, dominates, enumerate_partitions, size
@@ -154,8 +154,7 @@ def lr_induce(lam: Partition, mu: Partition) -> CharacterVector:
     return out
 
 
-@dataclass(frozen=True)
-class InductionVerdict:
+class InductionVerdict(NamedTuple):
     """The induction product of lam and mu with its leading term lam + mu,
     and the lowest weight of that term when a parameter was given."""
 

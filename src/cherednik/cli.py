@@ -22,7 +22,6 @@ from .serialize import (
     json_text,
     parse_fraction,
     parse_partition,
-    partition_json,
     partition_key,
     poly_json,
 )
@@ -53,13 +52,13 @@ def cmd_support(args):
         "nu": partition_key(nu),
     }
     payload = {
-        "lambda": partition_json(lam),
+        "lambda": lam,
         "m": args.m,
         "sign": args.sign,
         "q": q,
         "stratum": stratum_description(sum(lam), args.m, q),
-        "mu": partition_json(mu),
-        "nu": partition_json(nu),
+        "mu": mu,
+        "nu": nu,
     }
     return payload, [row], True
 
@@ -74,11 +73,11 @@ def cmd_decompose(args):
         recombined = partitions.recombine_regular_parts(mu, nu, args.m)
     ok = recombined == lam
     payload = {
-        "lambda": partition_json(lam),
+        "lambda": lam,
         "m": args.m,
         "regular_side": args.regular,
-        "mu": partition_json(mu),
-        "nu": partition_json(nu),
+        "mu": mu,
+        "nu": nu,
         "recombines": ok,
     }
     row = {
@@ -178,10 +177,10 @@ def cmd_lr(args):
         for nu in sorted(product, reverse=True)
     ]
     payload = {
-        "lambda": partition_json(lam),
-        "mu": partition_json(mu),
+        "lambda": lam,
+        "mu": mu,
         "product": {partition_key(nu): product[nu] for nu in sorted(product, reverse=True)},
-        "leading": partition_json(verdict.leading),
+        "leading": verdict.leading,
         "ok": verdict.ok,
     }
     if c is not None:
@@ -288,7 +287,7 @@ def cmd_hecke_simples(args):
     }
     payload = dict(row)
     payload["block_dims"] = report.block_dims
-    payload["upper_bound_only"] = report.upper_bound_only
+    payload["upper_bound_only"] = not report.split_audit
     if not report.split_audit:
         payload["audit_note"] = report.audit_note
     return payload, [row], report.ok

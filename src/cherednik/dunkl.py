@@ -15,10 +15,11 @@ checking it for s D_i is checking it for D_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
 
@@ -73,17 +74,16 @@ def transposition(i: int, j: int, n: int) -> Permutation:
     return tuple(w)
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Number of variables and the exact deformation parameter."""
+class EngineConfig(namedtuple("EngineConfig", "n c")):
+    """Number of variables n and the exact deformation parameter c, a
+    Fraction."""
 
-    n: int
-    c: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least 2 variables, got n={self.n}")
-        object.__setattr__(self, "c", Fraction(self.c))
+    def __new__(cls, n: int, c):
+        if n < 2:
+            raise ValueError(f"need at least 2 variables, got n={n}")
+        return super().__new__(cls, n, Fraction(c))
 
 
 def dunkl_apply(i: int, f: Polynomial, cfg: EngineConfig) -> Polynomial:
@@ -135,14 +135,13 @@ def euler_apply(f: Polynomial, cfg: EngineConfig) -> Polynomial:
     )
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     """Outcome of sweeping the defining relations over a monomial basis."""
 
     cfg: EngineConfig
     max_degree: int
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
+    checked: int
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
@@ -162,7 +161,8 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     n, r, s = cfg.n, cfg.c.numerator, cfg.c.denominator
-    report = RelationReport(cfg, max_degree)
+    checked = 0
+    violations: list[str] = []
 
     basis = [m for d in range(max_degree + 2) for m in monomials(n, d)]
     table: dict[tuple[int, Exponent], Polynomial] = {
@@ -178,9 +178,10 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
         return combine((1, dunkl_linear(i, xj_f)), (-1, times_variable(j, table[(i, mon)])))
 
     def record(kind, mon, detail, lhs, rhs):
-        report.checked += 1
+        nonlocal checked
+        checked += 1
         if lhs != rhs:
-            report.violations.append(
+            violations.append(
                 f"{kind} on x^{mon} {detail}, both sides times s={s}: {lhs!r} != {rhs!r}"
             )
 
@@ -227,7 +228,7 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
                         permute(w, table[(i, mon)]),
                         dunkl_linear(w[i], wf),
                     )
-    return report
+    return RelationReport(cfg, max_degree, checked, violations)
 
 
 def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
@@ -373,8 +374,7 @@ def in_stratum_ideal(f: Polynomial, n: int, m: int, q: int) -> bool:
     return not any(sums.values())
 
 
-@dataclass
-class IdealStabilityReport:
+class IdealStabilityReport(NamedTuple):
     n: int
     m: int
     q: int

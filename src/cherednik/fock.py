@@ -25,9 +25,9 @@ coefficients are Laurent polynomials in v, kept as {exponent: int} dicts.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import IdentityViolation
 from .partitions import (
@@ -85,8 +85,7 @@ def _partition(k: list[int]) -> Partition:
     return tuple(i for i in range(len(k) - 1, 0, -1) for _ in range(k[i]))
 
 
-@dataclass(frozen=True)
-class _Census:
+class _Census(NamedTuple):
     """Counts from one walk over the partitions of n <= truncation at
     denominator m, read-only because the cache hands the same census to
     every caller."""
@@ -164,8 +163,7 @@ def _walk(m: int, truncation: int) -> _Census:
     )
 
 
-@dataclass(frozen=True)
-class PowerSeries2:
+class PowerSeries2(NamedTuple):
     """Integer bivariate series stored densely on the triangle
     deg_t <= deg_s <= truncation."""
 
@@ -245,8 +243,7 @@ def product_series(m: int, truncation: int) -> PowerSeries2:
     return PowerSeries2(truncation, tuple(tuple(row) for row in table))
 
 
-@dataclass(frozen=True)
-class StratumCounts:
+class StratumCounts(NamedTuple):
     q: int
     count_qm: int
     count_product: int

@@ -4,11 +4,12 @@ The deformation parameter is the cyclotomic algebraic number zeta_m, never a
 float: coefficients live in Q(zeta_m) represented as coefficient tuples
 reduced modulo the m-th cyclotomic polynomial.
 
-Every elimination is one call of :func:`cherednik.linalg.kernel_basis`, on
-the restriction of scalars to Q; its kernels are in reduced row echelon
-form.  The Jacobson radical J is the kernel K of the regular-representation
-trace form (valid in characteristic zero), read off the central Casimir
-element C with one right sweep: the normal form of x modulo J is
+Every elimination is one call of :meth:`CyclotomicField.kernel`, which
+eliminates the restriction of scalars to Q with :mod:`cherednik.linalg`;
+its kernels are in reduced row echelon form.  The Jacobson radical J is
+the kernel K of the regular-representation trace form (valid in
+characteristic zero), read off the central Casimir element C with one
+right sweep: the normal form of x modulo J is
 x - sum_f x_f K_f over the free columns f, and the quotient H/J has
 coordinates on the remaining pivot columns P.  Simple modules are counted
 through the center of H/J, the kernel in P-coordinates of the commutators
@@ -29,10 +30,10 @@ exact identities of term dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations as _itperms
-from math import gcd, lcm
+from math import lcm
+from typing import NamedTuple
 
 from . import linalg
 from .errors import IdentityViolation
@@ -99,34 +100,15 @@ class CyclotomicField:
                 cur = [cur[t] + top * rows[self.degree][t] for t in range(self.degree)]
             rows[k] = tuple(cur)
         self._rewrite = rows
-
-    def element(self, coeffs) -> CycElement:
-        """Reduce an arbitrary-length ascending coefficient sequence."""
-        work = list(coeffs)
-        out = [0] * self.degree
-        for k in range(len(work) - 1, -1, -1):
-            c = work[k]
-            if not c:
-                continue
-            if k < self.degree:
-                out[k] += c
-            elif k in self._rewrite:
-                row = self._rewrite[k]
-                for t in range(self.degree):
-                    if row[t]:
-                        out[t] += c * row[t]
-            else:
-                # fold one top power at a time
-                row = self._rewrite[self.degree]
-                for t in range(self.degree):
-                    if row[t]:
-                        work_index = k - self.degree + t
-                        work[work_index] += c * row[t]
-        return tuple(out)
+        # zeta^0, ..., zeta^(m-1); zeta is the basis vector e_1, or the
+        # rewritten zeta^1 in degree 1
+        zeta = rows[1] if self.degree == 1 else tuple(int(k == 1) for k in range(self.degree))
+        self._powers = [self.one]
+        for _ in range(m - 1):
+            self._powers.append(self.mul(self._powers[-1], zeta))
 
     def zeta(self, power: int = 1) -> CycElement:
-        power %= self.m
-        return self.element([0] * power + [1])
+        return self._powers[power % self.m]
 
     def add(self, a: CycElement, b: CycElement) -> CycElement:
         return tuple(x + y for x, y in zip(a, b))
@@ -161,36 +143,65 @@ class CyclotomicField:
         return not any(a)
 
     def inv(self, a: CycElement) -> CycElement:
-        """Field inverse, with Fraction coefficients: the x with a x = 1, read
-        off the kernel of [M | -n e_0], where a = A / n with A integral and
-        M is the matrix of multiplication by A."""
+        """Field inverse, with Fraction coefficients.  For a = A / n with A
+        integral, the kernel of the 1 x 2 row [A, -n] is the line through
+        (1/a, 1)."""
         from fractions import Fraction
 
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
         n = lcm(*(x.denominator for x in a))
         A = tuple(int(x * n) for x in a)
-        cols = [self.mul(A, self.zeta(k)) for k in range(self.degree)]
-        rows = [[col[t] for col in cols] + [-n if t == 0 else 0] for t in range(self.degree)]
-        kern = linalg.kernel_basis(rows, self.degree + 1)
+        den, kern = self.kernel([[A, self.scale(self.one, -n)]], 2)
         if len(kern) != 1:
             raise ArithmeticError("multiplication by a nonzero element is singular")
-        vec, den = kern[0]
-        return tuple(Fraction(x, den) for x in vec[: self.degree])
+        ((_, (x, _)),) = kern
+        return tuple(Fraction(c, den) for c in x)
 
-    def format(self, a: CycElement, den: int = 1) -> str:
-        """The element a / den, each coefficient in lowest terms."""
-        if self.is_zero(a):
-            return "0"
-        bits = []
-        for k, c in enumerate(a):
-            if not c:
-                continue
-            g = gcd(c, den)
-            c = f"{c // g}" if den == g else f"{c // g}/{den // g}"
-            unit = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            bits.append(f"{c}*{unit}" if k else c)
-        return " + ".join(bits)
+    def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[list]:
+        """Restriction of scalars: one rational row per (row, zeta-power)."""
+        d = self.degree
+        zpows = self._powers[:d]
+        zero_block = [self.zero] * d
+        out = []
+        for row in fmatrix:
+            # rational column (j, k) is row[j] * zeta^k, read off coefficient t
+            blocks = [
+                zero_block if self.is_zero(entry) else [self.mul(entry, zp) for zp in zpows]
+                for entry in row
+            ]
+            for t in range(d):
+                out.append([block[k][t] for block in blocks for k in range(d)])
+        return out
+
+    def kernel(self, fmatrix: list[list[CycElement]], ncols: int) -> IntKernel:
+        """RREF kernel over the field via the rational blowup, as one common
+        denominator den and (free column f, den * K_f) pairs with integer
+        coefficients; den is the least that makes them integral.
+
+        The rational kernel is closed under multiplication by zeta, so its
+        free columns come in whole blocks (f, 0), ..., (f, d-1), and the
+        vector for (f, 0) is the field's RREF kernel vector for column f."""
+        d = self.degree
+        rows = [r for r in self._blowup_rows(fmatrix) if any(r)]
+        kern = linalg.kernel_basis(rows, ncols * d)
+        firsts = []
+        for start in range(0, len(kern), d):
+            # the free column of an RREF vector over Q is its last nonzero entry
+            free = [max(j for j, x in enumerate(v) if x) for v, _ in kern[start : start + d]]
+            f = free[0] // d
+            if free != list(range(f * d, f * d + d)):
+                raise ArithmeticError(
+                    f"free columns {free} of the rational kernel are not a whole block"
+                )
+            firsts.append((f, kern[start]))
+        common = lcm(*(den for _, (_, den) in firsts))
+        out = []
+        for f, (flat, den) in firsts:
+            s = common // den
+            vec = [flat[j * d : j * d + d] for j in range(ncols)]
+            out.append((f, [tuple(s * x for x in c) if any(c) else self.zero for c in vec]))
+        return common, out
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +240,11 @@ class HeckeAlgebra:
     (T_i - 1)(T_i + q) = 0 at q = zeta_m^r.
 
     Elements are term dicts {permutation: coefficient} with no zero
-    coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`.
-    A single term times b is an `lmul_gen` word; every other product is a
-    right sweep (`right_sweep`) over the weak order: general products in
-    `mul_raw`, and the trace form from the Casimir element.  From the trace
-    form come the radical, the normal form modulo it (`reduce`) and the
-    center of the quotient.
+    coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`:
+    the Casimir element is a sum of `lmul_gen` words, and the trace form is
+    read off one right sweep (`right_sweep`) of it over the weak order.  From
+    the trace form come the radical, the normal form modulo it (`reduce`) and
+    the center of the quotient, each kernel one call of the field's `kernel`.
     """
 
     def __init__(self, p: int, m: int, r: int = 1):
@@ -317,33 +327,6 @@ class HeckeAlgebra:
                 live[w] = t
             yield w, t
 
-    def mul_raw(self, a: dict, b: dict) -> dict:
-        if not a or not b:
-            return {}
-        F = self.field
-        if len(a) == 1:
-            ((v, cv),) = a.items()
-            cur = b
-            for i in reversed(reduced_word(v)):
-                cur = self.lmul_gen(i, cur)
-            if cv == F.one:
-                return cur
-            return {w: c for w, c in ((w, F.mul(cv, cw)) for w, cw in cur.items()) if not F.is_zero(c)}
-        # one right sweep of a, stopped once b's support has been met
-        out: dict[Permutation, CycElement] = {}
-        left = len(b)
-        for w, t in self.right_sweep(a):
-            cw = b.get(w)
-            if cw is None:
-                continue
-            for x, cx in t.items():
-                prod = F.mul(cx, cw)
-                out[x] = F.add(out[x], prod) if x in out else prod
-            left -= 1
-            if not left:
-                break
-        return {x: c for x, c in out.items() if not F.is_zero(c)}
-
     # -- trace form, radical, center ------------------------------------------
 
     @cached_property
@@ -354,8 +337,12 @@ class HeckeAlgebra:
         F = self.field
         out: dict[Permutation, CycElement] = {}
         for w in self.perms:
-            term = {w: F.zeta(-self.r * perm_length(w))}
-            for x, c in self.mul_raw(term, {perm_inverse(w): F.one}).items():
+            # q^-l(w) T_w T_(w^-1): the generators of w's word, applied to
+            # the scaled term of w^-1 from the right end of the word
+            term = {perm_inverse(w): F.zeta(-self.r * perm_length(w))}
+            for i in reversed(reduced_word(w)):
+                term = self.lmul_gen(i, term)
+            for x, c in term.items():
                 out[x] = F.add(out[x], c) if x in out else c
         return {x: c for x, c in out.items() if not F.is_zero(c)}
 
@@ -380,57 +367,11 @@ class HeckeAlgebra:
                 row[col] = F.mul(qx, c)
         return rows
 
-    def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[list]:
-        """Restriction of scalars: one rational row per (row, zeta-power)."""
-        F = self.field
-        d = F.degree
-        zpows = [F.zeta(k) for k in range(d)]
-        zero_block = [F.zero] * d
-        out = []
-        for row in fmatrix:
-            # rational column (j, k) is row[j] * zeta^k, read off coefficient t
-            blocks = [
-                zero_block if F.is_zero(entry) else [F.mul(entry, zp) for zp in zpows]
-                for entry in row
-            ]
-            for t in range(d):
-                out.append([block[k][t] for block in blocks for k in range(d)])
-        return out
-
-    def _fkernel(self, fmatrix: list[list[CycElement]], ncols: int) -> IntKernel:
-        """RREF kernel over the cyclotomic field via the rational blowup, as
-        one common denominator den and (free column f, den * K_f) pairs with
-        integer coefficients; den is the least that makes them integral.
-
-        The rational kernel is closed under multiplication by zeta, so its
-        free columns come in whole blocks (f, 0), ..., (f, d-1), and the
-        vector for (f, 0) is the field's RREF kernel vector for column f."""
-        F = self.field
-        d = F.degree
-        rows = [r for r in self._blowup_rows(fmatrix) if any(r)]
-        kern = linalg.kernel_basis(rows, ncols * d)
-        firsts = []
-        for start in range(0, len(kern), d):
-            free = [_last_nonzero(v) for v, _ in kern[start : start + d]]
-            f = free[0] // d
-            if free != list(range(f * d, f * d + d)):
-                raise ArithmeticError(
-                    f"free columns {free} of the rational kernel are not a whole block"
-                )
-            firsts.append((f, kern[start]))
-        common = lcm(*(den for _, (_, den) in firsts))
-        out = []
-        for f, (flat, den) in firsts:
-            s = common // den
-            vec = [flat[j * d : j * d + d] for j in range(ncols)]
-            out.append((f, [tuple(s * x for x in c) if any(c) else F.zero for c in vec]))
-        return common, out
-
     @cached_property
     def _radical(self) -> IntKernel:
         """RREF basis of the radical, the kernel K of the trace form, as its
         common denominator D and the pairs (f, D K_f)."""
-        return self._fkernel(self.gram, self.dim)
+        return self.field.kernel(self.gram, self.dim)
 
     @cached_property
     def quotient_columns(self) -> list[int]:
@@ -489,17 +430,12 @@ class HeckeAlgebra:
                 cols.append(self.reduce(comm))
             # transpose the per-basis-element columns into constraint rows
             rows.extend(map(list, zip(*cols)))
-        return self._fkernel(rows, len(self.quotient_columns))
+        return self.field.kernel(rows, len(self.quotient_columns))
 
     def center_dimension(self) -> int:
         """Dimension over the cyclotomic field of the center of the quotient
         by the radical."""
         return len(self._center[1])
-
-
-def _last_nonzero(vec) -> int:
-    """The free column of an RREF kernel vector over Q."""
-    return max(j for j, x in enumerate(vec) if x)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +478,7 @@ def check_relations(H: HeckeAlgebra) -> None:
 # simple-module counting, cross-checked against the LLT canonical basis
 
 
-@dataclass
-class HeckeSimplesReport:
+class HeckeSimplesReport(NamedTuple):
     p: int
     m: int
     dim: int
@@ -553,7 +488,6 @@ class HeckeSimplesReport:
     # the regular path and the LLT block dimensions agree
     split_audit: bool
     block_dims: list[int] | None
-    upper_bound_only: bool
     # the mismatch between the two paths; None when they agree
     audit_note: str | None = None
 
@@ -570,8 +504,9 @@ def count_simples(p: int, m: int) -> HeckeSimplesReport:
     The two paths are independent and must agree: LLT has one simple per
     center dimension, the squares of its dimensions sum to p! - rad_dim, and
     every dimension is positive.  If they disagree, the count is only an
-    upper bound, block_dims is None and audit_note names the mismatch.  A
-    failed defining relation raises IdentityViolation first.
+    upper bound, split_audit is False, block_dims is None and audit_note
+    names the mismatch.  A failed defining relation raises
+    IdentityViolation first.
     """
     H = HeckeAlgebra(p, m)
     check_relations(H)
@@ -597,6 +532,5 @@ def count_simples(p: int, m: int) -> HeckeSimplesReport:
         expected_m_regular=count_m_regular(p, m),
         split_audit=agree,
         block_dims=blocks if agree else None,
-        upper_bound_only=not agree,
         audit_note=note,
     )

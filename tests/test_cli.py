@@ -457,7 +457,7 @@ class TestCountingFaults:
 
 
 # runs one command in a fresh interpreter and reports its exit code, whether
-# sympy was loaded and which modules of the package it loaded
+# sympy and dataclasses were loaded and which modules of the package it loaded
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cherednik import cli
@@ -466,6 +466,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({
     "code": code,
     "sympy": "sympy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
     "modules": sorted(m for m in sys.modules if m.startswith("cherednik.")),
 }))
 """
@@ -540,6 +541,15 @@ class TestImportBoundary:
     def test_sympy_is_not_imported(self, argv):
         out = probe(argv)
         assert (out["code"], out["sympy"]) == (0, False)
+
+    @pytest.mark.parametrize(
+        "argv", SYMPY_FREE + [["hecke-simples", "--p", "3", "--m", "2"]],
+        ids=lambda a: a[0] if a else "import",
+    )
+    def test_dataclasses_is_not_imported(self, argv):
+        # dataclasses loads inspect, about 10 ms of every process
+        out = probe(argv)
+        assert (out["code"], out["dataclasses"]) == (0, False)
 
     @pytest.mark.parametrize(
         "argv",

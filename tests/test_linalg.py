@@ -117,7 +117,7 @@ def test_full_rank_matches_sympy(seed):
 def test_hecke_gram_blowup_matches_sympy(p, m, rad_dim):
     # the dense restriction of scalars of the trace form, as the radical uses it
     H = hecke.HeckeAlgebra(p, m)
-    rows = [row for row in H._blowup_rows(H.gram) if any(row)]
+    rows = [row for row in H.field._blowup_rows(H.gram) if any(row)]
     ncols = H.dim * H.field.degree
     kern = linalg.kernel_basis(rows, ncols)
     assert rational(kern) == sympy_kernel(rows, ncols)

@@ -40,7 +40,9 @@ def _definitions():
 def _references():
     """(name, qualifier, path, line) for every name and attribute under
     src/.  The qualifier is None for a bare name read, the name `C` for an
-    attribute read as `C.attr`, and "" for any other attribute."""
+    attribute read as `C.attr`, and "" for any other attribute.  Attributes
+    of `args`, the parsed command line, are options, not library code, and
+    are left out."""
     refs = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -48,7 +50,8 @@ def _references():
                 refs.append((node.id, None, path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 qualifier = node.value.id if isinstance(node.value, ast.Name) else ""
-                refs.append((node.attr, qualifier, path, node.lineno))
+                if qualifier != "args":
+                    refs.append((node.attr, qualifier, path, node.lineno))
     return refs
 
 

@@ -35,7 +35,6 @@ def test_parse_partition():
 def test_partition_encodings():
     assert S.partition_key((3, 1)) == "[3,1]"
     assert S.partition_key(()) == "[]"
-    assert S.partition_json((2, 2)) == [2, 2]
 
 
 def test_poly_json():
