@@ -183,18 +183,20 @@ def induction_verdict(lam: Partition, mu: Partition, c: Fraction | None) -> Indu
     return InductionVerdict(product, target, weight, ok)
 
 
-def dominance_weight_consistent(weights: dict[Partition, Fraction], c: Fraction) -> bool:
-    """Check that strict dominance forces a strictly smaller weight at c > 0
-    and a strictly larger one at c < 0; at c = 0 there is nothing to check.
+def dominance_weight_consistent(n: int, c: Fraction) -> tuple[dict[Partition, Fraction], bool]:
+    """The lowest weight at c of every partition of n, in the order of
+    enumerate_partitions, and whether strict dominance forces a strictly
+    smaller weight at c > 0 and a strictly larger one at c < 0; at c = 0
+    there is nothing to check.
 
-    `weights` maps every partition of some n to its lowest weight at c.  Only
-    the one-box moves lam -> lam - e_i + e_j (i < j) are compared: they
+    Only the one-box moves lam -> lam - e_i + e_j (i < j) are compared: they
     generate dominance order (Brylawski, Discrete Math. 6 (1973)), so
     monotonicity along them gives it on every dominance-comparable pair.
     """
+    weights = {lam: lowest_weight(lam, c) for lam in enumerate_partitions(n)}
     sign = (c > 0) - (c < 0)
     if not sign:
-        return True
+        return weights, True
     for lam, h in weights.items():
         rows = lam + (0,)
         for i in range(len(lam)):
@@ -205,5 +207,5 @@ def dominance_weight_consistent(weights: dict[Partition, Fraction], c: Fraction)
                     continue
                 moved = rows[:i] + (rows[i] - 1,) + rows[i + 1 : j] + (rows[j] + 1,) + rows[j + 1 :]
                 if sign * (weights[moved if moved[-1] else moved[:-1]] - h) <= 0:
-                    return False
-    return True
+                    return weights, False
+    return weights, True

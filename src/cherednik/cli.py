@@ -37,20 +37,22 @@ def stratum_description(n: int, m: int, q: int) -> str:
     )
 
 
+def _cell(value):
+    """A payload value as a csv/table cell: a partition as its "[3,1]" key, a
+    list as its length."""
+    if isinstance(value, tuple):
+        return partition_key(value)
+    return len(value) if isinstance(value, list) else value
+
+
+def _row(payload: dict, *keys: str) -> list[dict]:
+    """The one csv/table row of a command, read off its payload by key."""
+    return [{key: _cell(payload[key]) for key in keys}]
+
+
 def cmd_support(args):
     lam = parse_partition(args.lam)
-    sign = 1 if args.sign == "+" else -1
-    q = partitions.support_level(lam, args.m, sign)
-    effective = lam if sign > 0 else partitions.conjugate(lam)
-    mu, nu = partitions.decompose(effective, args.m)
-    row = {
-        "lambda": partition_key(lam),
-        "m": args.m,
-        "sign": args.sign,
-        "q": q,
-        "mu": partition_key(mu),
-        "nu": partition_key(nu),
-    }
+    q, mu, nu = partitions.support_level(lam, args.m, 1 if args.sign == "+" else -1)
     payload = {
         "lambda": lam,
         "m": args.m,
@@ -60,18 +62,12 @@ def cmd_support(args):
         "mu": mu,
         "nu": nu,
     }
-    return payload, [row], True
+    return payload, _row(payload, "lambda", "m", "sign", "q", "mu", "nu"), True
 
 
 def cmd_decompose(args):
     lam = parse_partition(args.lam)
-    if args.regular == "transpose":
-        mu, nu = partitions.decompose(lam, args.m)
-        recombined = partitions.add(partitions.scale(args.m, mu), nu)
-    else:
-        mu, nu = partitions.decompose_regular_parts(lam, args.m)
-        recombined = partitions.recombine_regular_parts(mu, nu, args.m)
-    ok = recombined == lam
+    mu, nu, ok = partitions.splitting(lam, args.m, args.regular)
     payload = {
         "lambda": lam,
         "m": args.m,
@@ -80,14 +76,7 @@ def cmd_decompose(args):
         "nu": nu,
         "recombines": ok,
     }
-    row = {
-        "lambda": partition_key(lam),
-        "m": args.m,
-        "regular_side": args.regular,
-        "mu": partition_key(mu),
-        "nu": partition_key(nu),
-    }
-    return payload, [row], ok
+    return payload, _row(payload, "lambda", "m", "regular_side", "mu", "nu"), ok
 
 
 def cmd_census(args):
@@ -105,11 +94,12 @@ def cmd_census(args):
         for q, triples in census.items()
         for lam, mu, nu in triples
     ]
+    sizes = {str(q): len(triples) for q, triples in census.items()}
     payload = {
         "n": n,
         "m": m,
-        "strata_sizes": {str(q): len(triples) for q, triples in census.items()},
-        "total": partitions.count_partitions(n),
+        "strata_sizes": sizes,
+        "total": sum(sizes.values()),
         "rows": rows,
         "ok": ok,
     }
@@ -122,26 +112,26 @@ def cmd_bo_verify(args):
     m_values = [int(tok) for tok in args.m.split(",") if tok.strip()]
     if not m_values:
         raise ValueError(f"--m names no denominator: {args.m!r}")
-    rows = []
-    ok = True
+    # refused before any walk, not after the walks of the values before it
     for m in m_values:
-        trace = fock.trace_series(m, args.n_max)
-        product = fock.product_series(m, args.n_max)
-        for n in range(args.n_max + 1):
-            for entry in fock.verify_bo(n, m, trace, product):
-                row = {
-                    "n": n,
-                    "m": m,
-                    "q": entry.q,
-                    "count_qm": entry.count_qm,
-                    "count_product": entry.count_product,
-                    "dim_eigenspace": entry.dim_eigenspace,
-                    "coeff_N": entry.coeff_series,
-                    "coeff_trace": entry.coeff_trace,
-                    "ok": entry.ok,
-                }
-                rows.append(row)
-                ok = ok and entry.ok
+        if m < 2:
+            raise ValueError(f"m must be at least 2, got {m}")
+    rows = [
+        {
+            "n": entry.n,
+            "m": m,
+            "q": entry.q,
+            "count_qm": entry.count_qm,
+            "count_product": entry.count_product,
+            "dim_eigenspace": entry.dim_eigenspace,
+            "coeff_N": entry.coeff_series,
+            "coeff_trace": entry.coeff_trace,
+            "ok": entry.ok,
+        }
+        for m in m_values
+        for entry in fock.verify_bo(m, args.n_max)
+    ]
+    ok = all(row["ok"] for row in rows)
     payload = {"n_max": args.n_max, "m_values": m_values, "rows": rows, "ok": ok}
     return payload, rows, ok
 
@@ -150,10 +140,7 @@ def cmd_weights(args):
     from . import characters
 
     c = parse_fraction(args.c)
-    weights = {
-        lam: characters.lowest_weight(lam, c) for lam in partitions.enumerate_partitions(args.n)
-    }
-    ok = characters.dominance_weight_consistent(weights, c)
+    weights, ok = characters.dominance_weight_consistent(args.n, c)
     rows = [{"lambda": partition_key(lam), "h": fraction_str(h)} for lam, h in weights.items()]
     payload = {
         "n": args.n,
@@ -191,44 +178,31 @@ def cmd_lr(args):
 def cmd_dunkl_check(args):
     from . import dunkl
 
-    cfg = dunkl.EngineConfig(args.n, parse_fraction(args.c))
-    report = dunkl.verify_relations(cfg, args.degree)
-    rows = [
-        {
-            "n": args.n,
-            "c": fraction_str(cfg.c),
-            "degree": args.degree,
-            "checked": report.checked,
-            "violations": len(report.violations),
-        }
-    ]
+    report = dunkl.verify_relations(dunkl.EngineConfig(args.n, parse_fraction(args.c)), args.degree)
     payload = {
         "n": args.n,
-        "c": fraction_str(cfg.c),
+        "c": fraction_str(report.cfg.c),
         "degree": args.degree,
         "checked": report.checked,
         "violations": report.violations,
         "ok": report.ok,
     }
-    return payload, rows, report.ok
+    return payload, _row(payload, "n", "c", "degree", "checked", "violations"), report.ok
 
 
 def cmd_singular(args):
     from . import dunkl
 
-    cfg = dunkl.EngineConfig(args.n, parse_fraction(args.c))
-    basis = dunkl.singular_vectors(cfg, args.degree)
-    rows = [
-        {"n": args.n, "c": fraction_str(cfg.c), "degree": args.degree, "dimension": len(basis)}
-    ]
+    c = parse_fraction(args.c)
+    basis = dunkl.singular_vectors(dunkl.EngineConfig(args.n, c), args.degree)
     payload = {
         "n": args.n,
-        "c": fraction_str(cfg.c),
+        "c": fraction_str(c),
         "degree": args.degree,
         "dimension": len(basis),
         "basis": [poly_json(f, den) for f, den in basis],
     }
-    return payload, rows, True
+    return payload, _row(payload, "n", "c", "degree", "dimension"), True
 
 
 def cmd_ideal_check(args):
@@ -236,17 +210,6 @@ def cmd_ideal_check(args):
 
     c = parse_fraction(args.c) if args.c is not None else None
     report = dunkl.ideal_stability_check(args.n, args.m, args.q, args.degree, c)
-    rows = [
-        {
-            "n": args.n,
-            "m": args.m,
-            "q": args.q,
-            "c": fraction_str(report.c),
-            "degree": args.degree,
-            "stable": report.stable,
-            "failures": len(report.failures),
-        }
-    ]
     payload = {
         "n": args.n,
         "m": args.m,
@@ -257,7 +220,8 @@ def cmd_ideal_check(args):
         "failures": report.failures,
         "stable": report.stable,
     }
-    return payload, rows, report.stable
+    columns = ("n", "m", "q", "c", "degree", "stable", "failures")
+    return payload, _row(payload, *columns), report.stable
 
 
 def cmd_fock_trace(args):
@@ -265,7 +229,9 @@ def cmd_fock_trace(args):
 
     series = fock.trace_series(args.m, args.max)
     rows = [
-        {"deg_s": n, "deg_t": e, "coeff": coeff} for n, e, coeff in series.rows()
+        {"deg_s": n, "deg_t": e, "coeff": coeff}
+        for n, row in enumerate(series)
+        for e, coeff in enumerate(row)
     ]
     payload = {"m": args.m, "truncation": args.max, "rows": rows}
     return payload, rows, True
@@ -275,7 +241,7 @@ def cmd_hecke_simples(args):
     from . import hecke
 
     report = hecke.count_simples(args.p, args.m)
-    row = {
+    payload = {
         "p": report.p,
         "m": report.m,
         "dim": report.dim,
@@ -284,13 +250,13 @@ def cmd_hecke_simples(args):
         "expected_m_regular": report.expected_m_regular,
         "split_audit": report.split_audit,
         "ok": report.ok,
+        "block_dims": report.block_dims,
+        "upper_bound_only": not report.split_audit,
     }
-    payload = dict(row)
-    payload["block_dims"] = report.block_dims
-    payload["upper_bound_only"] = not report.split_audit
     if not report.split_audit:
         payload["audit_note"] = report.audit_note
-    return payload, [row], report.ok
+    columns = ("p", "m", "dim", "rad_dim", "simples", "expected_m_regular", "split_audit", "ok")
+    return payload, _row(payload, *columns), report.ok
 
 
 COMMANDS = {
@@ -344,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = add_parser("bo-verify", help="four-way stratum count comparison")
+    p = add_parser(
+        "bo-verify",
+        help="per-stratum counts from the walk (census, eigenspace), from partition "
+        "counts, and from the product and trace series, which must all agree",
+    )
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--m", required=True, help="comma list of denominators, e.g. 2,3")
 

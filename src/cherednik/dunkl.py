@@ -173,9 +173,9 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
         return combine(*((coeff, table[(i, exp)]) for exp, coeff in f.items()))
 
     def commutator(i, j, mon):
-        """[sD_i, X_j] x^mon."""
-        xj_f = times_variable(j, {mon: 1})
-        return combine((1, dunkl_linear(i, xj_f)), (-1, times_variable(j, table[(i, mon)])))
+        """[sD_i, X_j] x^mon, with sD_i x_j x^mon read off the table."""
+        raised = mon[:j] + (mon[j] + 1,) + mon[j + 1 :]
+        return combine((1, table[(i, raised)]), (-1, times_variable(j, table[(i, mon)])))
 
     def record(kind, mon, detail, lhs, rhs):
         nonlocal checked

@@ -30,13 +30,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import IdentityViolation
-from .partitions import (
-    Partition,
-    count_m_regular,
-    count_partitions,
-    enumerate_partitions,
-    is_m_regular,
-)
+from .partitions import Partition, count_m_regular, count_partitions, enumerate_m_regular
 
 
 def annihilate(i: int, k: list[int]) -> int:
@@ -85,13 +79,18 @@ def _partition(k: list[int]) -> Partition:
     return tuple(i for i in range(len(k) - 1, 0, -1) for _ in range(k[i]))
 
 
+# a bivariate series on the triangle deg_t <= deg_s <= truncation: row n, entry
+# e is the coefficient of s^n t^e
+Triangle = tuple[tuple[int, ...], ...]
+
+
 class _Census(NamedTuple):
     """Counts from one walk over the partitions of n <= truncation at
     denominator m, read-only because the cache hands the same census to
     every caller."""
 
     # row n, entry e: basis vectors of degree n with eigenvalue e
-    eigenvalues: tuple[tuple[int, ...], ...]
+    eigenvalues: Triangle
     # row n: support invariant -> count; empty for m = 1
     invariants: tuple[Mapping[int, int], ...]
 
@@ -163,28 +162,6 @@ def _walk(m: int, truncation: int) -> _Census:
     )
 
 
-class PowerSeries2(NamedTuple):
-    """Integer bivariate series stored densely on the triangle
-    deg_t <= deg_s <= truncation."""
-
-    truncation: int
-    coeffs: tuple[tuple[int, ...], ...]
-
-    def coeff(self, deg_s: int, deg_t: int) -> int:
-        if deg_s > self.truncation:
-            raise ValueError(f"degree {deg_s} beyond truncation {self.truncation}")
-        if deg_t > deg_s:
-            return 0
-        return self.coeffs[deg_s][deg_t]
-
-    def rows(self) -> list[tuple[int, int, int]]:
-        out = []
-        for n in range(self.truncation + 1):
-            for e in range(n + 1):
-                out.append((n, e, self.coeffs[n][e]))
-        return out
-
-
 def _geometric_product(truncation: int, steps: list[tuple[int, int]]) -> list[list[int]]:
     """Expand prod over (a, b) in steps of 1 / (1 - s^a t^b) on the triangle."""
     table = [[0] * (n + 1) for n in range(truncation + 1)]
@@ -205,7 +182,7 @@ def _product_table(m: int, truncation: int) -> list[list[int]]:
     return _geometric_product(truncation, steps)
 
 
-def trace_series(m: int, truncation: int) -> PowerSeries2:
+def trace_series(m: int, truncation: int) -> Triangle:
     """Bigraded trace of s^(degree) t^(mode-m weight) over Fock space.
 
     Computed by summing over the partition basis with operator-checked
@@ -217,10 +194,10 @@ def trace_series(m: int, truncation: int) -> PowerSeries2:
     table = _walk(m, truncation).eigenvalues
     if list(map(list, table)) != _product_table(m, truncation):
         raise IdentityViolation("trace sum disagrees with its product expansion")
-    return PowerSeries2(truncation, table)
+    return table
 
 
-def product_series(m: int, truncation: int) -> PowerSeries2:
+def product_series(m: int, truncation: int) -> Triangle:
     """The counting series whose s^n t^(q*m) coefficient is (number of
     partitions of q) * (number of m-regular partitions of n - q*m).
 
@@ -240,10 +217,11 @@ def product_series(m: int, truncation: int) -> PowerSeries2:
                 raise IdentityViolation(
                     f"product expansion disagrees with counts at s^{n} t^{e}"
                 )
-    return PowerSeries2(truncation, tuple(tuple(row) for row in table))
+    return tuple(tuple(row) for row in table)
 
 
 class StratumCounts(NamedTuple):
+    n: int
     q: int
     count_qm: int
     count_product: int
@@ -262,38 +240,37 @@ class StratumCounts(NamedTuple):
         )
 
 
-def verify_bo(
-    n: int,
-    m: int,
-    _trace: PowerSeries2 | None = None,
-    _product: PowerSeries2 | None = None,
-) -> list[StratumCounts]:
-    """Four-way count comparison per stratum q: direct census of the support
-    invariant, the product of partition counts, the eigenspace dimension and
-    the series coefficients.  The first and third come from the walk behind
-    the trace series.
+def verify_bo(m: int, n_max: int) -> list[StratumCounts]:
+    """Five counts per stratum q of each n <= n_max, which must agree:
 
-    Precomputed series may be passed in when sweeping many n for one m.
+    - count_qm: partitions of n with support invariant q, tallied by the walk;
+    - count_product: count_partitions(q) * count_m_regular(n - q*m);
+    - dim_eigenspace: basis vectors of degree n with weight operator
+      eigenvalue q*m, tallied by the same walk;
+    - coeff_series: the s^n t^(q*m) coefficient of product_series;
+    - coeff_trace: the same coefficient of trace_series.
+
+    dim_eigenspace and coeff_trace are one entry of the walk's table, which
+    trace_series has checked against the product expansion.
     """
-    if n < 0 or m < 2:
-        raise ValueError("need n >= 0 and m >= 2")
-    trace = _trace if _trace is not None and _trace.truncation >= n else trace_series(m, n)
-    product = _product if _product is not None and _product.truncation >= n else product_series(m, n)
-    census = _walk(m, trace.truncation)
-    invariants, eigenvalues = census.invariants[n], census.eigenvalues[n]
-    out = []
-    for q in range(n // m + 1):
-        out.append(
-            StratumCounts(
-                q=q,
-                count_qm=invariants.get(q, 0),
-                count_product=count_partitions(q) * count_m_regular(n - q * m, m),
-                dim_eigenspace=eigenvalues[q * m],
-                coeff_series=product.coeff(n, q * m),
-                coeff_trace=trace.coeff(n, q * m),
-            )
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    trace = trace_series(m, n_max)
+    product = product_series(m, n_max)
+    census = _walk(m, n_max)
+    return [
+        StratumCounts(
+            n=n,
+            q=q,
+            count_qm=census.invariants[n].get(q, 0),
+            count_product=count_partitions(q) * count_m_regular(n - q * m, m),
+            dim_eigenspace=census.eigenvalues[n][q * m],
+            coeff_series=product[n][q * m],
+            coeff_trace=trace[n][q * m],
         )
-    return out
+        for n in range(n_max + 1)
+        for q in range(n // m + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +386,7 @@ def _decomposition_numbers(p: int, e: int) -> dict[Partition, dict[Partition, in
     if e < 2:
         raise ValueError(f"e must be at least 2, got {e}")
     basis: dict[Partition, FockVector] = {}
-    for mu in reversed(enumerate_partitions(p)):
-        if not is_m_regular(mu, e):
-            continue
+    for mu in reversed(enumerate_m_regular(p, e)):
         vec = _ladder_vector(mu, e)
         if vec.get(mu) != {0: 1}:
             raise IdentityViolation(f"{mu} has coefficient {vec.get(mu, {})} in A({mu}) at e = {e}")

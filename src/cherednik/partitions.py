@@ -143,6 +143,19 @@ def recombine_regular_parts(mu: Partition, nu: Partition, m: int) -> Partition:
     return out
 
 
+def splitting(lam: Partition, m: int, regular: str) -> tuple[Partition, Partition, bool]:
+    """The pair (mu, nu) of lam on the given regular side, "transpose" for
+    :func:`decompose` or "parts" for :func:`decompose_regular_parts`, and
+    whether recombining it gives lam back."""
+    if regular == "transpose":
+        mu, nu = decompose(lam, m)
+        return mu, nu, add(scale(m, mu), nu) == lam
+    if regular != "parts":
+        raise ValueError(f"regular side must be 'transpose' or 'parts', got {regular!r}")
+    mu, nu = decompose_regular_parts(lam, m)
+    return mu, nu, recombine_regular_parts(mu, nu, m) == lam
+
+
 def dominance(alpha: Partition, beta: Partition) -> DominanceRelation:
     """Compare all prefix sums of two partitions of the same number."""
     if size(alpha) != size(beta):
@@ -247,13 +260,12 @@ def count_m_regular(n: int, m: int) -> int:
     return table[n]
 
 
-def support_level(lam: Partition, m: int, sign: int) -> int:
-    """Stratum index of the irreducible labelled by lam: the invariant of lam
-    itself when the deformation parameter is positive, of its conjugate when
-    negative."""
-    if sign > 0:
-        return support_invariant(lam, m)
-    return support_invariant(conjugate(lam), m)
+def support_level(lam: Partition, m: int, sign: int) -> tuple[int, Partition, Partition]:
+    """Stratum index q of the irreducible labelled by lam, with the splitting
+    (mu, nu) it comes with: those of lam itself when the deformation
+    parameter is positive, of its conjugate when negative."""
+    effective = lam if sign > 0 else conjugate(lam)
+    return (support_invariant(effective, m), *decompose(effective, m))
 
 
 def label_from_pair(mu: Partition, nu: Partition, m: int, sign: int) -> Partition:

@@ -30,24 +30,20 @@ def criterion(number, description):
     return decorate
 
 
-@criterion(1, "four-way stratum counts agree for n <= 25, m in 2..6")
+@criterion(1, "five stratum counts agree for n <= 25, m in 2..6")
 def test_c01_counting_identity():
     for m in range(2, 7):
-        trace = F.trace_series(m, 25)
-        product = F.product_series(m, 25)
+        rows = F.verify_bo(m, 25)
+        for row in rows:
+            assert row.ok, (m, row)
         for n in range(26):
-            rows = F.verify_bo(n, m, trace, product)
-            for row in rows:
-                assert row.ok, (n, m, row)
-            assert sum(row.count_qm for row in rows) == P.count_partitions(n)
+            assert sum(row.count_qm for row in rows if row.n == n) == P.count_partitions(n)
 
 
 @criterion(2, "trace series equals product series to bidegree 20 for m in 2..5")
 def test_c02_generating_function_identity():
     for m in (2, 3, 4, 5):
-        trace = F.trace_series(m, 20)
-        product = F.product_series(m, 20)
-        assert trace.coeffs == product.coeffs
+        assert F.trace_series(m, 20) == F.product_series(m, 20)
 
 
 @criterion(3, "defining relations hold on all monomials of degree <= 4, n in 2..5")
@@ -142,7 +138,7 @@ def test_c10_label_bijection():
         for m in (2, 3, 4, 5):
             strata: dict[int, set] = {}
             for lam in P.enumerate_partitions(n):
-                q = P.support_level(lam, m, 1)
+                q = P.support_level(lam, m, 1)[0]
                 strata.setdefault(q, set()).add(lam)
             for q in range(n // m + 1):
                 labels = []

@@ -250,12 +250,14 @@ class TestDominanceMonotonicity:
         # the one-box verdict agrees with the all-pairs reference
         for c in (Fraction(1, 2), Fraction(-5, 7)):
             for n in range(13):
-                weights = weights_of(n, c)
+                weights, ok = C.dominance_weight_consistent(n, c)
+                assert weights == weights_of(n, c)
+                assert list(weights) == P.enumerate_partitions(n)
                 reference = all_pairs_verdict(weights, c)
                 assert reference, (n, c)
-                assert C.dominance_weight_consistent(weights, c) == reference, (n, c)
+                assert ok == reference, (n, c)
 
-    def test_swapped_pair_is_caught(self):
+    def test_swapped_pair_is_caught(self, monkeypatch):
         # negative control: exchange the weights of one comparable pair
         parts = P.enumerate_partitions(6)
         pairs = [
@@ -265,15 +267,17 @@ class TestDominanceMonotonicity:
             if P.dominance(alpha, beta) == P.DominanceRelation.GREATER
         ]
         assert len(pairs) > 40
-        for c in (Fraction(1, 2), Fraction(-5, 7)):
+        real = {c: weights_of(6, c) for c in (Fraction(1, 2), Fraction(-5, 7))}
+        for c in real:
             for alpha, beta in pairs:
-                weights = weights_of(6, c)
+                weights = dict(real[c])
                 weights[alpha], weights[beta] = weights[beta], weights[alpha]
                 assert not all_pairs_verdict(weights, c)
-                assert not C.dominance_weight_consistent(weights, c), (alpha, beta, c)
+                monkeypatch.setattr(C, "lowest_weight", lambda lam, c: weights[lam])
+                assert not C.dominance_weight_consistent(6, c)[1], (alpha, beta, c)
 
-    def test_equal_weights_are_caught(self):
+    def test_equal_weights_are_caught(self, monkeypatch):
         # the inequality is strict: constant weights fail for both signs
+        monkeypatch.setattr(C, "lowest_weight", lambda lam, c: Fraction(0))
         for c in (Fraction(1, 2), Fraction(-5, 7)):
-            weights = dict.fromkeys(P.enumerate_partitions(5), Fraction(0))
-            assert not C.dominance_weight_consistent(weights, c)
+            assert not C.dominance_weight_consistent(5, c)[1]

@@ -282,10 +282,73 @@ REFERENCE = [
         "ideal-check_n4_m2_q2_degree4_c1_3.json",
         ["ideal-check", "--n", "4", "--m", "2", "--q", "2", "--degree", "4", "--c", "1/3"],
     ),
+    # recorded while the CLI still applied the sign convention, judged the
+    # recombination and wrote the csv/table row of each one-row command itself
+    (
+        "support_lambda5-3-1_m2_sign+.json",
+        ["support", "--lambda", "5,3,1", "--m", "2", "--sign", "+"],
+    ),
+    (
+        "support_lambda5-3-1_m2_sign-.json",
+        ["support", "--lambda", "5,3,1", "--m", "2", "--sign", "-"],
+    ),
+    (
+        "decompose_lambda7-4-4-4-1-1-1_m3_transpose.json",
+        ["decompose", "--lambda", "7,4,4,4,1,1,1", "--m", "3", "--regular", "transpose"],
+    ),
+    (
+        "decompose_lambda7-4-4-4-1-1-1_m3_parts.json",
+        ["decompose", "--lambda", "7,4,4,4,1,1,1", "--m", "3", "--regular", "parts"],
+    ),
+    (
+        "support_lambda5-3-1_m2_sign-.csv",
+        ["--format", "csv", "support", "--lambda", "5,3,1", "--m", "2", "--sign", "-"],
+    ),
+    (
+        "support_lambda5-3-1_m2_sign-.txt",
+        ["--format", "table", "support", "--lambda", "5,3,1", "--m", "2", "--sign", "-"],
+    ),
+    (
+        "decompose_lambda7-4-4-4-1-1-1_m3_parts.csv",
+        ["--format", "csv", "decompose", "--lambda", "7,4,4,4,1,1,1", "--m", "3", "--regular", "parts"],
+    ),
+    (
+        "decompose_lambda7-4-4-4-1-1-1_m3_parts.txt",
+        ["--format", "table", "decompose", "--lambda", "7,4,4,4,1,1,1", "--m", "3", "--regular", "parts"],
+    ),
+    (
+        "dunkl-check_n3_c-1_2_degree3.csv",
+        ["--format", "csv", "dunkl-check", "--n", "3", "--c", "-1/2", "--degree", "3"],
+    ),
+    (
+        "dunkl-check_n3_c-1_2_degree3.txt",
+        ["--format", "table", "dunkl-check", "--n", "3", "--c", "-1/2", "--degree", "3"],
+    ),
+    (
+        "singular_n3_c1_3_degree1.csv",
+        ["--format", "csv", "singular", "--n", "3", "--c", "1/3", "--degree", "1"],
+    ),
+    (
+        "singular_n3_c1_3_degree1.txt",
+        ["--format", "table", "singular", "--n", "3", "--c", "1/3", "--degree", "1"],
+    ),
+    (
+        "ideal-check_n4_m2_q2_degree4_c1_3.csv",
+        ["--format", "csv", "ideal-check", "--n", "4", "--m", "2", "--q", "2", "--degree", "4", "--c", "1/3"],
+    ),
+    (
+        "ideal-check_n4_m2_q2_degree4.txt",
+        ["--format", "table", "ideal-check", "--n", "4", "--m", "2", "--q", "2", "--degree", "4"],
+    ),
+    ("hecke-simples_p3_m2.csv", ["--format", "csv", "hecke-simples", "--p", "3", "--m", "2"]),
+    ("hecke-simples_p4_m3.txt", ["--format", "table", "hecke-simples", "--p", "4", "--m", "3"]),
 ]
 
 # every other reference command exits 0
-REFERENCE_EXIT = {"ideal-check_n4_m2_q2_degree4_c1_3.json": 1}
+REFERENCE_EXIT = {
+    "ideal-check_n4_m2_q2_degree4_c1_3.json": 1,
+    "ideal-check_n4_m2_q2_degree4_c1_3.csv": 1,
+}
 
 
 class TestReferenceOutput:
@@ -454,6 +517,16 @@ class TestCountingFaults:
         code = cli.main(["bo-verify", "--n-max", "4", "--m", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("m,bad", [("1", 1), ("2,1", 1), ("3,0,2", 0)])
+    def test_bo_verify_refuses_m_below_two_before_any_walk(self, monkeypatch, capsys, m, bad):
+        # a valid value listed first used to be walked in full before the refusal
+        calls = []
+        monkeypatch.setattr(fock, "_walk", lambda *args: calls.append(args))
+        code = cli.main(["bo-verify", "--n-max", "45", "--m", m])
+        assert code == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"error: m must be at least 2, got {bad}\n"
 
 
 # runs one command in a fresh interpreter and reports its exit code, whether

@@ -409,9 +409,9 @@ class TestSingularVectors:
     def test_support_corroboration(self):
         # the trivial label at n = 2 sits one stratum up at denominator 2,
         # matching the proper submodule found by the engine at c = 1/2
-        assert P.support_level((2,), 2, 1) == 1
+        assert P.support_level((2,), 2, 1)[0] == 1
         assert len(D.singular_vectors(EngineConfig(2, Fraction(1, 2)), 1)) == 1
-        assert P.support_level((1, 1), 2, 1) == 0
+        assert P.support_level((1, 1), 2, 1)[0] == 0
 
 
 class TestStratumIdeal:
@@ -570,7 +570,7 @@ class TestGlue:
 
 class TestSignTwist:
     def test_conjugate_relabelling_matches(self):
-        assert P.support_level((2,), 2, 1) == P.support_level((1, 1), 2, -1) == 1
+        assert P.support_level((2,), 2, 1)[0] == P.support_level((1, 1), 2, -1)[0] == 1
 
 
 class TestEngineConfig:

@@ -248,34 +248,30 @@ class TestWeightOperator:
 class TestSeries:
     def test_trace_examples(self):
         ts = F.trace_series(2, 8)
-        assert ts.coeff(0, 0) == 1
-        assert ts.coeff(4, 4) == 2
+        assert ts[0][0] == 1
+        assert ts[4][4] == 2
         for n in range(9):
             for e in range(n + 1):
                 if e % 2 == 1:
-                    assert ts.coeff(n, e) == 0
+                    assert ts[n][e] == 0
 
     def test_product_examples(self):
         ps = F.product_series(2, 8)
-        assert ps.coeff(4, 4) == 2
-        assert ps.coeff(4, 2) == 1
+        assert ps[4][4] == 2
+        assert ps[4][2] == 1
         for n in range(9):
-            assert ps.coeff(n, 0) == P.count_m_regular(n, 2)
+            assert ps[n][0] == P.count_m_regular(n, 2)
 
     def test_triangle_storage(self):
-        ts = F.trace_series(3, 5)
-        assert ts.coeff(4, 5) == 0
-        with pytest.raises(ValueError):
-            ts.coeff(6, 0)
-        rows = ts.rows()
-        assert rows[0] == (0, 0, 1)
-        assert len(rows) == sum(n + 1 for n in range(6))
+        # row n holds the coefficients of s^n t^e for e = 0..n, as tuples
+        for series in (F.trace_series(3, 5), F.product_series(3, 5)):
+            assert series[0] == (1,)
+            assert [len(row) for row in series] == [n + 1 for n in range(6)]
+            assert all(type(row) is tuple for row in series)
 
     def test_trace_equals_product_to_12(self):
         for m in (2, 3, 4, 5):
-            ts = F.trace_series(m, 12)
-            ps = F.product_series(m, 12)
-            assert ts.coeffs == ps.coeffs
+            assert F.trace_series(m, 12) == F.product_series(m, 12)
 
 
 class TestCensus:
@@ -346,40 +342,50 @@ class TestCensus:
 
 class TestVerify:
     def test_stratified_counts_for_n4_m2(self):
-        rows = F.verify_bo(4, 2)
+        rows = [r for r in F.verify_bo(2, 4) if r.n == 4]
         assert [(r.q, r.count_qm) for r in rows] == [(0, 2), (1, 1), (2, 2)]
         assert all(r.ok for r in rows)
 
     def test_single_partition(self):
-        rows = F.verify_bo(1, 5)
+        rows = [r for r in F.verify_bo(5, 1) if r.n == 1]
         assert len(rows) == 1
         assert rows[0].count_qm == 1
         assert rows[0].ok
 
     def test_strata_sum_to_partition_count(self):
-        rows = F.verify_bo(6, 3)
+        rows = [r for r in F.verify_bo(3, 6) if r.n == 6]
         assert sum(r.count_qm for r in rows) == P.count_partitions(6)
         assert all(r.ok for r in rows)
 
     def test_sweep_small(self):
         for m in (2, 3):
-            trace = F.trace_series(m, 10)
-            product = F.product_series(m, 10)
-            for n in range(11):
-                for row in F.verify_bo(n, m, trace, product):
-                    assert row.ok, (n, m, row)
+            rows = F.verify_bo(m, 10)
+            assert [(r.n, r.q) for r in rows] == [(n, q) for n in range(11) for q in range(n // m + 1)]
+            for row in rows:
+                assert row.ok, (m, row)
 
     def test_a_wrong_product_count_fails_only_its_column(self, monkeypatch):
         # the eigenspace and census columns come from the walk, not from the
-        # partition counts they are compared with
-        trace, product = F.trace_series(3, 9), F.product_series(3, 9)
+        # partition counts they are compared with; the product series is
+        # expanded before the counts go wrong, since it checks itself on them
+        product = F.product_series(3, 9)
+        monkeypatch.setattr(F, "product_series", lambda m, truncation: product)
         regular = F.count_m_regular
         monkeypatch.setattr(F, "count_m_regular", lambda n, m: regular(n, m) + 1)
-        for n in range(10):
-            for row in F.verify_bo(n, 3, trace, product):
-                assert not row.ok
-                assert row.count_product != row.count_qm
-                assert row.count_qm == row.dim_eigenspace == row.coeff_series == row.coeff_trace
+        rows = F.verify_bo(3, 9)
+        assert len(rows) == sum(n // 3 + 1 for n in range(10))
+        for row in rows:
+            assert not row.ok
+            assert row.count_product != row.count_qm
+            assert row.count_qm == row.dim_eigenspace == row.coeff_series == row.coeff_trace
+
+    @pytest.mark.parametrize("m", [1, 0, -2])
+    def test_refuses_m_below_two_before_walking(self, monkeypatch, m):
+        calls = []
+        monkeypatch.setattr(F, "_walk", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"m must be at least 2, got {m}"):
+            F.verify_bo(m, 10)
+        assert calls == []
 
 
 # (p, e) -> (rad_dim, simples, block_dims) of H_p(zeta_e): the rows that

@@ -127,6 +127,21 @@ class TestDecompose:
                     assert P.is_m_regular(nu, m)
                     assert P.recombine_regular_parts(mu, nu, m) == lam
 
+    def test_splitting_recombines_on_both_sides(self):
+        for n in range(11):
+            for m in (2, 3):
+                for lam in P.enumerate_partitions(n):
+                    assert P.splitting(lam, m, "transpose") == (*P.decompose(lam, m), True)
+                    assert P.splitting(lam, m, "parts") == (*P.decompose_regular_parts(lam, m), True)
+        with pytest.raises(ValueError):
+            P.splitting((2, 1), 2, "rows")
+
+    def test_splitting_verdict_sees_a_wrong_recombination(self, monkeypatch):
+        monkeypatch.setattr(P, "recombine_regular_parts", lambda mu, nu, m: nu)
+        assert P.splitting((2, 2, 1), 2, "parts") == ((2,), (1,), False)
+        monkeypatch.setattr(P, "scale", lambda m, mu: mu)
+        assert P.splitting((4, 2), 2, "transpose") == ((2, 1), (), False)
+
     def test_two_conventions_count_the_same_strata(self):
         # both splittings distribute partitions of n over |mu| identically
         for n in range(12):
@@ -229,9 +244,10 @@ class TestEnumeration:
 
 class TestSupportLevelAndLabels:
     def test_support_level_examples(self):
-        assert P.support_level((2,), 2, 1) == 1
-        assert P.support_level((1, 1), 2, 1) == 0
-        assert P.support_level((1, 1), 2, -1) == 1
+        # (q, mu, nu): the stratum and the splitting of lam, or of its conjugate
+        assert P.support_level((2,), 2, 1) == (1, (1,), ())
+        assert P.support_level((1, 1), 2, 1) == (0, (), (1, 1))
+        assert P.support_level((1, 1), 2, -1) == (1, (1,), ())
 
     def test_negative_sign_is_conjugation(self):
         for lam in P.enumerate_partitions(8):
@@ -269,7 +285,7 @@ class TestSupportLevelAndLabels:
                     for mu in P.enumerate_partitions(q):
                         for nu in P.enumerate_m_regular(n - q * m, m):
                             lam = P.label_from_pair(mu, nu, m, 1)
-                            assert P.support_level(lam, m, 1) == q
+                            assert P.support_level(lam, m, 1)[0] == q
                             labels.add(lam)
                     stratum = {
                         lam

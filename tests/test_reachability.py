@@ -13,7 +13,6 @@ SRC = PACKAGE.parent
 
 ALLOWLIST = {
     "dunkl.euler_apply": "acceptance criterion 4 (the Euler spectrum)",
-    "partitions.enumerate_m_regular": "acceptance criterion 10",
     "hecke.CyclotomicField.inv": "wrapped by name in the benchmark's tracing shim",
 }
 
