@@ -417,10 +417,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_merge_negative_rationals(argv))
     try:
-        payload, rows, ok = COMMANDS[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            payload, rows, ok = COMMANDS[args.command](args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # a formatting fault is internal, whatever its type
+        _emit(args, payload, rows, ok)
     except IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
@@ -428,7 +431,6 @@ def main(argv=None) -> int:
         # repr keeps the exception type and one line whatever the message
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
-    _emit(args, payload, rows, ok)
     return 0 if ok else 1
 
 

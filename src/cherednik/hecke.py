@@ -5,11 +5,15 @@ float: coefficients live in Q(zeta_m) represented as coefficient tuples
 reduced modulo the m-th cyclotomic polynomial.
 
 Every elimination is one call of :meth:`CyclotomicField.kernel`, which
-eliminates the restriction of scalars to Q with :mod:`cherednik.linalg`;
-its kernels are in reduced row echelon form.  The Jacobson radical J is
-the kernel K of the regular-representation trace form (valid in
-characteristic zero), read off the central Casimir element C with one
-right sweep: the normal form of x modulo J is
+eliminates the restriction of scalars to Q, phi(m) times the size, with
+:mod:`cherednik.linalg`; its kernels are in reduced row echelon form.  The
+Jacobson radical J is the kernel K of the regular-representation trace
+form (valid in characteristic zero), read off the central Casimir element C
+with one right sweep.  For m > p, where H is semisimple, J = 0 is certified
+instead by :meth:`CyclotomicField.nonsingular`: the integral gram has full
+rank modulo a degree-one prime of Z[zeta_m], over a prime l = 1 (mod m), so
+it has over Q(zeta_m).  A rank-deficient gram still takes the kernel.  The
+normal form of x modulo J is
 x - sum_f x_f K_f over the free columns f, and the quotient H/J has
 coordinates on the remaining pivot columns P.  Simple modules are counted
 through the center of H/J, the kernel in P-coordinates of the commutators
@@ -73,6 +77,32 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
                 raise ArithmeticError("polynomial division left a remainder")
             poly = quot
     return tuple(poly)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for b in bases:
+        chain = [pow(b, (n - 1) >> (s - k), n) for k in range(s)]
+        if chain[0] != 1 and n - 1 not in chain:
+            return False
+    return True
+
+
+@cache
+def split_prime(m: int) -> tuple[int, int]:
+    """The least prime p > 2^31 with p = 1 (mod m), over which Phi_m splits
+    into linear factors, and the first root omega of Phi_m mod p among the
+    g^((p-1)/m), g = 2, 3, ...; omega has order exactly m."""
+    p = (2**31 // m + 1) * m + 1
+    while not _is_prime(p):
+        p += m
+    phi = cyclotomic_polynomial(m)
+    powers = (pow(g, (p - 1) // m, p) for g in range(2, p))
+    return p, next(w for w in powers if sum(c * pow(w, k, p) for k, c in enumerate(phi)) % p == 0)
 
 
 class CyclotomicField:
@@ -157,6 +187,31 @@ class CyclotomicField:
             raise ArithmeticError("multiplication by a nonzero element is singular")
         ((_, (x, _)),) = kern
         return tuple(Fraction(c, den) for c in x)
+
+    def nonsingular(self, fmatrix: list[list[CycElement]]) -> bool:
+        """True only if the square integral matrix is nonsingular over the
+        field.  zeta -> omega is a ring map Z[zeta_m] -> F_p for the pair of
+        `split_prime`, so an image that row-reduces to full rank mod p
+        proves the determinant nonzero.  False, returned at the first row
+        that reduces to zero, proves nothing."""
+        if any(len(row) != len(fmatrix) for row in fmatrix):
+            raise ValueError("the certificate needs a square matrix")
+        p, omega = split_prime(self.m)
+        pows = [pow(omega, k, p) for k in range(self.degree + 1)]
+        if sum(c * w for c, w in zip(self.modulus, pows)) % p:
+            raise ArithmeticError(f"{omega} is not a root of Phi_{self.m} mod {p}")
+        reduced: dict[int, list[int]] = {}  # pivot column -> row, 1 there and 0 before
+        for frow in fmatrix:
+            row = [sum(c * w for c, w in zip(x, pows)) % p for x in frow]
+            for col in sorted(reduced):
+                if f := row[col]:
+                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], reduced[col][col:])]
+            lead = next((j for j, x in enumerate(row) if x), None)
+            if lead is None:
+                return False
+            inv = pow(row[lead], -1, p)
+            reduced[lead] = [x * inv % p for x in row]
+        return True
 
     def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[list]:
         """Restriction of scalars: one rational row per (row, zeta-power)."""
@@ -370,7 +425,10 @@ class HeckeAlgebra:
     @cached_property
     def _radical(self) -> IntKernel:
         """RREF basis of the radical, the kernel K of the trace form, as its
-        common denominator D and the pairs (f, D K_f)."""
+        common denominator D and the pairs (f, D K_f).  A gram certified
+        nonsingular has the kernel the blowup would give, (1, [])."""
+        if self.field.nonsingular(self.gram):
+            return 1, []
         return self.field.kernel(self.gram, self.dim)
 
     @cached_property

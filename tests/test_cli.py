@@ -418,6 +418,20 @@ class TestExitCodes:
         assert captured.err == f"internal error: {exc(message)!r}\n"
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("exc", [RuntimeError, ValueError])
+    def test_exit_3_on_formatting_fault(self, monkeypatch, capsys, exc):
+        # the command ran; a fault while formatting its output is internal,
+        # not a violated identity and not a usage error
+        def broken(value):
+            raise exc("unencodable")
+
+        monkeypatch.setattr(cli, "json_text", broken)
+        code = cli.main(["census", "--n", "4", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"internal error: {exc('unencodable')!r}\n"
+
 
 @pytest.fixture
 def fresh_census():

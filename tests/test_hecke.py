@@ -3,11 +3,14 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik import cli
 from cherednik import hecke as Hk
@@ -513,6 +516,123 @@ class TestKernelDigests:
             assert all(type(x) is int for c in vec for x in c)
 
 
+def hook_dimension(lam):
+    """f^lambda by the hook length formula."""
+    conj = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    hooks = prod(lam[i] - j + conj[j] - i - 1 for i in range(len(lam)) for j in range(lam[i]))
+    return factorial(sum(lam)) // hooks
+
+
+@st.composite
+def field_matrix(draw, planted):
+    """A field and a small square integral matrix over Z[zeta_m], m <= 12;
+    with `planted`, one row is a Z[zeta]-combination of the others."""
+    F = Hk.CyclotomicField(draw(st.integers(2, 12)))
+    n = draw(st.integers(1, 4))
+    entry = st.tuples(*[st.integers(-3, 3)] * F.degree)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if planted:
+        k = draw(st.integers(0, n - 1))
+        others = rows[:k] + rows[k + 1 :]
+        coeffs = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        combo = [F.zero] * n
+        for c, row in zip(coeffs, others):
+            combo = [F.add(x, F.mul(c, y)) for x, y in zip(combo, row)]
+        rows[k] = combo
+    return F, rows
+
+
+class TestCertificate:
+    """The nonsingularity certificate modulo a split prime stands in for the
+    blowup kernel of a full-rank gram, and for nothing else."""
+
+    @pytest.mark.parametrize(
+        "p,m", [(p, m) for p in (2, 3, 4) for m in range(2, 9)] + [(5, 2), (5, 3), (5, 4)]
+    )
+    def test_radical_equals_the_blowup_kernel(self, p, m):
+        H = Hk.HeckeAlgebra(p, m)
+        # H is semisimple exactly when m > p, and the certificate fires there
+        assert H.field.nonsingular(H.gram) == (m > p)
+        assert H._radical == H.field.kernel(H.gram, H.dim)
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_rank_5_semisimple_blocks_are_squared_hook_dimensions(self, m):
+        report = Hk.count_simples(5, m)
+        partitions_of_5 = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1,) * 5]
+        assert report.rad_dim == 0
+        assert report.split_audit
+        assert report.block_dims == sorted(
+            (hook_dimension(lam) ** 2 for lam in partitions_of_5), reverse=True
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(field_matrix(planted=True))
+    def test_planted_dependency_is_never_certified(self, case):
+        F, rows = case
+        assert not F.nonsingular(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(field_matrix(planted=False))
+    def test_certified_matrix_has_an_empty_blowup_kernel(self, case):
+        F, rows = case
+        if F.nonsingular(rows):
+            assert F.kernel(rows, len(rows)) == (1, [])
+
+    def test_split_prime_has_a_root_of_exact_order_m(self):
+        for m in range(2, 61):
+            p, omega = Hk.split_prime(m)
+            assert sympy.isprime(p) and p % m == 1 and p > 2**31
+            assert pow(omega, m, p) == 1
+            assert all(pow(omega, m // q, p) != 1 for q in sympy.primefactors(m))
+
+    def test_non_square_matrix_is_refused(self):
+        F = Hk.CyclotomicField(5)
+        with pytest.raises(ValueError):
+            F.nonsingular([[F.one, F.zero]])
+
+    def test_singular_gram_falls_through_to_the_blowup(self, monkeypatch, capsys):
+        # at (4, 5) the gram has full rank; with row 0 replaced by the sum of
+        # rows 1 and 2 it has rank 23, which only the blowup can say
+        real_gram = vars(Hk.HeckeAlgebra)["gram"].func
+        real_kernel = Hk.CyclotomicField.kernel
+        kernel_widths = []
+
+        def singular(self):
+            rows = real_gram(self)
+            rows[0] = [self.field.add(a, b) for a, b in zip(rows[1], rows[2])]
+            return rows
+
+        def spy(self, fmatrix, ncols):
+            kernel_widths.append(ncols)
+            return real_kernel(self, fmatrix, ncols)
+
+        gram = cached_property(singular)
+        gram.__set_name__(Hk.HeckeAlgebra, "gram")
+        monkeypatch.setattr(Hk.HeckeAlgebra, "gram", gram)
+        monkeypatch.setattr(Hk.CyclotomicField, "kernel", spy)
+        H = Hk.HeckeAlgebra(4, 5)
+        assert not H.field.nonsingular(H.gram)
+        code = cli.main(["hecke-simples", "--p", "4", "--m", "5"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert kernel_widths[0] == 24
+        assert code == 1
+        assert result["rad_dim"] == 1
+        assert result["audit_note"] == "LLT gives 5 simples, the center 4"
+
+    def test_omega_off_the_cyclotomic_polynomial_is_an_internal_error(self, monkeypatch, capsys):
+        p, omega = Hk.split_prime(5)
+        bad = omega + 1
+        assert sum(c * pow(bad, k, p) for k, c in enumerate(Hk.cyclotomic_polynomial(5))) % p
+        monkeypatch.setattr(Hk, "split_prime", lambda m: (p, bad))
+        with pytest.raises(ArithmeticError):
+            Hk.HeckeAlgebra(4, 5)._radical
+        code = cli.main(["hecke-simples", "--p", "4", "--m", "5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ArithmeticError(")
+
+
 class TestDenominators:
     """Negative controls for the integer bookkeeping: a wrong radical must
     fail the verdict, not pass it."""
@@ -558,7 +678,8 @@ class TestDenominators:
         assert report.split_audit
 
     def test_hecke_builds_no_fraction(self, monkeypatch):
-        # the regular path and the LLT oracle are integral throughout
+        # the regular path, the certificate at (4, 5) and the LLT oracle are
+        # integral throughout
         builders = set()
         real = Fraction.__new__
 
@@ -567,8 +688,8 @@ class TestDenominators:
             return real(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
-        report = Hk.count_simples(4, 3)
-        assert report.split_audit
+        for p, m in [(4, 3), (4, 5)]:
+            assert Hk.count_simples(p, m).split_audit
         assert builders == set()
 
 
