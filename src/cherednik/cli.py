@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 # each command imports the library module it runs, so a process loads and
 # compiles only what its command needs; these are shared by all of them
@@ -82,14 +83,16 @@ def cmd_decompose(args):
 def cmd_census(args):
     n, m = args.n, args.m
     census, ok = partitions.stratum_census(n, m)
+    # mu and nu repeat across the rows; each lambda appears once
+    key = cache(partition_key)
     rows = [
         {
             "n": n,
             "m": m,
             "q": q,
             "lambda": partition_key(lam),
-            "mu": partition_key(mu),
-            "nu": partition_key(nu),
+            "mu": key(mu),
+            "nu": key(nu),
         }
         for q, triples in census.items()
         for lam, mu, nu in triples

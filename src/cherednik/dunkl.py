@@ -105,18 +105,23 @@ def dunkl_apply(i: int, f: Polynomial, cfg: EngineConfig) -> Polynomial:
             e2 = exp[:i] + (a - 1,) + exp[i + 1 :]
             out[e2] = out.get(e2, 0) + s * a * coeff
         rc = r * coeff
+        work = list(exp)
         for j in range(n):
             b = exp[j]
             if a == b:
                 continue  # j = i, or symmetric in x_i, x_j: no divided difference
-            base = -rc if a > b else rc
+            if a > b:
+                base, low, high = -rc, b, a
+            else:
+                base, low, high = rc, a, b
             tot = a + b - 1
-            work = list(exp)
-            for t in range(min(a, b), max(a, b)):
+            for t in range(low, high):
                 work[i] = t
                 work[j] = tot - t
                 e2 = tuple(work)
                 out[e2] = out.get(e2, 0) + base
+            # every image term rewrites work[i], so only work[j] needs restoring
+            work[j] = b
     return {exp: coeff for exp, coeff in out.items() if coeff}
 
 
@@ -157,77 +162,96 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
     for i != j, [sD_i, sD_j] = 0, [X_i, X_j] = 0, and conjugation of both X_i
     and sD_i by adjacent transpositions.  Violations are collected, not
     raised.
+
+    The sweep works on monomial ids: sD_i of each monomial is expanded once,
+    and x_j and the transpositions act through tables of ids.  Both sides of
+    a failed check are written back as exponent dicts.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     n, r, s = cfg.n, cfg.c.numerator, cfg.c.denominator
+    # [X_i, X_j] reaches degree D+2, the commutators read sD_i up to degree
+    # D+1, and the relations are checked on the monomials of degree <= D
+    mons = [m for d in range(max_degree + 3) for m in monomials(n, d)]
+    index = {m: k for k, m in enumerate(mons)}
+    tabled = len(mons) - len(monomials(n, max_degree + 2))
+    swept = tabled - len(monomials(n, max_degree + 1))
+    # image[i][k] = sD_i x^mons[k], up[j][k] = the id of x_j x^mons[k]
+    image = [
+        [{index[e]: x for e, x in dunkl_apply(i, {m: 1}, cfg).items()} for m in mons[:tabled]]
+        for i in range(n)
+    ]
+    up = [[index[m[:j] + (m[j] + 1,) + m[j + 1 :]] for m in mons[:tabled]] for j in range(n)]
+    # swapped[i][j][k] = the id of s_ij x^mons[k], for i != j
+    swapped: list[list] = [[None] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        ids = []
+        for m in mons[:swept]:
+            w = list(m)
+            w[i], w[j] = m[j], m[i]
+            ids.append(index[tuple(w)])
+        swapped[i][j] = swapped[j][i] = ids
+
     checked = 0
     violations: list[str] = []
 
-    basis = [m for d in range(max_degree + 2) for m in monomials(n, d)]
-    table: dict[tuple[int, Exponent], Polynomial] = {
-        (i, m): dunkl_apply(i, {m: 1}, cfg) for m in basis for i in range(n)
-    }
-
-    def dunkl_linear(i, f):
-        return combine(*((coeff, table[(i, exp)]) for exp, coeff in f.items()))
-
-    def commutator(i, j, mon):
-        """[sD_i, X_j] x^mon, with sD_i x_j x^mon read off the table."""
-        raised = mon[:j] + (mon[j] + 1,) + mon[j + 1 :]
-        return combine((1, table[(i, raised)]), (-1, times_variable(j, table[(i, mon)])))
-
-    def record(kind, mon, detail, lhs, rhs):
+    def record(kind, k, lhs, rhs, detail, *args):
         nonlocal checked
         checked += 1
         if lhs != rhs:
+            lhs, rhs = ({mons[e]: x for e, x in side.items()} for side in (lhs, rhs))
             violations.append(
-                f"{kind} on x^{mon} {detail}, both sides times s={s}: {lhs!r} != {rhs!r}"
+                f"{kind} on x^{mons[k]} {detail.format(*args)}, "
+                f"both sides times s={s}: {lhs!r} != {rhs!r}"
             )
 
-    swaps = [transposition(i, j, n) for i in range(n) for j in range(i + 1, n)]
-    adjacent = [transposition(k, k + 1, n) for k in range(n - 1)]
+    def commutator(i, j, k):
+        """[sD_i, X_j] x^mons[k]."""
+        raised = up[j]
+        out = dict(image[i][raised[k]])
+        for e, x in image[i][k].items():
+            e = raised[e]
+            y = out.get(e, 0) - x
+            if y:
+                out[e] = y
+            else:
+                del out[e]
+        return out
 
-    for d in range(max_degree + 1):
-        for mon in monomials(n, d):
-            f = {mon: 1}
-            perms = {w: permute(w, f) for w in swaps}
+    def apply(i, f):
+        """sD_i f for f of degree at most D, as {id: coeff}."""
+        out: dict[int, int] = {}
+        table = image[i]
+        for e, x in f.items():
+            for e2, y in table[e].items():
+                out[e2] = out.get(e2, 0) + x * y
+        return {e: x for e, x in out.items() if x}
+
+    adjacent = [(transposition(a, a + 1, n), swapped[a][a + 1]) for a in range(n - 1)]
+    for k in range(swept):
+        for i in range(n):
+            # [sD_i, X_i] f = s f - r * sum_{l != i} s_il f
+            rhs = {k: s}
+            for l in range(n):
+                if l != i:
+                    e = swapped[i][l][k]
+                    rhs[e] = rhs.get(e, 0) - r
+            rhs = {e: x for e, x in rhs.items() if x}
+            record("[D,X] diagonal", k, commutator(i, i, k), rhs, "i={}", i)
+            for j in range(n):
+                if j != i:
+                    rhs = {swapped[i][j][k]: r} if r else {}
+                    record("[D,X] off-diagonal", k, commutator(i, j, k), rhs, "i={},j={}", i, j)
+        for i, j in combinations(range(n), 2):
+            lhs, rhs = apply(i, image[j][k]), apply(j, image[i][k])
+            record("[D,D]", k, lhs, rhs, "i={},j={}", i, j)
+            lhs, rhs = {up[i][up[j][k]]: 1}, {up[j][up[i][k]]: 1}
+            record("[X,X]", k, lhs, rhs, "i={},j={}", i, j)
+        for w, ids in adjacent:
+            wk = ids[k]
             for i in range(n):
-                # [sD_i, X_i] f = s f - r * sum_{k != i} s_ik f
-                others = [perms[transposition(min(i, k), max(i, k), n)] for k in range(n) if k != i]
-                rhs = combine((s, f), *((-r, g) for g in others))
-                record("[D,X] diagonal", mon, f"i={i}", commutator(i, i, mon), rhs)
-                for j in range(n):
-                    if j != i:
-                        rhs = combine((r, perms[transposition(min(i, j), max(i, j), n)]))
-                        lhs = commutator(i, j, mon)
-                        record("[D,X] off-diagonal", mon, f"i={i},j={j}", lhs, rhs)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    record(
-                        "[D,D]",
-                        mon,
-                        f"i={i},j={j}",
-                        dunkl_linear(i, table[(j, mon)]),
-                        dunkl_linear(j, table[(i, mon)]),
-                    )
-                    record(
-                        "[X,X]",
-                        mon,
-                        f"i={i},j={j}",
-                        times_variable(i, times_variable(j, f)),
-                        times_variable(j, times_variable(i, f)),
-                    )
-            for w in adjacent:
-                wf = permute(w, f)
-                for i in range(n):
-                    record(
-                        "conjugation",
-                        mon,
-                        f"w={w},i={i}",
-                        permute(w, table[(i, mon)]),
-                        dunkl_linear(w[i], wf),
-                    )
+                lhs = {ids[e]: x for e, x in image[i][k].items()}
+                record("conjugation", k, lhs, image[w[i]][wk], "w={},i={}", w, i)
     return RelationReport(cfg, max_degree, checked, violations)
 
 
@@ -250,6 +274,9 @@ def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
         for i in range(n):
             for exp, coeff in dunkl_apply(i, {mon: 1}, cfg).items():
                 rows[i * len(target) + target_index[exp]][k] = coeff
+    # sparsest rows first eliminate faster; the RREF, and so the kernel, does
+    # not depend on the row order
+    rows.sort(key=lambda row: len(row) - row.count(0))
     return [
         ({cols[k]: v for k, v in enumerate(vec) if v}, den)
         for vec, den in linalg.kernel_basis(rows, len(cols))
@@ -412,9 +439,15 @@ def ideal_stability_check(
     for d in range(1, max_degree + 1):
         basis = stratum_ideal_basis(n, m, q, d)
         dims[d] = len(basis)
+        # sD_i works term by term: each monomial image is expanded once and
+        # summed into every generator that uses it
+        images: dict[tuple[int, Exponent], Polynomial] = {}
         for idx, f in enumerate(basis):
             for i in range(n):
-                img = dunkl_apply(i, f, cfg)
+                for mon in f:
+                    if (i, mon) not in images:
+                        images[(i, mon)] = dunkl_apply(i, {mon: 1}, cfg)
+                img = combine(*((coeff, images[(i, mon)]) for mon, coeff in f.items()))
                 if not in_stratum_ideal(img, n, m, q):
                     failures.append(f"degree {d} generator {idx}: D_{i} image leaves the ideal")
     if not any(dims.values()):

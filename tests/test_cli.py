@@ -61,6 +61,22 @@ class TestCensus:
         sizes = payload["result"]["strata_sizes"]
         assert sum(sizes.values()) == 11
 
+    def test_each_mu_and_nu_is_keyed_once(self, monkeypatch, capsys):
+        # mu and nu repeat across the rows; each lambda appears once
+        calls = []
+        real = cli.partition_key
+
+        def spy(lam):
+            calls.append(lam)
+            return real(lam)
+
+        monkeypatch.setattr(cli, "partition_key", spy)
+        code, payload = run_json(capsys, "census", "--n", "12", "--m", "3")
+        assert code == 0
+        rows = payload["result"]["rows"]
+        parts = {row[key] for row in rows for key in ("mu", "nu")}
+        assert len(calls) == len(rows) + len(parts) < 3 * len(rows)
+
 
 class TestBoVerify:
     def test_sweep(self, capsys):

@@ -1,4 +1,6 @@
+import ast
 import json
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
@@ -93,6 +95,118 @@ def fraction_dunkl_apply(i, terms, cfg):
     return out
 
 
+def oracle_verify_relations(cfg, max_degree):
+    """dunkl.verify_relations as it was, on exponent tuples and with a
+    permutation per check: the differential oracle of the indexed sweep."""
+    n, r, s = cfg.n, cfg.c.numerator, cfg.c.denominator
+    checked = 0
+    violations = []
+
+    basis = [m for d in range(max_degree + 2) for m in D.monomials(n, d)]
+    table = {(i, m): D.dunkl_apply(i, {m: 1}, cfg) for m in basis for i in range(n)}
+
+    def dunkl_linear(i, f):
+        return D.combine(*((coeff, table[(i, exp)]) for exp, coeff in f.items()))
+
+    def commutator(i, j, mon):
+        raised = mon[:j] + (mon[j] + 1,) + mon[j + 1 :]
+        return D.combine((1, table[(i, raised)]), (-1, D.times_variable(j, table[(i, mon)])))
+
+    def record(kind, mon, detail, lhs, rhs):
+        nonlocal checked
+        checked += 1
+        if lhs != rhs:
+            violations.append(
+                f"{kind} on x^{mon} {detail}, both sides times s={s}: {lhs!r} != {rhs!r}"
+            )
+
+    swaps = [D.transposition(i, j, n) for i in range(n) for j in range(i + 1, n)]
+    adjacent = [D.transposition(k, k + 1, n) for k in range(n - 1)]
+
+    for d in range(max_degree + 1):
+        for mon in D.monomials(n, d):
+            f = {mon: 1}
+            perms = {w: D.permute(w, f) for w in swaps}
+            for i in range(n):
+                others = [
+                    perms[D.transposition(min(i, k), max(i, k), n)] for k in range(n) if k != i
+                ]
+                rhs = D.combine((s, f), *((-r, g) for g in others))
+                record("[D,X] diagonal", mon, f"i={i}", commutator(i, i, mon), rhs)
+                for j in range(n):
+                    if j != i:
+                        rhs = D.combine((r, perms[D.transposition(min(i, j), max(i, j), n)]))
+                        lhs = commutator(i, j, mon)
+                        record("[D,X] off-diagonal", mon, f"i={i},j={j}", lhs, rhs)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    record(
+                        "[D,D]",
+                        mon,
+                        f"i={i},j={j}",
+                        dunkl_linear(i, table[(j, mon)]),
+                        dunkl_linear(j, table[(i, mon)]),
+                    )
+                    record(
+                        "[X,X]",
+                        mon,
+                        f"i={i},j={j}",
+                        D.times_variable(i, D.times_variable(j, f)),
+                        D.times_variable(j, D.times_variable(i, f)),
+                    )
+            for w in adjacent:
+                wf = D.permute(w, f)
+                for i in range(n):
+                    record(
+                        "conjugation",
+                        mon,
+                        f"w={w},i={i}",
+                        D.permute(w, table[(i, mon)]),
+                        dunkl_linear(w[i], wf),
+                    )
+    return checked, violations
+
+
+def read_violation(text):
+    """A violation as (head, lhs, rhs), with both sides read back as
+    {exponent: coeff} dicts."""
+    head, sides = text.split(": ", 1)
+    lhs, rhs = sides.split(" != ")
+    return head, ast.literal_eval(lhs), ast.literal_eval(rhs)
+
+
+def oracle_singular_vectors(cfg, d):
+    """dunkl.singular_vectors with its rows in their built order."""
+    from cherednik import linalg
+
+    n = cfg.n
+    cols = D.monomials(n, d)
+    target_index = {m: k for k, m in enumerate(D.monomials(n, d - 1))}
+    rows = [[0] * len(cols) for _ in range(n * len(target_index))]
+    for k, mon in enumerate(cols):
+        for i in range(n):
+            for exp, coeff in D.dunkl_apply(i, {mon: 1}, cfg).items():
+                rows[i * len(target_index) + target_index[exp]][k] = coeff
+    return [
+        ({cols[k]: v for k, v in enumerate(vec) if v}, den)
+        for vec, den in linalg.kernel_basis(rows, len(cols))
+    ]
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """Every (i, f) that dunkl.dunkl_apply is called on."""
+    calls = []
+    real = D.dunkl_apply
+
+    def spy(i, f, cfg):
+        calls.append((i, f))
+        return real(i, f, cfg)
+
+    monkeypatch.setattr(D, "dunkl_apply", spy)
+    return calls
+
+
 def oracle_glue_substitution(f, pattern, n):
     """The glue that rebuilt its block-to-variable map on every call, kept
     as the differential oracle of dunkl.glue_substitution."""
@@ -178,6 +292,19 @@ def unscaled_derivative(monkeypatch):
     def faulty(i, f, cfg):
         derivative = real(i, f, EngineConfig(cfg.n, 0))
         return D.combine((1, real(i, f, cfg)), (1 - cfg.c.denominator, derivative))
+
+    monkeypatch.setattr(D, "dunkl_apply", faulty)
+
+
+@pytest.fixture
+def first_without_reflections(monkeypatch):
+    """A fault in the engine: s D_1 loses its reflection part."""
+    real = D.dunkl_apply
+
+    def faulty(i, f, cfg):
+        if i:
+            return real(i, f, cfg)
+        return D.combine((cfg.c.denominator, real(0, f, EngineConfig(cfg.n, 0))))
 
     monkeypatch.setattr(D, "dunkl_apply", faulty)
 
@@ -337,6 +464,52 @@ class TestRelations:
         assert payload["ok"] is False
         assert payload["result"]["violations"]
 
+    def test_each_monomial_image_is_expanded_once(self, apply_calls):
+        n, degree = 4, 3
+        report = D.verify_relations(EngineConfig(n, Fraction(-2, 3)), degree)
+        assert report.ok
+        assert len(apply_calls) == n * comb(n + degree + 1, degree + 1)
+        assert all(len(f) == 1 for _, f in apply_calls)
+        assert max(Counter((i, *f) for i, f in apply_calls).values()) == 1
+
+
+C_GRID = [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(1), Fraction(0)]
+
+
+class TestRelationsOracle:
+    """The indexed sweep against the sweep on exponent tuples."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("c", C_GRID)
+    def test_matches_oracle(self, n, c):
+        for degree in (1, 2, 3):
+            cfg = EngineConfig(n, c)
+            checked, violations = oracle_verify_relations(cfg, degree)
+            report = D.verify_relations(cfg, degree)
+            assert report.checked == checked == comb(n + degree, degree) * (3 * n * n - 2 * n)
+            assert report.violations == violations == []
+
+    # each fault against whether it changes the operator at c
+    FAULTS = {
+        "unscaled_derivative": lambda c: c.denominator > 1,
+        "first_without_reflections": lambda c: c != 0,
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("c", C_GRID)
+    def test_faulty_engine_matches_oracle(self, request, fault, n, c):
+        request.getfixturevalue(fault)
+        for degree in (1, 2, 3):
+            cfg = EngineConfig(n, c)
+            checked, violations = oracle_verify_relations(cfg, degree)
+            report = D.verify_relations(cfg, degree)
+            assert report.checked == checked
+            assert [read_violation(v) for v in report.violations] == [
+                read_violation(v) for v in violations
+            ]
+            assert bool(violations) is self.FAULTS[fault](c)
+
 
 class TestEuler:
     def test_examples(self):
@@ -406,6 +579,13 @@ class TestSingularVectors:
             for i in range(3):
                 assert D.dunkl_apply(i, f, cfg) == {}
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_kernel_of_rows_in_built_order(self, n):
+        for c in C_GRID + [Fraction(1, n), Fraction(1, n + 1), Fraction(1, 4)]:
+            cfg = EngineConfig(n, c)
+            for d in range(1, 6 - n // 2):
+                assert D.singular_vectors(cfg, d) == oracle_singular_vectors(cfg, d), (c, d)
+
     def test_support_corroboration(self):
         # the trivial label at n = 2 sits one stratum up at denominator 2,
         # matching the proper submodule found by the engine at c = 1/2
@@ -474,6 +654,17 @@ class TestStratumIdeal:
         report = D.ideal_stability_check(4, 2, 1, 6)
         assert report.graded_dims == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1}
         assert report.stable
+
+    @pytest.mark.parametrize("c", [None, Fraction(1, 4)])
+    def test_each_monomial_image_is_expanded_once(self, apply_calls, c):
+        n, m, q, degree = 6, 3, 2, 3
+        report = D.ideal_stability_check(n, m, q, degree, c)
+        assert report.stable is (c is None)
+        assert all(len(f) == 1 for _, f in apply_calls)
+        assert max(Counter((i, *f) for i, f in apply_calls).values()) == 1
+        bases = [D.stratum_ideal_basis(n, m, q, d) for d in range(1, degree + 1)]
+        used = {mon for basis in bases for f in basis for mon in f}
+        assert len(apply_calls) == n * len(used)
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_m_below_two_is_refused(self, m):
