@@ -269,16 +269,16 @@ def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
     cols = monomials(n, d)
     target = monomials(n, d - 1)
     target_index = {m: k for k, m in enumerate(target)}
-    rows = [[0] * len(cols) for _ in range(n * len(target))]
+    rows: list[dict[int, int]] = [{} for _ in range(n * len(target))]
     for k, mon in enumerate(cols):
         for i in range(n):
             for exp, coeff in dunkl_apply(i, {mon: 1}, cfg).items():
                 rows[i * len(target) + target_index[exp]][k] = coeff
     # sparsest rows first eliminate faster; the RREF, and so the kernel, does
     # not depend on the row order
-    rows.sort(key=lambda row: len(row) - row.count(0))
+    rows.sort(key=len)
     return [
-        ({cols[k]: v for k, v in enumerate(vec) if v}, den)
+        ({cols[k]: v for k, v in vec.items()}, den)
         for vec, den in linalg.kernel_basis(rows, len(cols))
     ]
 
@@ -372,21 +372,17 @@ def stratum_ideal_basis(n: int, m: int, q: int, d: int) -> list[Polynomial]:
     row per glued monomial of each translate."""
     glue = _stratum_glue(n, m, q)
     cols = monomials(n, d)
-    row_index: dict[int, int] = {}
-    rows: list[list[int]] = []
     glued = [glue[mon] for mon in cols]
-    # translate by translate: the elimination runs faster in this row order
+    # one row per glue id, in first-seen order: translate by translate, the
+    # elimination runs faster in this row order
+    rows: dict[int, dict[int, int]] = {}
     for pid in range(len(glue.patterns)):
         for k, keys in enumerate(glued):
-            key = keys[pid]
-            if key not in row_index:
-                row_index[key] = len(rows)
-                rows.append([0] * len(cols))
-            rows[row_index[key]][k] = 1
+            rows.setdefault(keys[pid], {})[k] = 1
     # vec[f] = den at the free column f, so gcd(vec) = gcd(den, vec) = 1
     return [
-        {cols[k]: v for k, v in enumerate(vec) if v}
-        for vec, _ in linalg.kernel_basis(rows, len(cols))
+        {cols[k]: v for k, v in vec.items()}
+        for vec, _ in linalg.kernel_basis(list(rows.values()), len(cols))
     ]
 
 

@@ -213,20 +213,22 @@ class CyclotomicField:
             reduced[lead] = [x * inv % p for x in row]
         return True
 
-    def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[list]:
-        """Restriction of scalars: one rational row per (row, zeta-power)."""
+    def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[dict[int, int]]:
+        """Restriction of scalars: one sparse rational row per (row,
+        zeta-power) that is not zero, with column j*d + k for row[j] * zeta^k."""
         d = self.degree
         zpows = self._powers[:d]
-        zero_block = [self.zero] * d
         out = []
         for row in fmatrix:
-            # rational column (j, k) is row[j] * zeta^k, read off coefficient t
-            blocks = [
-                zero_block if self.is_zero(entry) else [self.mul(entry, zp) for zp in zpows]
-                for entry in row
-            ]
-            for t in range(d):
-                out.append([block[k][t] for block in blocks for k in range(d)])
+            # coefficient t of row[j] * zeta^k goes to rational row t
+            blown: list[dict[int, int]] = [{} for _ in range(d)]
+            for j, entry in enumerate(row):
+                if not self.is_zero(entry):
+                    for k, zp in enumerate(zpows):
+                        for t, x in enumerate(self.mul(entry, zp)):
+                            if x:
+                                blown[t][j * d + k] = x
+            out.extend(r for r in blown if r)
         return out
 
     def kernel(self, fmatrix: list[list[CycElement]], ncols: int) -> IntKernel:
@@ -238,12 +240,11 @@ class CyclotomicField:
         free columns come in whole blocks (f, 0), ..., (f, d-1), and the
         vector for (f, 0) is the field's RREF kernel vector for column f."""
         d = self.degree
-        rows = [r for r in self._blowup_rows(fmatrix) if any(r)]
-        kern = linalg.kernel_basis(rows, ncols * d)
+        kern = linalg.kernel_basis(self._blowup_rows(fmatrix), ncols * d)
         firsts = []
         for start in range(0, len(kern), d):
-            # the free column of an RREF vector over Q is its last nonzero entry
-            free = [max(j for j, x in enumerate(v) if x) for v, _ in kern[start : start + d]]
+            # the free column of an RREF vector over Q is its largest column
+            free = [max(v) for v, _ in kern[start : start + d]]
             f = free[0] // d
             if free != list(range(f * d, f * d + d)):
                 raise ArithmeticError(
@@ -252,10 +253,10 @@ class CyclotomicField:
             firsts.append((f, kern[start]))
         common = lcm(*(den for _, (_, den) in firsts))
         out = []
-        for f, (flat, den) in firsts:
+        for f, (vec, den) in firsts:
             s = common // den
-            vec = [flat[j * d : j * d + d] for j in range(ncols)]
-            out.append((f, [tuple(s * x for x in c) if any(c) else self.zero for c in vec]))
+            blocks = [[vec.get(j * d + k, 0) for k in range(d)] for j in range(ncols)]
+            out.append((f, [tuple(s * x for x in c) if any(c) else self.zero for c in blocks]))
         return common, out
 
 

@@ -1,13 +1,13 @@
 """Exact rational kernels in reduced row echelon form, by pure-Python
 integer elimination.
 
-The matrix comes in as rows of Python ints (a rational matrix is brought
-there first by clearing each row's denominators, which leaves the kernel
-unchanged).  Each row is kept as a primitive sparse integer row
-{column: value}, and rows are combined with gcd-scaled integer multiples
+The one matrix format is the sparse integer row {column: nonzero int}, on
+the way in and on the way out (a rational matrix is brought there first by
+clearing each row's denominators, which leaves the kernel unchanged).  Rows
+are kept primitive and combined with gcd-scaled integer multiples
 (fraction-free Gauss-Jordan), so the elimination never builds a fraction,
-and neither do the kernel vectors read off at the end: each is an integer
-vector with one positive denominator.  Only ints go in or come out.
+and neither do the kernel vectors read off at the end: each is a sparse
+integer vector with one positive denominator.  Only ints go in or come out.
 """
 
 from __future__ import annotations
@@ -37,27 +37,23 @@ def _eliminate(row: IntRow, pivot_row: IntRow, col: int) -> IntRow:
     return _primitive(out) if out else out
 
 
-def kernel_basis(
-    rows: list[list[int]], ncols: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Basis of {x : A x = 0} for the integer matrix A given by `rows`.
+def kernel_basis(rows: list[IntRow], ncols: int) -> list[tuple[IntRow, int]]:
+    """Basis of {x : A x = 0} for the integer matrix A given by `rows`, each
+    a sparse row {column: nonzero int} with columns in range(ncols); an
+    empty dict is a zero row.
 
     Returns one (vec, den) pair per free (non-pivot) column of the reduced
-    row echelon form of A, in increasing column order: `vec` is a
-    length-`ncols` int tuple, den > 0, gcd(den, *vec) == 1, and vec/den is
-    the RREF kernel vector.  The vector for free column f is den at f, 0 at
-    every other free column and 0 after f, so f is its last nonzero entry.
-    Callers rely on this normal form.  The empty matrix (no rows) has the
-    standard basis as kernel.
+    row echelon form of A, in increasing column order: `vec` is a sparse
+    int vector in increasing column order, den > 0, gcd(den, *vec.values())
+    == 1, and vec/den is the RREF kernel vector.  The vector for free column
+    f has den at f, no entry at any other free column and none after f, so
+    f == max(vec).  Callers rely on this normal form.  The empty matrix (no
+    rows) has the standard basis as kernel.
     """
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
     # pivot column -> integer row whose first nonzero entry is at the pivot
     # and which is zero at every other pivot column
     pivots: dict[int, IntRow] = {}
-    for row in rows:
-        r = {j: x for j, x in enumerate(row) if x}
+    for r in rows:
         if not r:
             continue
         r = _primitive(r)
@@ -76,11 +72,9 @@ def kernel_basis(
             continue
         # the RREF entry at pivot p is -r[f]/r[p]; den is the lcm of their
         # reduced denominators, so the vector comes out primitive
-        meets = [(p, r[f], r[p]) for p, r in pivots.items() if f in r]
+        meets = sorted((p, r[f], r[p]) for p, r in pivots.items() if f in r)
         den = lcm(*(y // gcd(x, y) for _, x, y in meets))
-        vec = [0] * ncols
+        vec = {p: -x * den // y for p, x, y in meets}
         vec[f] = den
-        for p, x, y in meets:
-            vec[p] = -x * den // y
-        basis.append((tuple(vec), den))
+        basis.append((vec, den))
     return basis

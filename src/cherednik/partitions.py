@@ -6,18 +6,10 @@ empty tuple is the partition of 0.  Everything here is pure and exact.
 
 from __future__ import annotations
 
-import enum
 from functools import cache
 from itertools import zip_longest
 
 Partition = tuple[int, ...]
-
-
-class DominanceRelation(enum.Enum):
-    GREATER = "greater"
-    LESS = "less"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 def check_partition(parts) -> Partition:
@@ -156,31 +148,18 @@ def splitting(lam: Partition, m: int, regular: str) -> tuple[Partition, Partitio
     return mu, nu, recombine_regular_parts(mu, nu, m) == lam
 
 
-def dominance(alpha: Partition, beta: Partition) -> DominanceRelation:
-    """Compare all prefix sums of two partitions of the same number."""
+def dominates(alpha: Partition, beta: Partition) -> bool:
+    """True iff alpha >= beta in dominance order (Equal counts): every
+    prefix sum of alpha is at least the one of beta."""
     if size(alpha) != size(beta):
         raise ValueError("dominance is only defined for partitions of equal size")
-    if alpha == beta:
-        return DominanceRelation.EQUAL
-    ge = le = True
     sa = sb = 0
     for a, b in zip_longest(alpha, beta, fillvalue=0):
         sa += a
         sb += b
         if sa < sb:
-            ge = False
-        if sa > sb:
-            le = False
-    if ge:
-        return DominanceRelation.GREATER
-    if le:
-        return DominanceRelation.LESS
-    return DominanceRelation.INCOMPARABLE
-
-
-def dominates(alpha: Partition, beta: Partition) -> bool:
-    """True iff alpha >= beta in dominance order (Equal counts)."""
-    return dominance(alpha, beta) in (DominanceRelation.GREATER, DominanceRelation.EQUAL)
+            return False
+    return True
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

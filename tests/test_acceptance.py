@@ -102,7 +102,7 @@ def test_c07_dominance_monotonicity():
                 for beta in parts:
                     if alpha == beta:
                         continue
-                    if P.dominance(alpha, beta) == P.DominanceRelation.GREATER:
+                    if P.dominates(alpha, beta):
                         assert weights[alpha] < weights[beta], (alpha, beta, c)
 
 

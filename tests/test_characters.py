@@ -238,7 +238,7 @@ def all_pairs_verdict(weights, c):
     """Reference for c != 0: compare every strictly dominance-comparable pair."""
     for alpha in weights:
         for beta in weights:
-            if P.dominance(alpha, beta) == P.DominanceRelation.GREATER:
+            if alpha != beta and P.dominates(alpha, beta):
                 ha, hb = weights[alpha], weights[beta]
                 if not (ha < hb if c > 0 else ha > hb):
                     return False
@@ -264,7 +264,7 @@ class TestDominanceMonotonicity:
             (alpha, beta)
             for alpha in parts
             for beta in parts
-            if P.dominance(alpha, beta) == P.DominanceRelation.GREATER
+            if alpha != beta and P.dominates(alpha, beta)
         ]
         assert len(pairs) > 40
         real = {c: weights_of(6, c) for c in (Fraction(1, 2), Fraction(-5, 7))}

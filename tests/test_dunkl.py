@@ -43,13 +43,7 @@ def span_equal(basis_a, basis_b, n, degree):
     index = {m: k for k, m in enumerate(cols)}
 
     def rows(basis):
-        out = []
-        for f in basis:
-            row = [0] * len(cols)
-            for exp, coeff in f.items():
-                row[index[exp]] = coeff
-            out.append(row)
-        return out
+        return [{index[exp]: coeff for exp, coeff in f.items()} for f in basis]
 
     def rank(matrix):
         return len(cols) - len(linalg.kernel_basis(matrix, len(cols)))
@@ -175,6 +169,10 @@ def read_violation(text):
     return head, ast.literal_eval(lhs), ast.literal_eval(rhs)
 
 
+def sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
 def oracle_singular_vectors(cfg, d):
     """dunkl.singular_vectors with its rows in their built order."""
     from cherednik import linalg
@@ -188,8 +186,8 @@ def oracle_singular_vectors(cfg, d):
             for exp, coeff in D.dunkl_apply(i, {mon: 1}, cfg).items():
                 rows[i * len(target_index) + target_index[exp]][k] = coeff
     return [
-        ({cols[k]: v for k, v in enumerate(vec) if v}, den)
-        for vec, den in linalg.kernel_basis(rows, len(cols))
+        ({cols[k]: v for k, v in vec.items()}, den)
+        for vec, den in linalg.kernel_basis([sparse(row) for row in rows], len(cols))
     ]
 
 
@@ -245,8 +243,8 @@ def oracle_stratum_ideal_basis(n, m, q, d):
                 rows.append([0] * len(cols))
             rows[row_index[(pid, exp)]][k] = 1
     return [
-        {cols[k]: v for k, v in enumerate(vec) if v}
-        for vec, _ in linalg.kernel_basis(rows, len(cols))
+        {cols[k]: v for k, v in vec.items()}
+        for vec, _ in linalg.kernel_basis([sparse(row) for row in rows], len(cols))
     ]
 
 

@@ -485,7 +485,7 @@ class TestKernels:
             assert H.reduce(r) == [F.zero] * len(P)
 
     @pytest.mark.parametrize(
-        "flat", [[((0, 1, 0, 0), 1)], [((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1)]]
+        "flat", [[({1: 1}, 1)], [({1: 1}, 1), ({2: 1}, 1)]]
     )
     def test_fkernel_rejects_free_columns_that_split_a_block(self, monkeypatch, flat):
         field = Hk.CyclotomicField(3)

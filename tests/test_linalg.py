@@ -10,6 +10,89 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from cherednik import hecke, linalg
+from cherednik.linalg import IntRow, _eliminate, _primitive
+
+
+# The dense kernel_basis that took and returned dense rows, verbatim, kept as
+# the differential oracle of the sparse one.
+def oracle_kernel_basis(
+    rows: list[list[int]], ncols: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Basis of {x : A x = 0} for the integer matrix A given by `rows`.
+
+    Returns one (vec, den) pair per free (non-pivot) column of the reduced
+    row echelon form of A, in increasing column order: `vec` is a
+    length-`ncols` int tuple, den > 0, gcd(den, *vec) == 1, and vec/den is
+    the RREF kernel vector.  The vector for free column f is den at f, 0 at
+    every other free column and 0 after f, so f is its last nonzero entry.
+    Callers rely on this normal form.  The empty matrix (no rows) has the
+    standard basis as kernel.
+    """
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    # pivot column -> integer row whose first nonzero entry is at the pivot
+    # and which is zero at every other pivot column
+    pivots: dict[int, IntRow] = {}
+    for row in rows:
+        r = {j: x for j, x in enumerate(row) if x}
+        if not r:
+            continue
+        r = _primitive(r)
+        for col in [col for col in r if col in pivots]:
+            r = _eliminate(r, pivots[col], col)
+        if not r:
+            continue
+        p = min(r)
+        for q, other in pivots.items():
+            if p in other:
+                pivots[q] = _eliminate(other, r, p)
+        pivots[p] = r
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        # the RREF entry at pivot p is -r[f]/r[p]; den is the lcm of their
+        # reduced denominators, so the vector comes out primitive
+        meets = [(p, r[f], r[p]) for p, r in pivots.items() if f in r]
+        den = lcm(*(y // gcd(x, y) for _, x, y in meets))
+        vec = [0] * ncols
+        vec[f] = den
+        for p, x, y in meets:
+            vec[p] = -x * den // y
+        basis.append((tuple(vec), den))
+    return basis
+
+
+def oracle_blowup_rows(field, fmatrix):
+    """The dense restriction of scalars that CyclotomicField._blowup_rows
+    replaced: one row per (row, zeta-power), zero rows included."""
+    d = field.degree
+    zpows = field._powers[:d]
+    zero_block = [field.zero] * d
+    out = []
+    for row in fmatrix:
+        blocks = [
+            zero_block if field.is_zero(entry) else [field.mul(entry, zp) for zp in zpows]
+            for entry in row
+        ]
+        for t in range(d):
+            out.append([block[k][t] for block in blocks for k in range(d)])
+    return out
+
+
+def sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def densify(vec, ncols):
+    return tuple(vec.get(j, 0) for j in range(ncols))
+
+
+def dense_kernel(rows, ncols):
+    """linalg.kernel_basis on dense integer rows, with dense vectors out."""
+    kern = linalg.kernel_basis([sparse(row) for row in rows], ncols)
+    return [(densify(vec, ncols), den) for vec, den in kern]
 
 
 def free_column(vec):
@@ -69,7 +152,7 @@ def sympy_kernel(rows, ncols):
 def test_kernel_basis_is_the_rref_nullspace(seed, big):
     rng = random.Random(seed)
     rows, ncols = random_matrix(rng, big)
-    kern = linalg.kernel_basis(integer_rows(rows), ncols)
+    kern = dense_kernel(integer_rows(rows), ncols)
     assert rational(kern) == sympy_kernel(rows, ncols)
     assert len(kern) == ncols - sympy.Matrix(rows).rank()
     free = [free_column(v) for v, _ in kern]
@@ -84,17 +167,12 @@ def test_kernel_basis_is_the_rref_nullspace(seed, big):
 
 def test_zero_and_empty_matrices():
     assert linalg.kernel_basis([], 0) == []
-    assert linalg.kernel_basis([], 2) == [((1, 0), 1), ((0, 1), 1)]
-    assert linalg.kernel_basis([[0, 0]], 2) == [((1, 0), 1), ((0, 1), 1)]
+    assert linalg.kernel_basis([], 2) == [({0: 1}, 1), ({1: 1}, 1)]
+    assert linalg.kernel_basis([{}], 2) == [({0: 1}, 1), ({1: 1}, 1)]
     rows = [[0, Fraction(0), 0]] * 2
-    assert rational(linalg.kernel_basis(integer_rows(rows), 3)) == sympy_kernel(rows, 3)
-    assert linalg.kernel_basis([[1, 2]], 2) == [((-2, 1), 1)]
-    assert linalg.kernel_basis([[2, 3]], 2) == [((-3, 2), 2)]
-
-
-def test_ragged_matrix_rejected():
-    with pytest.raises(ValueError):
-        linalg.kernel_basis([[1, 2], [3]], 2)
+    assert rational(dense_kernel(integer_rows(rows), 3)) == sympy_kernel(rows, 3)
+    assert linalg.kernel_basis([{0: 1, 1: 2}], 2) == [({0: -2, 1: 1}, 1)]
+    assert linalg.kernel_basis([{0: 2, 1: 3}], 2) == [({0: -3, 1: 2}, 2)]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -109,19 +187,33 @@ def test_full_rank_matches_sympy(seed):
     for i in range(1, n):
         rows[i] = [a + rng.randint(-3, 3) * b for a, b in zip(rows[i], rows[0])]
     extra = [[Fraction(rng.randint(-5, 5), 3) for _ in range(n)]]
-    assert linalg.kernel_basis(integer_rows(rows), n) == sympy_kernel(rows, n) == []
-    assert linalg.kernel_basis(integer_rows(rows + extra), n) == []
+    assert dense_kernel(integer_rows(rows), n) == sympy_kernel(rows, n) == []
+    assert dense_kernel(integer_rows(rows + extra), n) == []
 
 
 @pytest.mark.parametrize("p,m,rad_dim", [(4, 5, 0), (4, 3, 4)])
 def test_hecke_gram_blowup_matches_sympy(p, m, rad_dim):
-    # the dense restriction of scalars of the trace form, as the radical uses it
+    # the restriction of scalars of the trace form, as the radical uses it
     H = hecke.HeckeAlgebra(p, m)
-    rows = [row for row in H.field._blowup_rows(H.gram) if any(row)]
     ncols = H.dim * H.field.degree
-    kern = linalg.kernel_basis(rows, ncols)
+    rows = [densify(row, ncols) for row in H.field._blowup_rows(H.gram)]
+    kern = dense_kernel(rows, ncols)
     assert rational(kern) == sympy_kernel(rows, ncols)
     assert len(kern) == rad_dim * H.field.degree
+
+
+@pytest.mark.parametrize("p,m", [(4, 3), (4, 5)])
+def test_blowup_rows_are_the_dense_blowup_without_zero_rows(p, m):
+    H = hecke.HeckeAlgebra(p, m)
+    ncols = H.dim * H.field.degree
+    # a zero field row blows up to d zero rows; the gram has none
+    fmatrix = H.gram + [[H.field.zero] * H.dim]
+    rows = H.field._blowup_rows(fmatrix)
+    assert all(rows)
+    assert all(x for row in rows for x in row.values())
+    assert all(list(row) == sorted(row) for row in rows)
+    expected = [row for row in oracle_blowup_rows(H.field, fmatrix) if any(row)]
+    assert [list(densify(row, ncols)) for row in rows] == expected
 
 
 entries = st.one_of(
@@ -145,17 +237,44 @@ def matrices(draw):
 @given(matrices())
 def test_kernel_vectors_are_primitive_integer_vectors(case):
     rows, ncols = case
-    kern = linalg.kernel_basis(integer_rows(rows), ncols)
-    free = [free_column(vec) for vec, _ in kern]
+    rows = integer_rows(rows)
+    kern = linalg.kernel_basis([sparse(row) for row in rows], ncols)
+    free = [max(vec) for vec, _ in kern]
+    assert free == sorted(set(free))
     for (vec, den), f in zip(kern, free):
         assert type(den) is int and den > 0
-        assert all(type(x) is int for x in vec)
+        assert all(type(x) is int and x for x in vec.values())
+        assert list(vec) == sorted(vec)
         assert vec[f] == den
-        assert gcd(den, *vec) == 1
-        assert all(x == 0 for x in vec[f + 1 :])
-        assert all(vec[g] == 0 for g in free if g != f)
+        assert gcd(den, *vec.values()) == 1
+        assert not any(g in vec for g in free if g != f)
         for row in rows:
-            assert sum(a * x for a, x in zip(row, vec)) == 0
+            assert sum(row[j] * x for j, x in vec.items()) == 0
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse integer rows, empty ones included; ncols may be 0, and there
+    may be no rows."""
+    ncols = draw(st.integers(0, 8))
+    nonzero = st.integers(-9, 9).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), nonzero) if ncols else st.just({})
+    rows = draw(st.lists(row, max_size=7))
+    if len(rows) > 1 and draw(st.booleans()):
+        # a dependent row
+        k = draw(st.integers(-3, 3))
+        combo = {j: rows[0].get(j, 0) + k * rows[1].get(j, 0) for j in range(ncols)}
+        rows.append({j: x for j, x in combo.items() if x})
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_sparse_kernel_matches_the_dense_oracle(case):
+    rows, ncols = case
+    kern = linalg.kernel_basis(rows, ncols)
+    expected = oracle_kernel_basis([list(densify(row, ncols)) for row in rows], ncols)
+    assert [(densify(vec, ncols), den) for vec, den in kern] == expected
 
 
 def test_integer_matrix_builds_no_fraction(monkeypatch):
@@ -170,7 +289,7 @@ def test_integer_matrix_builds_no_fraction(monkeypatch):
     rng = random.Random(3)
     rows = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(5)]
     rows.append([a - 3 * b for a, b in zip(rows[0], rows[1])])
-    kern = linalg.kernel_basis(rows, 8)
+    kern = linalg.kernel_basis([sparse(row) for row in rows], 8)
     assert made == []
     assert len(kern) == 3
     assert any(den > 1 for _, den in kern)
