@@ -112,9 +112,10 @@ def cmd_census(args):
 def cmd_bo_verify(args):
     from . import fock
 
-    m_values = [int(tok) for tok in args.m.split(",") if tok.strip()]
-    if not m_values:
-        raise ValueError(f"--m names no denominator: {args.m!r}")
+    tokens = args.m.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"--m lists an empty denominator: {args.m!r}")
+    m_values = [int(tok) for tok in tokens]
     # refused before any walk, not after the walks of the values before it
     for m in m_values:
         if m < 2:

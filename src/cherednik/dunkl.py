@@ -286,8 +286,8 @@ def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
 @cache
 def block_patterns(n: int, m: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All unordered collections of q pairwise disjoint m-element blocks of
-    coordinate indices, one per translate of the gluing pattern; cached,
-    since every membership test of a stratum ideal runs through them."""
+    coordinate indices, one per translate of the gluing pattern; cached and
+    immutable, since every caller shares it."""
     out: list[tuple[tuple[int, ...], ...]] = []
 
     def pack(support: tuple[int, ...], acc):
@@ -305,58 +305,30 @@ def block_patterns(n: int, m: int, q: int) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(out)
 
 
-@cache
-def _variable_map(pattern: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], int]:
-    """The glued variable of each of the n coordinates, and the number of
-    glued variables: block k becomes variable k and the free coordinates
-    follow in order.  Keyed on n too, since the free coordinates depend on
-    it."""
-    q = len(pattern)
-    mapping = [-1] * n
-    for k, block in enumerate(pattern):
-        for i in block:
-            mapping[i] = k
-    free = [i for i in range(n) if mapping[i] < 0]
-    for rank, i in enumerate(free):
-        mapping[i] = q + rank
-    return tuple(mapping), q + len(free)
-
-
-def glue_substitution(
-    f: Polynomial, pattern: tuple[tuple[int, ...], ...], n: int
-) -> Polynomial:
-    """Substitute one fresh variable per block and keep the rest free."""
-    mapping, target_n = _variable_map(pattern, n)
-    out: Polynomial = {}
-    for exp, coeff in f.items():
-        new = [0] * target_n
-        for i, e in enumerate(exp):
-            new[mapping[i]] += e
-        key = tuple(new)
-        out[key] = out.get(key, 0) + coeff
-    return {exp: coeff for exp, coeff in out.items() if coeff}
-
-
 class _StratumGlue(dict):
     """Monomial -> its glued monomials under every translate in
     block_patterns(n, m, q), as int ids of the (translate, glued exponent)
-    pairs, numbered in order of first sight.  Entries are filled on first
-    lookup, so each monomial is glued once per translate.  A polynomial lies
-    in the stratum ideal iff its coefficients cancel on every id."""
+    pairs, numbered in order of first sight.  A translate glues each of its
+    blocks into one variable and keeps the free coordinates, in order, after
+    them: the glued exponent sums the exponents over each coordinate group.
+    Entries are filled on first lookup, so each monomial is glued once per
+    translate.  A polynomial lies in the stratum ideal iff its coefficients
+    cancel on every id."""
 
     def __init__(self, n: int, m: int, q: int):
         super().__init__()
-        self.n = n
-        self.patterns = block_patterns(n, m, q)
+        self.groups = [
+            (*blocks, *((i,) for i in range(n) if not any(i in b for b in blocks)))
+            for blocks in block_patterns(n, m, q)
+        ]
         self.ids: dict[tuple[int, Exponent], int] = {}
 
     def __missing__(self, exp: Exponent) -> tuple[int, ...]:
-        ids = self.ids
-        row = []
-        for pid, pattern in enumerate(self.patterns):
-            ((glued, _),) = glue_substitution({exp: 1}, pattern, self.n).items()
-            row.append(ids.setdefault((pid, glued), len(ids)))
-        self[exp] = out = tuple(row)
+        ids, coordinate = self.ids, exp.__getitem__
+        self[exp] = out = tuple(
+            ids.setdefault((pid, tuple(sum(map(coordinate, g)) for g in groups)), len(ids))
+            for pid, groups in enumerate(self.groups)
+        )
         return out
 
 
@@ -376,7 +348,7 @@ def stratum_ideal_basis(n: int, m: int, q: int, d: int) -> list[Polynomial]:
     # one row per glue id, in first-seen order: translate by translate, the
     # elimination runs faster in this row order
     rows: dict[int, dict[int, int]] = {}
-    for pid in range(len(glue.patterns)):
+    for pid in range(len(glue.groups)):
         for k, keys in enumerate(glued):
             rows.setdefault(keys[pid], {})[k] = 1
     # vec[f] = den at the free column f, so gcd(vec) = gcd(den, vec) = 1

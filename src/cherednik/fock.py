@@ -162,10 +162,16 @@ def _walk(m: int, truncation: int) -> _Census:
     )
 
 
-def _geometric_product(truncation: int, steps: list[tuple[int, int]]) -> list[list[int]]:
-    """Expand prod over (a, b) in steps of 1 / (1 - s^a t^b) on the triangle."""
+@cache
+def _product_table(m: int, truncation: int) -> Triangle:
+    """The Euler product over i not divisible by m of 1 / (1 - s^i), times
+    the product over i of 1 / (1 - (s t)^(i m)), expanded on the triangle;
+    cached, since trace_series and product_series both read it."""
+    steps = [(i, 0) for i in range(1, truncation + 1) if i % m != 0]
+    steps += [(i * m, i * m) for i in range(1, truncation // m + 1)]
     table = [[0] * (n + 1) for n in range(truncation + 1)]
     table[0][0] = 1
+    # multiply by 1 / (1 - s^a t^b) for each step (a, b)
     for a, b in steps:
         for n in range(a, truncation + 1):
             row = table[n]
@@ -173,13 +179,7 @@ def _geometric_product(truncation: int, steps: list[tuple[int, int]]) -> list[li
             for e in range(b, n + 1):
                 if e - b <= n - a:
                     row[e] += prev[e - b]
-    return table
-
-
-def _product_table(m: int, truncation: int) -> list[list[int]]:
-    steps = [(i, 0) for i in range(1, truncation + 1) if i % m != 0]
-    steps += [(i * m, i * m) for i in range(1, truncation // m + 1)]
-    return _geometric_product(truncation, steps)
+    return tuple(map(tuple, table))
 
 
 def trace_series(m: int, truncation: int) -> Triangle:
@@ -192,7 +192,7 @@ def trace_series(m: int, truncation: int) -> Triangle:
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     table = _walk(m, truncation).eigenvalues
-    if list(map(list, table)) != _product_table(m, truncation):
+    if table != _product_table(m, truncation):
         raise IdentityViolation("trace sum disagrees with its product expansion")
     return table
 
@@ -217,7 +217,7 @@ def product_series(m: int, truncation: int) -> Triangle:
                 raise IdentityViolation(
                     f"product expansion disagrees with counts at s^{n} t^{e}"
                 )
-    return tuple(tuple(row) for row in table)
+    return table
 
 
 class StratumCounts(NamedTuple):

@@ -28,12 +28,13 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_partition(text: str) -> Partition:
-    """Comma-separated parts; the empty string is the empty partition."""
+    """Comma-separated parts, none of them empty; the empty string is the
+    empty partition."""
     text = text.strip()
     if not text:
         return ()
     try:
-        parts = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        parts = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"not a partition: {text!r}") from exc
     return check_partition(parts)

@@ -96,6 +96,28 @@ class TestBoVerify:
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("support", "--lambda", "3,,1", "--m", "2"),
+        ("support", "--lambda", "3,1,", "--m", "2"),
+        ("decompose", "--lambda", ",4,2", "--m", "2"),
+        ("lr", "--lambda", "2,,1", "--mu", ","),
+        ("lr", "--lambda", "2,1", "--mu", ","),
+        ("bo-verify", "--n-max", "4", "--m", "2,,3"),
+        ("bo-verify", "--n-max", "4", "--m", "2,3,"),
+        ("bo-verify", "--n-max", "4", "--m", "2, ,3"),
+    ],
+)
+def test_comma_list_with_an_empty_entry_is_a_usage_error(capsys, argv):
+    # an empty entry is refused, not dropped: "3,,1" is not (3, 1), nor "2,,3" the list 2,3
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestWeights:
     def test_dominance_consistency(self, capsys):
         code, payload = run_json(capsys, "weights", "--n", "4", "--c", "1/2")

@@ -207,7 +207,7 @@ def apply_calls(monkeypatch):
 
 def oracle_glue_substitution(f, pattern, n):
     """The glue that rebuilt its block-to-variable map on every call, kept
-    as the differential oracle of dunkl.glue_substitution."""
+    as the differential oracle of the stratum glue table."""
     q = len(pattern)
     blocked = {i for block in pattern for i in block}
     mapping = {}
@@ -226,6 +226,26 @@ def oracle_glue_substitution(f, pattern, n):
         key = tuple(new)
         out[key] = out.get(key, 0) + coeff
     return {exp: coeff for exp, coeff in out.items() if coeff}
+
+
+def table_glue(f, n, m, q):
+    """f glued through the stratum glue table of (n, m, q): one
+    {glued exponent: coeff} dict per translate, each id read back as the
+    (translate, glued exponent) pair it numbers."""
+    glue = D._stratum_glue(n, m, q)
+    # look every term up first, since a lookup can number new pairs
+    rows = [(glue[exp], coeff) for exp, coeff in f.items()]
+    names = {k: key for key, k in glue.ids.items()}
+    # the ids number the pairs one-to-one, as 0, 1, 2, ...
+    assert sorted(names) == list(range(len(glue.ids)))
+    out = [{} for _ in D.block_patterns(n, m, q)]
+    for row, coeff in rows:
+        assert len(row) == len(out)
+        for pid, k in enumerate(row):
+            tid, exp = names[k]
+            assert tid == pid
+            out[pid][exp] = out[pid].get(exp, 0) + coeff
+    return [{exp: coeff for exp, coeff in g.items() if coeff} for g in out]
 
 
 def oracle_stratum_ideal_basis(n, m, q, d):
@@ -603,10 +623,12 @@ class TestStratumIdeal:
         assert D.block_patterns(6, 3, 2) is D.block_patterns(6, 3, 2)
 
     def test_substitution(self):
+        # the first translate of one glued pair in 4 variables glues x1 = x2
+        assert D.block_patterns(4, 2, 1)[0] == ((0, 1),)
         f = D.combine((1, var(0, 4)), (-1, var(1, 4)))
-        assert D.glue_substitution(f, ((0, 1),), 4) == {}
+        assert table_glue(f, 4, 2, 1)[0] == {}
         f = D.combine((1, var(0, 4)), (-1, var(2, 4)))
-        assert D.glue_substitution(f, ((0, 1),), 4) == {(1, 0, 0): 1, (0, 1, 0): -1}
+        assert table_glue(f, 4, 2, 1)[0] == {(1, 0, 0): 1, (0, 1, 0): -1}
 
     def test_membership(self):
         x1, x2 = var(0, 2), var(1, 2)
@@ -672,27 +694,28 @@ class TestStratumIdeal:
 
 
 class TestGlue:
-    """The glue tables against the glue that rebuilt its map on every call."""
+    """The glue table against the glue that rebuilt its map on every call."""
 
     @pytest.mark.parametrize("n,m,q", strata(6))
     def test_every_pattern_matches_oracle(self, n, m, q):
         f = generic(n, 3)
-        for pattern in D.block_patterns(n, m, q):
-            assert D.glue_substitution(f, pattern, n) == oracle_glue_substitution(f, pattern, n)
-            for mon in f:
-                assert D.glue_substitution({mon: -2}, pattern, n) == oracle_glue_substitution(
-                    {mon: -2}, pattern, n
-                ), (pattern, mon)
+        patterns = D.block_patterns(n, m, q)
+        for pattern, glued in zip(patterns, table_glue(f, n, m, q)):
+            assert glued == oracle_glue_substitution(f, pattern, n)
+        for mon in f:
+            for pattern, glued in zip(patterns, table_glue({mon: -2}, n, m, q)):
+                assert glued == oracle_glue_substitution({mon: -2}, pattern, n), (pattern, mon)
 
     def test_same_pattern_on_two_numbers_of_variables(self):
-        # the free coordinates follow the blocks, so the map depends on n as
+        # the free coordinates follow the blocks, so the glue depends on n as
         # well as on the pattern; a table keyed on the pattern alone is wrong
         pattern = ((0, 1),)
         for n in (4, 6, 4, 3, 6):
+            assert D.block_patterns(n, 2, 1)[0] == pattern
             f = generic(n, 2)
-            assert D.glue_substitution(f, pattern, n) == oracle_glue_substitution(f, pattern, n)
-        assert D.glue_substitution(var(5, 6), pattern, 6) == {(0, 0, 0, 0, 1): 1}
-        assert D.glue_substitution(var(3, 4), pattern, 4) == {(0, 0, 1): 1}
+            assert table_glue(f, n, 2, 1)[0] == oracle_glue_substitution(f, pattern, n)
+        assert table_glue(var(5, 6), 6, 2, 1)[0] == {(0, 0, 0, 0, 1): 1}
+        assert table_glue(var(3, 4), 4, 2, 1)[0] == {(0, 0, 1): 1}
         for n in (4, 6):
             f = D.combine((1, var(0, n)), (-1, var(n - 1, n)))
             assert D.in_stratum_ideal(f, n, 2, 1) is oracle_in_stratum_ideal(f, n, 2, 1) is False
@@ -701,8 +724,8 @@ class TestGlue:
     @given(stratum_and_polynomial())
     def test_random_polynomials_match_oracle(self, case):
         n, m, q, f = case
-        for pattern in D.block_patterns(n, m, q):
-            assert D.glue_substitution(f, pattern, n) == oracle_glue_substitution(f, pattern, n)
+        for pattern, glued in zip(D.block_patterns(n, m, q), table_glue(f, n, m, q)):
+            assert glued == oracle_glue_substitution(f, pattern, n)
         assert D.in_stratum_ideal(f, n, m, q) == oracle_in_stratum_ideal(f, n, m, q)
 
     @settings(max_examples=50, deadline=None)
@@ -738,23 +761,26 @@ class TestGlue:
         assert seen == {True, False}
 
     def test_each_monomial_is_glued_once_per_translate(self, monkeypatch):
+        # one table lookup miss glues a monomial under every translate
         calls = []
-        real = D.glue_substitution
+        real = D._StratumGlue.__missing__
 
-        def spy(f, pattern, n):
-            calls.append(pattern)
-            return real(f, pattern, n)
+        def spy(glue, exp):
+            calls.append(exp)
+            return real(glue, exp)
 
-        monkeypatch.setattr(D, "glue_substitution", spy)
+        monkeypatch.setattr(D._StratumGlue, "__missing__", spy)
+        D._stratum_glue.cache_clear()
         n, m, q = 7, 3, 2
         f = generic(n, 2)
         assert not D.in_stratum_ideal(f, n, m, q)
-        first = len(calls)
-        assert first <= len(f) * len(D.block_patterns(n, m, q))
+        assert sorted(calls) == sorted(f)
+        glue = D._stratum_glue(n, m, q)
+        assert all(len(glue[mon]) == len(D.block_patterns(n, m, q)) for mon in f)
         # every monomial of degree 2 is a term of f, so nothing is glued again
         D.in_stratum_ideal(f, n, m, q)
         D.stratum_ideal_basis(n, m, q, 2)
-        assert len(calls) == first
+        assert len(calls) == len(f)
 
 
 class TestSignTwist:

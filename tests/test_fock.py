@@ -273,6 +273,15 @@ class TestSeries:
         for m in (2, 3, 4, 5):
             assert F.trace_series(m, 12) == F.product_series(m, 12)
 
+    def test_verify_bo_expands_the_product_once(self):
+        # trace_series and product_series read one cached expansion, which
+        # product_series returns without a copy
+        F._product_table.cache_clear()
+        F.verify_bo(3, 12)
+        info = F._product_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert F.product_series(3, 12) is F._product_table(3, 12)
+
 
 class TestCensus:
     def test_one_pass_counts_the_strata(self):

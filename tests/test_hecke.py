@@ -109,7 +109,56 @@ KERNEL_FIXTURE = json.loads(
 )
 
 
+# Q(zeta_m) for 2 <= m <= 12, and sympy's m-th cyclotomic polynomial, built
+# once each
+FIELDS = {m: Hk.CyclotomicField(m) for m in range(2, 13)}
+X = sympy.symbols("x")
+MODULI = {m: sympy.Poly(sympy.cyclotomic_poly(m, X), X, domain="QQ") for m in FIELDS}
+
+
+@st.composite
+def field_elements(draw):
+    """(field, a, b): two elements of Q(zeta_m), 2 <= m <= 12, with small
+    rational coefficients."""
+    field = FIELDS[draw(st.integers(2, 12))]
+    coeff = st.fractions(-20, 20, max_denominator=6)
+    element = st.lists(coeff, min_size=field.degree, max_size=field.degree).map(tuple)
+    return field, draw(element), draw(element)
+
+
+def sympy_element(a):
+    """The coefficient tuple a over the power basis of zeta_m, as a sympy
+    polynomial in x = zeta_m."""
+    return sympy.Poly(
+        [sympy.Rational(x.numerator, x.denominator) for x in reversed(a)], X, domain="QQ"
+    )
+
+
+def sympy_reduce(field, poly):
+    """The coefficient tuple of the sympy polynomial poly in x = zeta_m,
+    reduced modulo the m-th cyclotomic polynomial by sympy."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in poly.rem(MODULI[field.m]).all_coeffs()]
+    return tuple(coeffs[::-1] + [Fraction(0)] * (field.degree - len(coeffs)))
+
+
 class TestCyclotomicField:
+    @settings(max_examples=200, deadline=None)
+    @given(field_elements())
+    def test_arithmetic_matches_sympy_remainder(self, case):
+        field, a, b = case
+        pa, pb = sympy_element(a), sympy_element(b)
+        assert field.mul(a, b) == sympy_reduce(field, pa * pb)
+        assert field.add(a, b) == sympy_reduce(field, pa + pb)
+        assert field.sub(a, b) == sympy_reduce(field, pa - pb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.integers(-40, 40), st.integers(-40, 40))
+    def test_powers_of_zeta_multiply(self, m, j, k):
+        field = FIELDS[m]
+        assert field.mul(field.zeta(j), field.zeta(k)) == field.zeta(j + k)
+        assert field.zeta(m) == field.one
+        assert field.zeta(j) == sympy_reduce(field, sympy.Poly(X ** (j % m), X, domain="QQ"))
+
     def test_cyclotomic_polynomials_against_sympy(self):
         x = sympy.symbols("x")
         for m in range(1, 13):

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik import partitions as P
 
@@ -15,6 +17,17 @@ def conjugate_by_columns(lam):
             return tuple(out)
         out.append(col)
         j += 1
+
+
+@st.composite
+def partitions_to_60(draw):
+    """A partition of some n <= 60: distinct part sizes, each drawn with a
+    multiplicity that keeps the size at most 60, so that long runs of equal
+    parts are as likely as many distinct parts."""
+    parts = []
+    for p in draw(st.lists(st.integers(1, 60), unique=True, max_size=12)):
+        parts += [p] * draw(st.integers(0, (60 - sum(parts)) // p))
+    return tuple(sorted(parts, reverse=True))
 
 
 def gen_partitions(n, max_part):
@@ -255,6 +268,19 @@ class TestSupportLevelAndLabels:
         assert P.label_from_pair((1,), (2,), 2, 1) == (3, 1)
         assert P.label_from_pair((), (2, 1), 3, 1) == (2, 1)
         assert P.label_from_pair((1,), (2,), 2, -1) == (2, 1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitions_to_60(), st.integers(2, 7), st.sampled_from([1, -1]))
+    def test_round_trip_on_random_partitions(self, lam, m, sign):
+        # beyond the exhaustive tests, which stop at n = 10 to 12
+        mu, nu = P.decompose(lam, m)
+        assert P.check_partition(mu) == mu and P.check_partition(nu) == nu
+        assert P.add(P.scale(m, mu), nu) == lam
+        assert P.size(mu) == P.support_invariant(lam, m)
+        assert P.is_m_regular(P.conjugate(nu), m)
+        label = lam if sign > 0 else P.conjugate(lam)
+        assert P.label_from_pair(mu, P.conjugate(nu), m, sign) == label
+        assert P.support_level(label, m, sign) == (P.size(mu), mu, nu)
 
     def test_label_rejects_irregular(self):
         with pytest.raises(ValueError):

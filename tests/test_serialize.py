@@ -25,11 +25,19 @@ def test_parse_fraction_rejects_garbage():
 def test_parse_partition():
     assert S.parse_partition("3,1") == (3, 1)
     assert S.parse_partition("") == ()
+    assert S.parse_partition("  ") == ()
     assert S.parse_partition(" 4 , 2 ") == (4, 2)
     with pytest.raises(ValueError):
         S.parse_partition("1,2")
     with pytest.raises(ValueError):
         S.parse_partition("x")
+
+
+@pytest.mark.parametrize("text", ["3,,1", ",", "2,1,", ",2", " , ", "3, ,1", ",,"])
+def test_parse_partition_refuses_an_empty_part(text):
+    # an empty part is refused, not dropped: "3,,1" is not (3, 1)
+    with pytest.raises(ValueError, match="not a partition"):
+        S.parse_partition(text)
 
 
 def test_partition_encodings():
