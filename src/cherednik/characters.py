@@ -1,19 +1,20 @@
 """Symmetric group character data at the Grothendieck-group level.
 
-Character values come from the Murnaghan-Nakayama recursion and induction
-multiplicities from Littlewood-Richardson tableau counts.  Everything is
-exact integer arithmetic; only the weights, -c times an integer content sum,
-are Fractions.
+Dimensions come from the hook length formula and induction multiplicities
+from the Littlewood-Richardson rule, one horizontal strip per letter.
+Everything is exact integer arithmetic; only the weights, -c times an
+integer content sum, are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from itertools import zip_longest
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .errors import IdentityViolation
-from .partitions import Partition, add, dominates, enumerate_partitions, size
+from .partitions import Partition, add, conjugate, dominates, enumerate_partitions, size
 
 # multiplicity vector over partitions of a fixed n; zero entries are absent
 CharacterVector = dict[Partition, int]
@@ -44,114 +45,70 @@ def lowest_weight(lam: Partition, c: Fraction) -> Fraction:
     return -Fraction(c) * by_contents
 
 
-def _beta_to_partition(beta: tuple[int, ...]) -> Partition:
-    # beta is strictly decreasing; undo the staircase shift
-    n = len(beta)
-    lam = tuple(b - (n - 1 - i) for i, b in enumerate(beta))
-    return tuple(p for p in lam if p > 0)
-
-
-@cache
-def _mn(lam: Partition, mu: tuple[int, ...]) -> int:
-    if not mu:
-        return 1
-    k, rest = mu[0], mu[1:]
-    n = len(lam)
-    beta = tuple(lam[i] + (n - 1 - i) for i in range(n))
-    betaset = set(beta)
-    total = 0
-    for i, b in enumerate(beta):
-        nb = b - k
-        if nb < 0 or nb in betaset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        newbeta = tuple(sorted([c for c in beta if c != b] + [nb], reverse=True))
-        total += (-1) ** height * _mn(_beta_to_partition(newbeta), rest)
-    return total
-
-
-def character_value(lam: Partition, cycle_type: Partition) -> int:
-    """Character of the irreducible labelled by lam at the class of the given
-    cycle type, by repeated border-strip removal."""
-    if size(lam) != size(cycle_type):
-        raise ValueError(
-            f"cycle type {cycle_type} does not match |{lam}| = {size(lam)}"
-        )
-    return _mn(lam, tuple(sorted(cycle_type, reverse=True)))
-
-
 def dimension(lam: Partition) -> int:
-    return character_value(lam, (1,) * size(lam)) if lam else 1
+    """dim S^lam, the number of standard tableaux of shape lam: |lam|!
+    over the product of the hook lengths (Frame, Robinson and Thrall, Canad.
+    J. Math. 6 (1954))."""
+    cols = conjugate(lam)
+    hooks = prod(p - j + cols[j] - i - 1 for i, p in enumerate(lam) for j in range(p))
+    return factorial(size(lam)) // hooks
 
 
-def _contains(nu: Partition, lam: Partition) -> bool:
-    if len(lam) > len(nu):
-        return False
-    return all(nu[i] >= lam[i] for i in range(len(lam)))
+def _strips(shape: Partition, prev: tuple[int, ...], boxes: int, room: int):
+    """The horizontal strips of `boxes` boxes that the next letter can add
+    to shape, as (new shape, boxes per row) pairs.
 
-
-def _lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
-    """Number of Littlewood-Richardson fillings of the skew shape nu/lam with
-    content mu.
-
-    Cells are visited in reverse reading order (rows top to bottom, right to
-    left inside a row), which makes the lattice-word condition a running
-    prefix check on the content counts.
+    The strip's boxes in rows <= r may number at most the previous letter's
+    boxes `prev` in rows < r; `room` is that allowance above the top row,
+    which is `boxes` (no bound) for the first letter and 0 after it.
     """
-    cells = []
-    for r in range(len(nu)):
-        lo = lam[r] if r < len(lam) else 0
-        for col in range(nu[r] - 1, lo - 1, -1):
-            cells.append((r, col))
-    if len(cells) != size(mu):
-        return 0
-    if not cells:
-        return 1
-    grid = {}
-    counts = [0] * len(mu)
+    rows = shape + (0,)
+    out = []
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, col = cells[idx]
-        above = grid.get((r - 1, col), 0)
-        right = grid.get((r, col + 1))
-        total = 0
-        for v in range(1, len(mu) + 1):
-            if counts[v - 1] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] >= counts[v - 2]:
-                continue  # reverse reading word must stay a lattice word
-            if v <= above:
-                continue  # strict down the column
-            if right is not None and v > right:
-                continue  # weak along the row
-            counts[v - 1] += 1
-            grid[(r, col)] = v
-            total += fill(idx + 1)
-            del grid[(r, col)]
-            counts[v - 1] -= 1
-        return total
+    def place(r, left, room, strip):
+        if not left:
+            new = tuple(p + t for p, t in zip_longest(rows, strip, fillvalue=0))
+            out.append((new if new[-1] else new[:-1], strip))
+            return
+        if r == len(rows):
+            return
+        # a horizontal strip puts row r no further out than row r - 1 was
+        cap = min(left, room, rows[r - 1] - rows[r] if r else left)
+        room += prev[r] if r < len(prev) else 0
+        for t in range(cap, -1, -1):
+            place(r + 1, left - t, room - t, strip + (t,))
 
-    return fill(0)
+    place(0, boxes, room, ())
+    return out
 
 
 def lr_induce(lam: Partition, mu: Partition) -> CharacterVector:
     """Induction product of the irreducibles lam and mu as a multiplicity
-    vector over partitions of |lam| + |mu|.
+    vector over partitions of |lam| + |mu|, in reverse lexicographic order.
+
+    By the Littlewood-Richardson rule (Fulton, "Young Tableaux", ch. 5;
+    Macdonald, "Symmetric Functions and Hall Polynomials", I.9) the
+    multiplicity of nu counts the chains lam = nu^0 < nu^1 < ... < nu^l = nu
+    in which nu^k / nu^(k-1) is a horizontal strip of mu_k boxes labelled k
+    and the reverse reading word is a lattice word: the k's in rows <= r
+    number at most the (k-1)'s in rows < r.  Each letter adds its strips to
+    every state (shape, strip of the previous letter) and equal states are
+    summed, so one pass counts every nu.
 
     The coefficient of lam + mu is always exactly 1 and every constituent is
     dominated by lam + mu.
     """
-    n = size(lam) + size(mu)
+    states = {(lam, ()): 1}
+    for k, boxes in enumerate(mu):
+        grown: dict = {}
+        for (shape, prev), count in states.items():
+            for state in _strips(shape, prev, boxes, 0 if k else boxes):
+                grown[state] = grown.get(state, 0) + count
+        states = grown
     out: CharacterVector = {}
-    for nu in enumerate_partitions(n):
-        if not _contains(nu, lam):
-            continue
-        coeff = _lr_count(nu, lam, mu)
-        if coeff:
-            out[nu] = coeff
-    return out
+    for (nu, _), count in states.items():
+        out[nu] = out.get(nu, 0) + count
+    return dict(sorted(out.items(), reverse=True))
 
 
 class InductionVerdict(NamedTuple):
@@ -165,17 +122,25 @@ class InductionVerdict(NamedTuple):
 
 
 def induction_verdict(lam: Partition, mu: Partition, c: Fraction | None) -> InductionVerdict:
-    """Compute the induction product once and check its leading term.
+    """Compute the induction product once and check it.
 
     ok means that lam + mu occurs with coefficient exactly 1 and dominates
-    every constituent, and, for a parameter c (which must be positive), that
-    its weight is strictly below the weight of every other constituent.
+    every constituent; that the constituents' dimensions add up to the
+    dimension of the induced module, sum_nu c^nu f^nu = C(n, |lam|) f^lam
+    f^mu for n = |lam| + |mu|, which no tableau count enters; and, for a
+    parameter c (which must be positive), that the weight of lam + mu is
+    strictly below the weight of every other constituent.
     """
     if c is not None and c <= 0:
         raise ValueError("leading term analysis requires a positive parameter")
     target = add(lam, mu)
     product = lr_induce(lam, mu)
-    ok = product.get(target) == 1 and all(dominates(target, nu) for nu in product)
+    induced = comb(size(target), size(lam)) * dimension(lam) * dimension(mu)
+    ok = (
+        product.get(target) == 1
+        and all(dominates(target, nu) for nu in product)
+        and sum(coeff * dimension(nu) for nu, coeff in product.items()) == induced
+    )
     weight = None
     if c is not None:
         weight = lowest_weight(target, c)

@@ -21,7 +21,9 @@ from .errors import IdentityViolation
 from .serialize import (
     fraction_str,
     json_text,
+    parse_digits,
     parse_fraction,
+    parse_int,
     parse_partition,
     partition_key,
     poly_json,
@@ -115,7 +117,7 @@ def cmd_bo_verify(args):
     tokens = args.m.split(",")
     if not all(tok.strip() for tok in tokens):
         raise ValueError(f"--m lists an empty denominator: {args.m!r}")
-    m_values = [int(tok) for tok in tokens]
+    m_values = [parse_digits(tok) for tok in tokens]
     # refused before any walk, not after the walks of the values before it
     for m in m_values:
         if m < 2:
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "csv", "table"], default="json")
     parser.add_argument(
-        "--seed", type=int, default=0, help="accepted for compatibility; no command uses it"
+        "--seed", type=parse_int, default=0, help="accepted for compatibility; no command uses it"
     )
     # the common flags are accepted on either side of the subcommand;
     # SUPPRESS keeps an unset trailing flag from clobbering a leading one
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=["json", "csv", "table"], default=argparse.SUPPRESS
     )
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=parse_int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, help):
@@ -302,28 +304,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("support", help="stratum of one irreducible")
     p.add_argument("--lambda", dest="lam", required=True, help="partition, e.g. 3,1")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=parse_int, required=True)
     p.add_argument("--sign", choices=["+", "-"], default="+")
 
     p = add_parser("decompose", help="split lambda into m*mu + nu")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=parse_int, required=True)
     p.add_argument("--regular", choices=["transpose", "parts"], default="transpose")
 
     p = add_parser("census", help="all partitions of n grouped by stratum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--m", type=parse_int, required=True)
 
     p = add_parser(
         "bo-verify",
         help="per-stratum counts from the walk (census, eigenspace), from partition "
         "counts, and from the product and trace series, which must all agree",
     )
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("--n-max", dest="n_max", type=parse_int, required=True)
     p.add_argument("--m", required=True, help="comma list of denominators, e.g. 2,3")
 
     p = add_parser("weights", help="lowest weights of all partitions of n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     p.add_argument("--c", required=True, help='rational parameter, e.g. "1/2"')
 
     p = add_parser("lr", help="induction product of two irreducibles")
@@ -332,29 +334,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default=None, help="optional positive rational for the leading weight")
 
     p = add_parser("dunkl-check", help="defining relations on a monomial basis")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     p.add_argument("--c", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=parse_int, required=True)
 
     p = add_parser("singular", help="joint kernel of the deformed derivatives")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     p.add_argument("--c", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=parse_int, required=True)
 
     p = add_parser("ideal-check", help="stability of the stratum vanishing ideal")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--m", type=parse_int, required=True)
+    p.add_argument("--q", type=parse_int, required=True)
+    p.add_argument("--degree", type=parse_int, required=True)
     p.add_argument("--c", default=None, help="override parameter (default 1/m)")
 
     p = add_parser("fock-trace", help="bigraded trace series coefficients")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--m", type=parse_int, required=True)
+    p.add_argument("--max", type=parse_int, required=True)
 
     p = add_parser("hecke-simples", help="simple module count at a root of unity")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--p", type=parse_int, required=True)
+    p.add_argument("--m", type=parse_int, required=True)
 
     return parser
 

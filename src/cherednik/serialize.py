@@ -9,11 +9,18 @@ exactly as ``json.dumps(value, indent=2)`` writes them.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
 
 from .partitions import Partition, check_partition
+
+
+# int() and Fraction() also read '_' digit groups and non-ASCII digits, and
+# int() a '+' sign; the command line takes plain ASCII decimal digits only
+_DIGITS = re.compile("[0-9]+")
+_INTEGER = re.compile("-?[0-9]+")
 
 
 def fraction_str(x) -> str:
@@ -22,19 +29,36 @@ def fraction_str(x) -> str:
 
 def parse_fraction(text: str) -> Fraction:
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def parse_digits(text: str) -> int:
+    """A nonnegative integer in ASCII decimal digits; surrounding whitespace
+    is dropped."""
+    if not _DIGITS.fullmatch(text.strip()):
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return int(text)
+
+
+def parse_int(text: str) -> int:
+    """An integer flag: ASCII decimal digits after an optional minus sign."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_partition(text: str) -> Partition:
-    """Comma-separated parts, none of them empty; the empty string is the
-    empty partition."""
+    """Comma-separated parts, each of them ASCII decimal digits; the empty
+    string is the empty partition."""
     text = text.strip()
     if not text:
         return ()
     try:
-        parts = [int(tok) for tok in text.split(",")]
+        parts = [parse_digits(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"not a partition: {text!r}") from exc
     return check_partition(parts)

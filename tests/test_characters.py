@@ -1,9 +1,14 @@
+import json
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik import characters as C
+from cherednik import cli
 from cherednik import partitions as P
 
 # frozen character table of S_3, columns indexed by cycle type
@@ -14,16 +19,102 @@ S3_TABLE = {
 }
 
 
-def hook_length_dimension(lam):
-    """Independent dimension oracle via the hook length formula."""
-    if not lam:
+def _beta_to_partition(beta):
+    # beta is strictly decreasing; undo the staircase shift
+    n = len(beta)
+    lam = tuple(b - (n - 1 - i) for i, b in enumerate(beta))
+    return tuple(p for p in lam if p > 0)
+
+
+@cache
+def _mn(lam, mu):
+    if not mu:
         return 1
-    conj = P.conjugate(lam)
-    dim = factorial(P.size(lam))
-    for i, p in enumerate(lam):
-        for j in range(p):
-            dim //= p - j + conj[j] - i - 1
-    return dim
+    k, rest = mu[0], mu[1:]
+    n = len(lam)
+    beta = tuple(lam[i] + (n - 1 - i) for i in range(n))
+    betaset = set(beta)
+    total = 0
+    for i, b in enumerate(beta):
+        nb = b - k
+        if nb < 0 or nb in betaset:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        newbeta = tuple(sorted([c for c in beta if c != b] + [nb], reverse=True))
+        total += (-1) ** height * _mn(_beta_to_partition(newbeta), rest)
+    return total
+
+
+def character_value(lam, cycle_type):
+    """Oracle: the character of the irreducible labelled by lam at the class
+    of the given cycle type, by Murnaghan-Nakayama border-strip removal."""
+    if P.size(lam) != P.size(cycle_type):
+        raise ValueError(f"cycle type {cycle_type} does not match |{lam}| = {P.size(lam)}")
+    return _mn(lam, tuple(sorted(cycle_type, reverse=True)))
+
+
+def _contains(nu, lam):
+    if len(lam) > len(nu):
+        return False
+    return all(nu[i] >= lam[i] for i in range(len(lam)))
+
+
+def oracle_lr_count(nu, lam, mu):
+    """Oracle: the Littlewood-Richardson fillings of the skew shape nu/lam
+    with content mu, filled one cell at a time.
+
+    Cells are visited in reverse reading order (rows top to bottom, right to
+    left inside a row), which makes the lattice-word condition a running
+    prefix check on the content counts.
+    """
+    cells = []
+    for r in range(len(nu)):
+        lo = lam[r] if r < len(lam) else 0
+        for col in range(nu[r] - 1, lo - 1, -1):
+            cells.append((r, col))
+    if len(cells) != P.size(mu):
+        return 0
+    if not cells:
+        return 1
+    grid = {}
+    counts = [0] * len(mu)
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        r, col = cells[idx]
+        above = grid.get((r - 1, col), 0)
+        right = grid.get((r, col + 1))
+        total = 0
+        for v in range(1, len(mu) + 1):
+            if counts[v - 1] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v - 1] >= counts[v - 2]:
+                continue  # reverse reading word must stay a lattice word
+            if v <= above:
+                continue  # strict down the column
+            if right is not None and v > right:
+                continue  # weak along the row
+            counts[v - 1] += 1
+            grid[(r, col)] = v
+            total += fill(idx + 1)
+            del grid[(r, col)]
+            counts[v - 1] -= 1
+        return total
+
+    return fill(0)
+
+
+def oracle_lr_induce(lam, mu):
+    """Oracle: the induction product from one skew filling count per
+    partition nu of |lam| + |mu| that contains lam."""
+    out = {}
+    for nu in P.enumerate_partitions(P.size(lam) + P.size(mu)):
+        if _contains(nu, lam):
+            coeff = oracle_lr_count(nu, lam, mu)
+            if coeff:
+                out[nu] = coeff
+    return out
 
 
 def centralizer_order(cycle_type):
@@ -73,28 +164,29 @@ class TestCharacterValues:
     def test_examples(self):
         for n in range(1, 7):
             for mu in P.enumerate_partitions(n):
-                assert C.character_value((n,), mu) == 1
-        assert C.character_value((1, 1), (2,)) == -1
-        assert C.character_value((2, 1), (1, 1, 1)) == 2
+                assert character_value((n,), mu) == 1
+        assert character_value((1, 1), (2,)) == -1
+        assert character_value((2, 1), (1, 1, 1)) == 2
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            C.character_value((2, 1), (2, 2))
+            character_value((2, 1), (2, 2))
 
     def test_s3_table(self):
         for lam, row in S3_TABLE.items():
             for mu, value in row.items():
-                assert C.character_value(lam, mu) == value
+                assert character_value(lam, mu) == value
 
-    def test_dimension_against_hook_lengths(self):
-        for n in range(1, 9):
+    def test_dimension_against_murnaghan_nakayama(self):
+        # the hook length formula against the character at the identity
+        for n in range(11):
             for lam in P.enumerate_partitions(n):
-                assert C.dimension(lam) == hook_length_dimension(lam)
+                assert C.dimension(lam) == character_value(lam, (1,) * n)
 
     def test_column_orthogonality_at_identity(self):
         for n in range(1, 9):
             total = sum(
-                C.character_value(lam, (1,) * n) ** 2
+                character_value(lam, (1,) * n) ** 2
                 for lam in P.enumerate_partitions(n)
             )
             assert total == factorial(n)
@@ -106,8 +198,8 @@ class TestCharacterValues:
                 for nu in parts:
                     inner = sum(
                         class_size(mu)
-                        * C.character_value(lam, mu)
-                        * C.character_value(nu, mu)
+                        * character_value(lam, mu)
+                        * character_value(nu, mu)
                         for mu in parts
                     )
                     assert inner == (factorial(n) if lam == nu else 0)
@@ -118,7 +210,28 @@ class TestCharacterValues:
             for lam in P.enumerate_partitions(n):
                 for mu in P.enumerate_partitions(n):
                     sign = (-1) ** (n - len(mu))
-                    assert C.character_value(P.conjugate(lam), mu) == sign * C.character_value(lam, mu)
+                    assert character_value(P.conjugate(lam), mu) == sign * character_value(lam, mu)
+
+
+PARTITIONS = st.integers(0, 8).flatmap(lambda n: st.sampled_from(P.enumerate_partitions(n)))
+
+
+def drop_one_tableau(monkeypatch, shape):
+    """Make the strip step lose the first strip onto the given shape that a
+    later letter adds.  Each state the first letter makes counts one
+    tableau, so for a mu of two parts exactly one tableau goes."""
+    real = C._strips
+    dropped = []
+
+    def lossy(current, prev, boxes, room):
+        out = real(current, prev, boxes, room)
+        hits = [k for k, (nu, _) in enumerate(out) if nu == shape]
+        if prev and hits and not dropped:
+            dropped.append(out.pop(hits[0]))
+        return out
+
+    monkeypatch.setattr(C, "_strips", lossy)
+    return dropped
 
 
 class TestLittlewoodRichardson:
@@ -186,6 +299,17 @@ class TestLittlewoodRichardson:
                     for mu in P.enumerate_partitions(b):
                         assert C.lr_induce(lam, mu) == C.lr_induce(mu, lam)
 
+    @settings(max_examples=150, deadline=None)
+    @given(PARTITIONS, PARTITIONS)
+    def test_strip_pass_matches_the_filling_oracle(self, lam, mu):
+        product = C.lr_induce(lam, mu)
+        assert product == oracle_lr_induce(lam, mu)
+        assert list(product) == sorted(product, reverse=True)
+        # c^nu_{lam mu} = c^nu_{mu lam} and c^{nu'}_{lam' mu'} = c^nu_{lam mu}
+        assert C.lr_induce(mu, lam) == product
+        conjugated = {P.conjugate(nu): coeff for nu, coeff in product.items()}
+        assert C.lr_induce(P.conjugate(lam), P.conjugate(mu)) == conjugated
+
 
 class TestLeadingTerm:
     def test_examples(self):
@@ -221,6 +345,26 @@ class TestLeadingTerm:
         # a leading coefficient of 2 is reported in the verdict, not raised
         monkeypatch.setattr(C, "lr_induce", lambda lam, mu: {(3, 1): 2, (2, 2): 1})
         assert not C.induction_verdict((2, 1), (1,), c).ok
+
+    def test_dropped_tableau_fails_only_the_dimension_identity(self, monkeypatch):
+        # (3,2,1) has two LR tableaux in (2,1) x (2,1); with one of them lost
+        # the leading term still looks right
+        dropped = drop_one_tableau(monkeypatch, (3, 2, 1))
+        verdict = C.induction_verdict((2, 1), (2, 1), Fraction(1, 2))
+        assert len(dropped) == 1
+        assert verdict.product[(3, 2, 1)] == 1
+        assert verdict.product[verdict.leading] == 1
+        assert all(P.dominates(verdict.leading, nu) for nu in verdict.product)
+        assert not verdict.ok
+
+    def test_dropped_tableau_makes_lr_exit_1(self, monkeypatch, capsys):
+        drop_one_tableau(monkeypatch, (3, 2, 1))
+        code = cli.main(["lr", "--lambda", "2,1", "--mu", "2,1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["ok"] is False and payload["result"]["ok"] is False
+        assert payload["result"]["product"]["[3,2,1]"] == 1
+        assert payload["result"]["leading"] == [4, 2]
 
     def test_product_is_computed_once(self, monkeypatch):
         calls = []

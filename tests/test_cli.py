@@ -118,6 +118,56 @@ def test_comma_list_with_an_empty_entry_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("support", "--lambda", "1_0", "--m", "2"),
+        ("support", "--lambda", "３,1", "--m", "2"),
+        ("support", "--lambda", "+3,1", "--m", "2"),
+        ("lr", "--lambda", "2,1", "--mu", "1_1"),
+        ("bo-verify", "--n-max", "4", "--m", "2_3"),
+        ("bo-verify", "--n-max", "4", "--m", "2,+3"),
+        ("bo-verify", "--n-max", "4", "--m", "-2"),
+        ("weights", "--n", "3", "--c", "1_0/3"),
+        ("weights", "--n", "3", "--c", "３/4"),
+        ("lr", "--lambda", "1", "--mu", "1", "--c", "1/٢"),
+    ],
+)
+def test_integer_that_is_not_plain_digits_is_a_usage_error(capsys, argv):
+    # int() and Fraction() read "1_0" as 10 and a full-width "３" as 3
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--n", "1_0", "--m", "3"),
+        ("census", "--n", "+4", "--m", "3"),
+        ("census", "--n", "４", "--m", "3"),
+        ("support", "--lambda", "3,1", "--m", "2_0"),
+        ("--seed", "1_0", "support", "--lambda", "3,1", "--m", "2"),
+        ("hecke-simples", "--p", "3", "--m", " 2_0"),
+    ],
+)
+def test_integer_flag_that_is_not_plain_digits_is_refused_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    out, stderr = capsys.readouterr()
+    assert err.value.code == 2
+    assert out == ""
+    assert "invalid parse_int value" in stderr
+
+
+def test_integers_padded_with_blanks_still_parse(capsys):
+    code, payload = run_json(capsys, "support", "--lambda", " 4 , 2 ", "--m", " 2 ")
+    assert code == 0
+    assert (payload["result"]["lambda"], payload["result"]["m"]) == ([4, 2], 2)
+
+
 class TestWeights:
     def test_dominance_consistency(self, capsys):
         code, payload = run_json(capsys, "weights", "--n", "4", "--c", "1/2")

@@ -302,6 +302,17 @@ def stratum_and_polynomial(draw, max_n=6):
     return n, m, q, f
 
 
+@st.composite
+def config_and_polynomial(draw, max_n=4):
+    """(cfg, f) with c a small rational, zero included, and f a sparse
+    integer polynomial in n variables."""
+    n = draw(st.integers(2, max_n))
+    c = draw(st.fractions(-3, 3, max_denominator=7))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    f = draw(st.dictionaries(exps, st.integers(-5, 5).filter(bool), max_size=6))
+    return EngineConfig(n, c), f
+
+
 @pytest.fixture
 def unscaled_derivative(monkeypatch):
     """A fault in the engine: the derivative term loses its factor s."""
@@ -426,6 +437,23 @@ class TestDunklApply:
                         oracle = fraction_dunkl_apply(i, {mon: Fraction(1)}, cfg)
                         assert image == {e: s * x for e, x in oracle.items()}, (n, mon, i)
                         assert all(type(x) is int for x in image.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_and_polynomial())
+    def test_commutation_on_random_polynomials(self, cfg_and_f):
+        # [sD_i, sD_j] f = 0 and [sD_i, x_j] f = r s_ij f for j != i, c = r/s
+        cfg, f = cfg_and_f
+        n, r = cfg.n, cfg.c.numerator
+        image = [D.dunkl_apply(i, f, cfg) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if j == i:
+                    continue
+                ij = D.dunkl_apply(i, image[j], cfg)
+                assert D.combine((1, ij), (-1, D.dunkl_apply(j, image[i], cfg))) == {}
+                raised = D.dunkl_apply(i, D.times_variable(j, f), cfg)
+                lhs = D.combine((1, raised), (-1, D.times_variable(j, image[i])))
+                assert lhs == D.combine((r, D.permute(D.transposition(i, j, n), f)))
 
     def test_engine_builds_no_fraction(self, monkeypatch):
         cfg = EngineConfig(3, Fraction(1, 3))

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cherednik import partitions as P
 from cherednik import serialize as S
+
+PARTITIONS = st.integers(0, 12).flatmap(lambda n: st.sampled_from(P.enumerate_partitions(n)))
 
 
 def test_fraction_roundtrip():
@@ -38,6 +41,51 @@ def test_parse_partition_refuses_an_empty_part(text):
     # an empty part is refused, not dropped: "3,,1" is not (3, 1)
     with pytest.raises(ValueError, match="not a partition"):
         S.parse_partition(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "３,1", "+3,1", "3,-1", "1e1", "0x3", "2.0", "3 1"])
+def test_parse_partition_refuses_anything_but_ascii_digits(text):
+    # int() reads "1_0" as 10, "３" as 3 and "+3" as 3
+    with pytest.raises(ValueError, match="not a partition"):
+        S.parse_partition(text)
+
+
+def test_parse_int_and_digits():
+    assert S.parse_int(" -12 ") == -12
+    assert S.parse_int("007") == 7
+    assert S.parse_digits(" 4 ") == 4
+    for text in ("2_3", "+4", "４", "- 4", "-", "", "1.0", "٣"):
+        with pytest.raises(ValueError, match="not a plain decimal integer"):
+            S.parse_int(text)
+    for text in ("-4", "2_3", "+4", "４", ""):
+        with pytest.raises(ValueError, match="not a plain decimal integer"):
+            S.parse_digits(text)
+
+
+@pytest.mark.parametrize("text", ["1_0/3", "10/3_0", "３/4", "1/٣", "1_0"])
+def test_parse_fraction_refuses_underscores_and_non_ascii(text):
+    with pytest.raises(ValueError, match="not a rational number"):
+        S.parse_fraction(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions())
+def test_fraction_str_round_trip_on_random_fractions(x):
+    assert S.parse_fraction(S.fraction_str(x)) == x
+    assert S.parse_fraction(f" {S.fraction_str(x)}\t") == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(PARTITIONS, st.sampled_from(["", " ", "\t "]))
+def test_partition_round_trip_on_random_partitions(lam, pad):
+    assert S.parse_partition(S.partition_key(lam)[1:-1]) == lam
+    assert S.parse_partition(",".join(pad + str(p) + pad for p in lam)) == lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers())
+def test_int_round_trip_on_random_integers(k):
+    assert S.parse_int(str(k)) == k
 
 
 def test_partition_encodings():
