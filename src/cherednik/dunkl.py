@@ -144,7 +144,6 @@ class RelationReport(NamedTuple):
     """Outcome of sweeping the defining relations over a monomial basis."""
 
     cfg: EngineConfig
-    max_degree: int
     checked: int
     violations: list[str]
 
@@ -252,7 +251,7 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
             for i in range(n):
                 lhs = {ids[e]: x for e, x in image[i][k].items()}
                 record("conjugation", k, lhs, image[w[i]][wk], "w={},i={}", w, i)
-    return RelationReport(cfg, max_degree, checked, violations)
+    return RelationReport(cfg, checked, violations)
 
 
 def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
@@ -370,11 +369,7 @@ def in_stratum_ideal(f: Polynomial, n: int, m: int, q: int) -> bool:
 
 
 class IdealStabilityReport(NamedTuple):
-    n: int
-    m: int
-    q: int
     c: Fraction
-    max_degree: int
     graded_dims: dict[int, int]
     failures: list[str]
 
@@ -424,4 +419,4 @@ def ideal_stability_check(
             f"the stratum ideal has no nonzero element of degree at most {max_degree}; "
             "raise the degree bound"
         )
-    return IdealStabilityReport(n, m, q, cfg.c, max_degree, dims, failures)
+    return IdealStabilityReport(cfg.c, dims, failures)

@@ -293,7 +293,9 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
 
 class HeckeAlgebra:
     """Hecke algebra of rank p with quadratic relation
-    (T_i - 1)(T_i + q) = 0 at q = zeta_m^r.
+    (T_i - 1)(T_i + q) = 0 at q = zeta_m.  At q = zeta_m^r, r prime to m,
+    the algebra is a Galois conjugate of this one, and its simple modules
+    depend only on e = m (Dipper-James 1986), so no other power is built.
 
     Elements are term dicts {permutation: coefficient} with no zero
     coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`:
@@ -303,14 +305,13 @@ class HeckeAlgebra:
     the center of the quotient, each kernel one call of the field's `kernel`.
     """
 
-    def __init__(self, p: int, m: int, r: int = 1):
+    def __init__(self, p: int, m: int):
         if p < 1:
             raise ValueError(f"rank must be positive, got {p}")
         self.p = p
         self.m = m
         self.field = CyclotomicField(m)
-        self.r = r
-        self.q = self.field.zeta(r)
+        self.q = self.field.zeta()
         self.one_minus_q = self.field.sub(self.field.one, self.q)
         self.perms: list[Permutation] = sorted(_itperms(range(p)))
         self.index = {w: k for k, w in enumerate(self.perms)}
@@ -388,14 +389,14 @@ class HeckeAlgebra:
     @cached_property
     def casimir(self) -> dict:
         """The central element C = sum_w q^-l(w) T_w T_(w^-1), with
-        q^-l = zeta^(-r l).  For the symmetrizing trace tau(T_w) = delta_(w,e)
+        q^-l = zeta^-l.  For the symmetrizing trace tau(T_w) = delta_(w,e)
         the regular trace is theta(h) = tau(h C) (Geck-Pfeiffer 2000, 7.1-7.2)."""
         F = self.field
         out: dict[Permutation, CycElement] = {}
         for w in self.perms:
             # q^-l(w) T_w T_(w^-1): the generators of w's word, applied to
             # the scaled term of w^-1 from the right end of the word
-            term = {perm_inverse(w): F.zeta(-self.r * perm_length(w))}
+            term = {perm_inverse(w): F.zeta(-perm_length(w))}
             for i in reversed(reduced_word(w)):
                 term = self.lmul_gen(i, term)
             for x, c in term.items():
@@ -413,7 +414,7 @@ class HeckeAlgebra:
         rows = [[F.zero] * self.dim for _ in self.perms]
         # the term at x of a translate lands in row x^-1, scaled by q^l(x)
         place = {
-            x: (rows[self.index[perm_inverse(x)]], F.zeta(self.r * perm_length(x)))
+            x: (rows[self.index[perm_inverse(x)]], F.zeta(perm_length(x)))
             for x in self.perms
         }
         for w, t in self.right_sweep(self.casimir):

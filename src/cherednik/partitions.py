@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import zip_longest
+from operator import index
 
 Partition = tuple[int, ...]
 
@@ -15,8 +16,11 @@ Partition = tuple[int, ...]
 def check_partition(parts) -> Partition:
     """Canonicalize an iterable of parts, rejecting anything that is not a
     weakly decreasing sequence of positive integers (trailing zeros are
-    stripped)."""
-    lam = tuple(int(p) for p in parts)
+    stripped); parts go through operator.index, so 2.7 and "3" are refused."""
+    try:
+        lam = tuple(map(index, parts))
+    except TypeError:
+        raise ValueError(f"parts must be integers, got {parts!r}") from None
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     for i, p in enumerate(lam):
@@ -247,41 +251,38 @@ def support_level(lam: Partition, m: int, sign: int) -> tuple[int, Partition, Pa
     return (support_invariant(effective, m), *decompose(effective, m))
 
 
-def label_from_pair(mu: Partition, nu: Partition, m: int, sign: int) -> Partition:
-    """Partition labelling the irreducible attached to the pair (mu, nu),
-    where nu must be m-regular: m*mu + conjugate(nu), conjugated again for
-    negative parameter sign."""
+def label_from_pair(mu: Partition, nu: Partition, m: int) -> Partition:
+    """Partition labelling the irreducible attached to the pair (mu, nu) at
+    positive parameter, where nu must be m-regular: m*mu + conjugate(nu).
+    At negative parameter the label is its conjugate."""
     if not is_m_regular(nu, m):
         raise ValueError(f"nu must be {m}-regular, got {nu}")
-    lam = add(scale(m, mu), conjugate(nu))
-    return lam if sign > 0 else conjugate(lam)
-
-
-def strata(n: int, m: int) -> dict[int, list[Partition]]:
-    """Partitions of n grouped by support invariant at denominator m, in
-    increasing q; each group keeps the order of enumerate_partitions."""
-    groups: dict[int, list[Partition]] = {}
-    for lam in enumerate_partitions(n):
-        groups.setdefault(support_invariant(lam, m), []).append(lam)
-    return dict(sorted(groups.items()))
+    return add(scale(m, mu), conjugate(nu))
 
 
 def stratum_census(
     n: int, m: int
 ) -> tuple[dict[int, list[tuple[Partition, Partition, Partition]]], bool]:
     """Every partition of n as a triple (lam, mu, nu) with lam = m*mu + nu,
-    grouped by stratum q, and the verdict on the classification.
+    grouped by support invariant q in increasing order, each group in the
+    order of enumerate_partitions, and the verdict on the classification.
 
     The verdict holds when the strata are exactly q = 0..n//m, stratum q has
     count_partitions(q) * count_m_regular(n - q*m, m) members, and
-    label_from_pair maps the splittings of its members onto exactly it.
+    label_from_pair takes every member's splitting back to it; a splitting
+    it refuses as not m-regular fails the verdict.
     """
-    census: dict[int, list[tuple[Partition, Partition, Partition]]] = {}
-    groups = strata(n, m)
-    ok = list(groups) == list(range(n // m + 1))
-    for q, members in groups.items():
-        census[q] = [(lam, *decompose(lam, m)) for lam in members]
-        labels = {label_from_pair(mu, conjugate(nu), m, 1) for _, mu, nu in census[q]}
-        expected = count_partitions(q) * count_m_regular(n - q * m, m)
-        ok = ok and len(members) == expected and labels == set(members)
+    groups: dict[int, list[tuple[Partition, Partition, Partition]]] = {}
+    ok = True
+    for lam in enumerate_partitions(n):
+        mu, nu = decompose(lam, m)
+        try:
+            ok = ok and label_from_pair(mu, conjugate(nu), m) == lam
+        except ValueError:
+            ok = False
+        groups.setdefault(support_invariant(lam, m), []).append((lam, mu, nu))
+    census = dict(sorted(groups.items()))
+    ok = ok and list(census) == list(range(n // m + 1))
+    for q, members in census.items():
+        ok = ok and len(members) == count_partitions(q) * count_m_regular(n - q * m, m)
     return census, ok

@@ -144,6 +144,6 @@ def test_c10_label_bijection():
                 labels = []
                 for mu in P.enumerate_partitions(q):
                     for nu in P.enumerate_m_regular(n - q * m, m):
-                        labels.append(P.label_from_pair(mu, nu, m, 1))
+                        labels.append(P.label_from_pair(mu, nu, m))
                 assert len(labels) == len(set(labels)), (n, m, q)
                 assert set(labels) == strata.get(q, set()), (n, m, q)

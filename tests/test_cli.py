@@ -77,6 +77,19 @@ class TestCensus:
         parts = {row[key] for row in rows for key in ("mu", "nu")}
         assert len(calls) == len(rows) + len(parts) < 3 * len(rows)
 
+    def test_irregular_splitting_exits_1(self, monkeypatch, capsys):
+        # a splitting whose conjugate(nu) = (2, 2, 2) is not 3-regular is a
+        # failed classification, not a usage error
+        real = partitions.decompose
+        monkeypatch.setattr(
+            partitions, "decompose", lambda lam, m: ((), (3, 3)) if lam == (3, 3) else real(lam, m)
+        )
+        code = cli.main(["census", "--n", "6", "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert json.loads(captured.out)["ok"] is False
+
 
 class TestBoVerify:
     def test_sweep(self, capsys):

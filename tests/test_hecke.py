@@ -19,11 +19,11 @@ from cherednik.partitions import count_m_regular, count_partitions
 
 
 @cache
-def shared_algebra(p, m, r):
-    """One algebra per (p, m, r) for the tests that only read it.  A test
+def shared_algebra(p, m):
+    """One algebra per (p, m) for the tests that only read it.  A test
     that monkeypatches builds its own: a patch does not reach a
     cached_property that is already filled."""
-    return Hk.HeckeAlgebra(p, m, r)
+    return Hk.HeckeAlgebra(p, m)
 
 
 def unit(H):
@@ -104,7 +104,15 @@ def rational_view(kernel):
     return [(f, [tuple(Fraction(x, den) for x in c) for c in vec]) for f, vec in pairs]
 
 
-# sha256 of repr(gram) keyed "p,m,r", recorded from the gram that the
+def fixture_key(key):
+    """(p, m) of a digest key "p,m,r", r the power in q = zeta_m^r: every
+    entry is at q = zeta_m."""
+    p, m, r = map(int, key.split(","))
+    assert r == 1, key
+    return p, m
+
+
+# sha256 of repr(gram) keyed "p,m,1", recorded from the gram that the
 # regular trace by left sweeps gave before the Casimir element replaced it
 GRAM_DIGESTS = json.loads(
     (Path(__file__).parent / "fixtures" / "hecke_gram_digests.json").read_text()
@@ -283,7 +291,7 @@ class TestMultiplication:
 
     @pytest.mark.parametrize("p,m", [(4, 2), (4, 3), (5, 3)])
     def test_associativity_sampled(self, p, m):
-        H = shared_algebra(p, m, 1)
+        H = shared_algebra(p, m)
         rng = random.Random(11)
         for _ in range(8):
             a, b, c = ({H.perms[rng.randrange(H.dim)]: H.field.one} for _ in range(3))
@@ -295,7 +303,7 @@ class TestPresentation:
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
     def test_presentation_families(self, p, m):
         # general products, independent of the word-by-word check_relations
-        H = shared_algebra(p, m, 1)
+        H = shared_algebra(p, m)
         gens = [gen(H, i) for i in range(p - 1)]
         for t in gens:
             assert quadratic_relation(H, t) == {}
@@ -397,17 +405,17 @@ class TestRadical:
         e = H.index[H.identity_perm]
         assert sweep_trace(H)[H.identity_perm] == H.gram[e][e] == (24, 0)
 
-    @pytest.mark.parametrize("p,m,r", [(3, 5, 2), (4, 3, 2), (4, 5, 3), (5, 3, 2), (5, 4, 3)])
-    def test_gram_row_e_is_the_swept_trace(self, p, m, r):
-        # G[e][w] = theta(T_w), at a parameter zeta^r other than zeta
-        H = shared_algebra(p, m, r)
+    @pytest.mark.parametrize("p,m", [(3, 5), (4, 3), (4, 5), (5, 3), (5, 4)])
+    def test_gram_row_e_is_the_swept_trace(self, p, m):
+        # G[e][w] = theta(T_w)
+        H = shared_algebra(p, m)
         theta = sweep_trace(H)
         assert H.gram[H.index[H.identity_perm]] == [theta[w] for w in H.perms]
 
     @pytest.mark.parametrize("key", sorted(GRAM_DIGESTS))
     def test_gram_matches_recorded_digest(self, key):
-        p, m, r = map(int, key.split(","))
-        digest = hashlib.sha256(repr(shared_algebra(p, m, r).gram).encode()).hexdigest()
+        p, m = fixture_key(key)
+        digest = hashlib.sha256(repr(shared_algebra(p, m).gram).encode()).hexdigest()
         assert digest == GRAM_DIGESTS[key]
 
 
@@ -437,13 +445,6 @@ class TestCountSimples:
         # quotient of dimension 5 must split as 4 + 1
         report = Hk.count_simples(3, 2)
         assert report.block_dims == [4, 1]
-
-    def test_power_parameter_variant(self):
-        # q = zeta^2 for m = 5 is another primitive 5th root: same counts
-        base = Hk.HeckeAlgebra(3, 5)
-        variant = Hk.HeckeAlgebra(3, 5, r=2)
-        for H in (base, variant):
-            assert quadratic_relation(H, gen(H, 0)) == {}
 
 
 # (p, m) -> (rad_dim, simples, block_dims), recorded with the echelon-based
@@ -486,15 +487,15 @@ class TestReference:
     @pytest.mark.parametrize("p,m", sorted(REFERENCE))
     def test_algebra_dimensions(self, p, m):
         rad_dim, simples, _ = REFERENCE[p, m]
-        H = shared_algebra(p, m, 1)
+        H = shared_algebra(p, m)
         assert H.radical_dimension() == rad_dim
         assert H.center_dimension() == simples
 
 
 class TestCasimir:
-    @pytest.mark.parametrize("p,m,r", [(3, 2, 1), (4, 3, 1), (4, 5, 2), (5, 4, 3)])
-    def test_commutes_with_every_generator(self, p, m, r):
-        H = shared_algebra(p, m, r)
+    @pytest.mark.parametrize("p,m", [(3, 2), (4, 3), (4, 5), (5, 4)])
+    def test_commutes_with_every_generator(self, p, m):
+        H = shared_algebra(p, m)
         C = H.casimir
         assert C
         for i in range(p - 1):
@@ -554,8 +555,7 @@ class TestKernels:
 class TestKernelDigests:
     @pytest.mark.parametrize("key", sorted(KERNEL_FIXTURE["radical"]))
     def test_radical_and_center_match_recorded_digests(self, key):
-        p, m, r = map(int, key.split(","))
-        H = shared_algebra(p, m, r)
+        H = shared_algebra(*fixture_key(key))
         for name, kernel in (("radical", H._radical), ("center", H._center)):
             digest = hashlib.sha256(repr(rational_view(kernel)).encode()).hexdigest()
             assert digest == KERNEL_FIXTURE[name][key], name
@@ -607,7 +607,7 @@ class TestCertificate:
         "p,m", [(p, m) for p in (2, 3, 4) for m in range(2, 9)] + [(5, 2), (5, 3), (5, 4)]
     )
     def test_radical_equals_the_blowup_kernel(self, p, m):
-        H = shared_algebra(p, m, 1)
+        H = shared_algebra(p, m)
         # H is semisimple exactly when m > p, and the certificate fires there
         assert H.field.nonsingular(H.gram) == (m > p)
         assert H._radical == H.field.kernel(H.gram, H.dim)

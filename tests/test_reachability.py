@@ -1,7 +1,11 @@
 """Every top-level function, class and method in the package is referenced
 somewhere under src/ outside its own definition, so no library code exists
 that only tests call.  Dunder methods are exempt; the allowlist names the
-reason for every other exception."""
+reason for every other exception.
+
+Likewise every parameter is set by src/ itself: a parameter that every call
+under src/ leaves at its default, or sets to one and the same literal, is a
+knob that only tests turn.  PARAMETER_ALLOWLIST names the exceptions."""
 
 import ast
 from pathlib import Path
@@ -14,6 +18,10 @@ SRC = PACKAGE.parent
 ALLOWLIST = {
     "dunkl.euler_apply": "acceptance criterion 4 (the Euler spectrum)",
     "hecke.CyclotomicField.inv": "wrapped by name in the benchmark's tracing shim",
+}
+
+PARAMETER_ALLOWLIST = {
+    "cli.main.argv": "set by the tests and the benchmark's tracing shim, which run the CLI in process",
 }
 
 
@@ -106,3 +114,110 @@ def test_allowlist_is_current():
     unreferenced = set(_unreferenced())
     assert set(ALLOWLIST) <= defined, set(ALLOWLIST) - defined
     assert set(ALLOWLIST) <= unreferenced, set(ALLOWLIST) - unreferenced
+
+
+def _callables():
+    """(qualified name, arguments node, whether the first argument is
+    bound, call name, qualifiers) for every top-level function, every
+    method of a top-level class and every class `__init__`, which is called
+    by the class's name.  A qualifier is as in `_references`: a function or
+    class is called bare (None) or as `module.name`, a method through any
+    object (any qualifier but None)."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                out.append((f"{module}.{node.name}", node.args, False, node.name, {None, module}))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    qualname = f"{module}.{node.name}.{item.name}"
+                    bound = not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    if item.name == "__init__":
+                        out.append((qualname, item.args, True, node.name, {None, module}))
+                    elif not item.name.startswith("__"):
+                        out.append((qualname, item.args, bound, item.name, None))
+    return out
+
+
+def _calls():
+    """(name, qualifier, call node) for every call under src/ of a bare name
+    or an attribute, qualified as in `_references`."""
+    out = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                out.append((node.func.id, None, node))
+            elif isinstance(node.func, ast.Attribute):
+                value = node.func.value
+                qualifier = value.id if isinstance(value, ast.Name) else ""
+                out.append((node.func.attr, qualifier, node))
+    return out
+
+
+VARIED = object()
+
+
+def _literal(node):
+    """The repr of a literal expression, or VARIED for any other."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError):
+        return VARIED
+
+
+def _fixed_parameters():
+    """`qualified name.parameter` for every parameter that the calls under
+    src/ never vary: each call leaves it at its default or passes one and
+    the same literal.  A call that unpacks *args or **kwargs, or leaves out
+    a required argument (a same-named callable elsewhere), varies every
+    parameter; a callable with no call under src/ is left to the
+    reachability test."""
+    calls = _calls()
+    out = []
+    for qualname, args, bound, name, qualifiers in _callables():
+        positional = args.posonlyargs + args.args
+        defaults = dict(zip(reversed(positional), reversed(args.defaults)))
+        defaults.update((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+        if bound:
+            positional = positional[1:]
+        seen = {a.arg: set() for a in positional + args.kwonlyargs}
+        hits = [
+            call
+            for n, q, call in calls
+            if n == name and (q in qualifiers if qualifiers else q is not None)
+        ]
+        for call in hits:
+            opaque = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            )
+            given = dict(zip((a.arg for a in positional), call.args))
+            given.update((k.arg, k.value) for k in call.keywords)
+            for a in positional + args.kwonlyargs:
+                if opaque or (a.arg not in given and a not in defaults):
+                    value = VARIED
+                else:
+                    value = _literal(given[a.arg] if a.arg in given else defaults[a])
+                seen[a.arg].add(value)
+        out.extend(
+            f"{qualname}.{p}"
+            for p, values in seen.items()
+            if hits and len(values) == 1 and VARIED not in values
+        )
+    return out
+
+
+def test_every_parameter_is_set_from_src():
+    fixed = [p for p in _fixed_parameters() if p not in PARAMETER_ALLOWLIST]
+    assert fixed == [], f"parameters that no call under src/ varies: {fixed}"
+
+
+def test_parameter_allowlist_is_current():
+    assert set(PARAMETER_ALLOWLIST) <= set(_fixed_parameters())
