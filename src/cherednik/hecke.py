@@ -4,23 +4,20 @@ The deformation parameter is the cyclotomic algebraic number zeta_m, never a
 float: coefficients live in Q(zeta_m) represented as coefficient tuples
 reduced modulo the m-th cyclotomic polynomial.
 
-Every elimination is one call of :meth:`CyclotomicField.kernel`, which
-eliminates the restriction of scalars to Q, phi(m) times the size, with
-:mod:`cherednik.linalg`; its kernels are in reduced row echelon form.  The
-Jacobson radical J is the kernel K of the regular-representation trace
-form (valid in characteristic zero), read off the central Casimir element C
-with one right sweep.  For m > p, where H is semisimple, J = 0 is certified
-instead by :meth:`CyclotomicField.nonsingular`: the integral gram has full
-rank modulo a degree-one prime of Z[zeta_m], over a prime l = 1 (mod m), so
-it has over Q(zeta_m).  A rank-deficient gram still takes the kernel.  The
-normal form of x modulo J is
-x - sum_f x_f K_f over the free columns f, and the quotient H/J has
-coordinates on the remaining pivot columns P.  Simple modules are counted
-through the center of H/J, the kernel in P-coordinates of the commutators
-with the generators.  The block dimensions (dim D^mu)^2 come from the LLT
-canonical basis (:func:`cherednik.fock.simple_dimensions`), a path with no
-linear algebra, and are cross-checked against the radical and the center:
-as many blocks as the center has dimensions, summing to dim H - dim J.
+Every elimination is one call of :meth:`CyclotomicField.kernel`, lifted from
+RREFs modulo split primes l = 1 (mod m); a full-rank image proves a kernel
+zero, so for m > p, where H is semisimple, the radical costs one reduction
+of the gram mod l.  The Jacobson radical J is the kernel K of the
+regular-representation trace form (valid in characteristic zero), read off
+the central Casimir element C with one right sweep.  The normal form of x
+modulo J is x - sum_f x_f K_f over the free columns f, and the quotient H/J
+has coordinates on the remaining pivot columns P.  Simple modules are
+counted through the center of H/J, the kernel in P-coordinates of the
+commutators with the generators.  The block dimensions (dim D^mu)^2 come
+from the LLT canonical basis (:func:`cherednik.fock.simple_dimensions`), a
+path with no linear algebra, and are cross-checked against the radical and
+the center: as many blocks as the center has dimensions, summing to
+dim H - dim J.
 
 Every number on this path is an integer.  The gram and the structure
 constants of H are integral, and each kernel is kept as integer vectors
@@ -36,10 +33,10 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import permutations as _itperms
-from math import lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
-from . import linalg
 from .errors import IdentityViolation
 from .fock import simple_dimensions
 from .partitions import count_m_regular
@@ -92,17 +89,56 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_LIFT_PRIMES = 16  # split primes that `CyclotomicField.kernel` tries
+
+
 @cache
-def split_prime(m: int) -> tuple[int, int]:
-    """The least prime p > 2^31 with p = 1 (mod m), over which Phi_m splits
-    into linear factors, and the first root omega of Phi_m mod p among the
-    g^((p-1)/m), g = 2, 3, ...; omega has order exactly m."""
-    p = (2**31 // m + 1) * m + 1
-    while not _is_prime(p):
-        p += m
+def split_prime(m: int, after: int = 2**29) -> tuple[int, int]:
+    """The least prime l > after with l = 1 (mod m), over which Phi_m splits
+    into linear factors (l < 2^30 from the default, a one-digit int), and the
+    first root omega of Phi_m mod l among the g^((l-1)/m), g = 2, 3, ..."""
+    l = ((after - 1) // m + 1) * m + 1
+    while not _is_prime(l):
+        l += m
     phi = cyclotomic_polynomial(m)
-    powers = (pow(g, (p - 1) // m, p) for g in range(2, p))
-    return p, next(w for w in powers if sum(c * pow(w, k, p) for k, c in enumerate(phi)) % p == 0)
+    powers = (pow(g, (l - 1) // m, l) for g in range(2, l))
+    return l, next(w for w in powers if sum(c * pow(w, k, l) for k, c in enumerate(phi)) % l == 0)
+
+
+def _rref_mod(rows: list[list[int]], ncols: int, l: int) -> dict[int, list[int]]:
+    """The RREF modulo the prime l of a matrix of residues, as {pivot column:
+    the row's entries at the free columns}.  The rows are consumed."""
+    echelon: dict[int, list[int]] = {}  # rows 1 at their pivot, 0 before it
+    for row in rows:
+        for col in sorted(echelon):
+            if f := row[col]:
+                row[col:] = [(a - f * b) % l for a, b in zip(row[col:], echelon[col][col:])]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, l)
+            echelon[lead] = [x * inv % l for x in row]
+    free = [j for j in range(ncols) if j not in echelon]
+    reduced: dict[int, list[int]] = {}
+    for p in sorted(echelon, reverse=True):  # the later pivots' rows are final
+        tail = [echelon[p][j] for j in free]
+        for q, done in reduced.items():
+            if f := echelon[p][q]:
+                tail = [(a - f * b) % l for a, b in zip(tail, done)]
+        reduced[p] = tail
+    return reduced
+
+
+def _rational(u: int, L: int) -> tuple[int, int] | None:
+    """The fraction (num, den), den > 0, with num = u * den (mod L) and |num|,
+    den at most sqrt(L/2), which is unique, or None if there is none (Wang,
+    Guy and Davenport, "P-adic reconstruction of rational numbers", 1982)."""
+    bound = isqrt(L // 2)
+    r0, r1, t0, t1 = L, u % L, 0, 1
+    while r1 > bound:
+        r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 class CyclotomicField:
@@ -116,26 +152,13 @@ class CyclotomicField:
         self.modulus = cyclotomic_polynomial(m)
         self.degree = len(self.modulus) - 1
         self.zero = (0,) * self.degree
-        one = [0] * self.degree
-        one[0] = 1
-        self.one = tuple(one)
-        # rewrite rows for zeta^k, degree <= k <= 2*degree - 2
-        rows: dict[int, tuple[int, ...]] = {}
-        cur = [-c for c in self.modulus[: self.degree]]
-        rows[self.degree] = tuple(cur)
-        for k in range(self.degree + 1, 2 * self.degree - 1):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [cur[t] + top * rows[self.degree][t] for t in range(self.degree)]
-            rows[k] = tuple(cur)
-        self._rewrite = rows
-        # zeta^0, ..., zeta^(m-1); zeta is the basis vector e_1, or the
-        # rewritten zeta^1 in degree 1
-        zeta = rows[1] if self.degree == 1 else tuple(int(k == 1) for k in range(self.degree))
+        self.one = (1,) + self.zero[1:]
+        # zeta^0, ..., zeta^(m-1): zeta times z shifts z up, and the zeta^d
+        # that leaves the basis is -(Phi_m - zeta^d)
         self._powers = [self.one]
         for _ in range(m - 1):
-            self._powers.append(self.mul(self._powers[-1], zeta))
+            z = self._powers[-1]
+            self._powers.append(tuple(x - z[-1] * c for x, c in zip((0,) + z[:-1], self.modulus)))
 
     def zeta(self, power: int = 1) -> CycElement:
         return self._powers[power % self.m]
@@ -160,104 +183,87 @@ class CyclotomicField:
                     if y:
                         conv[i + j] += x * y
         out = conv[:d]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = conv[k]
-            if c:
-                row = self._rewrite[k]
-                for t in range(d):
-                    if row[t]:
-                        out[t] += c * row[t]
+        for k in range(d, 2 * d - 1):
+            if c := conv[k]:
+                for t, z in enumerate(self._powers[k % self.m]):
+                    if z:
+                        out[t] += c * z
         return tuple(out)
 
     def is_zero(self, a: CycElement) -> bool:
         return not any(a)
 
     def inv(self, a: CycElement) -> CycElement:
-        """Field inverse, with Fraction coefficients.  For a = A / n with A
-        integral, the kernel of the 1 x 2 row [A, -n] is the line through
-        (1/a, 1)."""
+        """Field inverse, with Fraction coefficients: for a = A / n with A
+        integral, the kernel of the row [A, -n] is the line through (1/a, 1)."""
         from fractions import Fraction
 
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
         n = lcm(*(x.denominator for x in a))
-        A = tuple(int(x * n) for x in a)
-        den, kern = self.kernel([[A, self.scale(self.one, -n)]], 2)
-        if len(kern) != 1:
-            raise ArithmeticError("multiplication by a nonzero element is singular")
-        ((_, (x, _)),) = kern
+        row = [tuple(int(c * n) for c in a), self.scale(self.one, -n)]
+        den, [(_, (x, _))] = self.kernel([row], 2)
         return tuple(Fraction(c, den) for c in x)
 
-    def nonsingular(self, fmatrix: list[list[CycElement]]) -> bool:
-        """True only if the square integral matrix is nonsingular over the
-        field.  zeta -> omega is a ring map Z[zeta_m] -> F_p for the pair of
-        `split_prime`, so an image that row-reduces to full rank mod p
-        proves the determinant nonzero.  False, returned at the first row
-        that reduces to zero, proves nothing."""
-        if any(len(row) != len(fmatrix) for row in fmatrix):
-            raise ValueError("the certificate needs a square matrix")
-        p, omega = split_prime(self.m)
-        pows = [pow(omega, k, p) for k in range(self.degree + 1)]
-        if sum(c * w for c, w in zip(self.modulus, pows)) % p:
-            raise ArithmeticError(f"{omega} is not a root of Phi_{self.m} mod {p}")
-        reduced: dict[int, list[int]] = {}  # pivot column -> row, 1 there and 0 before
-        for frow in fmatrix:
-            row = [sum(c * w for c, w in zip(x, pows)) % p for x in frow]
-            for col in sorted(reduced):
-                if f := row[col]:
-                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], reduced[col][col:])]
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is None:
-                return False
-            inv = pow(row[lead], -1, p)
-            reduced[lead] = [x * inv % p for x in row]
-        return True
-
-    def _blowup_rows(self, fmatrix: list[list[CycElement]]) -> list[dict[int, int]]:
-        """Restriction of scalars: one sparse rational row per (row,
-        zeta-power) that is not zero, with column j*d + k for row[j] * zeta^k."""
-        d = self.degree
-        zpows = self._powers[:d]
-        out = []
-        for row in fmatrix:
-            # coefficient t of row[j] * zeta^k goes to rational row t
-            blown: list[dict[int, int]] = [{} for _ in range(d)]
-            for j, entry in enumerate(row):
-                if not self.is_zero(entry):
-                    for k, zp in enumerate(zpows):
-                        for t, x in enumerate(self.mul(entry, zp)):
-                            if x:
-                                blown[t][j * d + k] = x
-            out.extend(r for r in blown if r)
-        return out
-
     def kernel(self, fmatrix: list[list[CycElement]], ncols: int) -> IntKernel:
-        """RREF kernel over the field via the rational blowup, as one common
-        denominator den and (free column f, den * K_f) pairs with integer
-        coefficients; den is the least that makes them integral.
+        """RREF kernel K over the field of an integral matrix G, as its least
+        common denominator D and the pairs (free column f, D K_f).
 
-        The rational kernel is closed under multiplication by zeta, so its
-        free columns come in whole blocks (f, 0), ..., (f, d-1), and the
-        vector for (f, 0) is the field's RREF kernel vector for column f."""
-        d = self.degree
-        kern = linalg.kernel_basis(self._blowup_rows(fmatrix), ncols * d)
-        firsts = []
-        for start in range(0, len(kern), d):
-            # the free column of an RREF vector over Q is its largest column
-            free = [max(v) for v, _ in kern[start : start + d]]
-            f = free[0] // d
-            if free != list(range(f * d, f * d + d)):
-                raise ArithmeticError(
-                    f"free columns {free} of the rational kernel are not a whole block"
-                )
-            firsts.append((f, kern[start]))
-        common = lcm(*(den for _, (_, den) in firsts))
-        out = []
-        for f, (vec, den) in firsts:
-            s = common // den
-            blocks = [[vec.get(j * d + k, 0) for k in range(d)] for j in range(ncols)]
-            out.append((f, [tuple(s * x for x in c) if any(c) else self.zero for c in blocks]))
-        return common, out
+        zeta -> omega^e, e prime to m, are the phi(m) ring maps Z[zeta] -> F_l
+        of a split prime l; a full-rank image proves K = 0.  Else the pivots
+        must agree across the roots, and each entry of K is interpolated from
+        its values and reconstructed modulo the product L of the primes so far.
+        Once max_r sum_c |G_rc|_1 * max_c |D K_c|_1 * max_k |zeta^k|_inf, which
+        bounds the coefficients of G (D K), is below L/2, G (D K), 0 modulo every
+        prime above L, is 0: the rank is the pivot count, and as K_f lives on f
+        and the pivots before it, K is the field's RREF kernel."""
+        d, m = self.degree, self.m
+        norm = max((sum(sum(map(abs, x)) for x in row) for row in fmatrix), default=0)
+        bound = 2 * norm * max(max(map(abs, z)) for z in self._powers)
+        pivots = l = None
+        for _ in range(_LIFT_PRIMES):
+            l, omega = split_prime(m) if l is None else split_prime(m, l)
+            if sum(c * pow(omega, k, l) for k, c in enumerate(self.modulus)) % l:
+                raise ArithmeticError(f"{omega} is not a root of Phi_{m} mod {l}")
+            roots = [pow(omega, e, l) for e in range(1, m) if gcd(e, m) == 1]
+            rrefs = []
+            for w in roots:
+                pows = [pow(w, k, l) for k in range(d)]
+                image = [
+                    [sum(map(mul, x, pows)) % l if any(x) else 0 for x in row] for row in fmatrix
+                ]
+                rrefs.append(_rref_mod(image, ncols, l))
+                if len(rrefs[-1]) == ncols:
+                    return 1, []
+            if any(r.keys() != rrefs[0].keys() for r in rrefs):
+                continue
+            piv = sorted(rrefs[0])
+            free = [f for f in range(ncols) if f not in rrefs[0]]
+            # the coefficients of the entries -R[p][f] of K, from their values:
+            # [V | values] row-reduces to [1 | V^-1 values], V = (root^k)
+            n = len(free) * len(piv)
+            values = [[-r[p][i] % l for i in range(len(free)) for p in piv] for r in rrefs]
+            vandermonde = [[pow(w, k, l) for k in range(d)] + v for w, v in zip(roots, values)]
+            new = [x for row in sorted(_rref_mod(vandermonde, d + n, l).items()) for x in row[1]]
+            if piv != pivots:  # residues of other pivots are dropped
+                L, pivots, residues = 1, piv, [0] * len(new)
+            inv = pow(L, -1, l)  # combine by CRT
+            residues = [x + L * ((y - x) * inv % l) for x, y in zip(residues, new)]
+            L *= l
+            fractions = [_rational(x, L) for x in residues]
+            if None in fractions:
+                continue
+            D = lcm(*(den for _, den in fractions))
+            coeffs = [num * (D // den) for num, den in fractions]
+            out = [(f, [self.zero] * ncols) for f in free]
+            for i, (f, vec) in enumerate(out):
+                vec[f] = self.scale(self.one, D)
+                for j, p in enumerate(piv, i * len(piv)):
+                    if any(c := tuple(coeffs[j::n])):
+                        vec[p] = c
+            if bound * max(sum(map(abs, c)) for _, vec in out for c in vec) < L:
+                return D, out
+        raise ArithmeticError(f"no checked kernel from {_LIFT_PRIMES} split primes")
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +327,9 @@ class HeckeAlgebra:
         self._left: list[dict[Permutation, tuple[Permutation, bool]]] = []
         self._right: list[dict[Permutation, tuple[Permutation, bool]]] = []
         for i in range(p - 1):
-            lact = {}
-            ract = {}
+            lact, ract = {}, {}
             for w in self.perms:
-                siw = tuple(
-                    (i + 1 if x == i else i if x == i + 1 else x) for x in w
-                )
+                siw = tuple((i + 1 if x == i else i if x == i + 1 else x) for x in w)
                 lact[w] = (siw, w.index(i) < w.index(i + 1))
                 wsi = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
                 ract[w] = (wsi, w[i] < w[i + 1])
@@ -427,10 +430,7 @@ class HeckeAlgebra:
     @cached_property
     def _radical(self) -> IntKernel:
         """RREF basis of the radical, the kernel K of the trace form, as its
-        common denominator D and the pairs (f, D K_f).  A gram certified
-        nonsingular has the kernel the blowup would give, (1, [])."""
-        if self.field.nonsingular(self.gram):
-            return 1, []
+        common denominator D and the pairs (f, D K_f)."""
         return self.field.kernel(self.gram, self.dim)
 
     @cached_property

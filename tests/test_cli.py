@@ -748,10 +748,11 @@ class TestImportBoundary:
         # the LLT oracle imports characters only when it runs
         assert loaded_library(argv) == {"fock"}
 
-    def test_hecke_simples_loads_hecke_linalg_fock_characters(self):
-        # the regular path, and the LLT oracle with the dimensions of S^lam
+    def test_hecke_simples_loads_hecke_fock_characters(self):
+        # the regular path, with its own modular elimination, and the LLT
+        # oracle with the dimensions of S^lam
         argv = ["hecke-simples", "--p", "3", "--m", "2"]
-        assert loaded_library(argv) == {"hecke", "linalg", "fock", "characters"}
+        assert loaded_library(argv) == {"hecke", "fock", "characters"}
 
     @pytest.mark.parametrize("p,m", [(3, 2), (4, 5)])
     def test_hecke_audit_leaves_sympy_unloaded(self, p, m):

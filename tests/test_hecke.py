@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cherednik import cli
+from cherednik import cli, linalg
 from cherednik import hecke as Hk
 from cherednik.errors import IdentityViolation
 from cherednik.partitions import count_m_regular, count_partitions
+from test_linalg import blowup_kernel
 
 
 @cache
@@ -546,10 +547,11 @@ class TestKernels:
         "flat", [[({1: 1}, 1)], [({1: 1}, 1), ({2: 1}, 1)]]
     )
     def test_fkernel_rejects_free_columns_that_split_a_block(self, monkeypatch, flat):
+        # the blow-up oracle checks that the rational kernel is a field kernel
         field = Hk.CyclotomicField(3)
-        monkeypatch.setattr(Hk.linalg, "kernel_basis", lambda rows, ncols: flat)
+        monkeypatch.setattr(linalg, "kernel_basis", lambda rows, ncols: flat)
         with pytest.raises(ArithmeticError):
-            field.kernel([[field.zero, field.zero]], 2)
+            blowup_kernel(field, [[field.zero, field.zero]], 2)
 
 
 class TestKernelDigests:
@@ -582,12 +584,14 @@ def hook_dimension(lam):
 
 @st.composite
 def field_matrix(draw, planted):
-    """A field and a small square integral matrix over Z[zeta_m], m <= 12;
-    with `planted`, one row is a Z[zeta]-combination of the others."""
-    F = Hk.CyclotomicField(draw(st.integers(2, 12)))
+    """(field, rows, ncols): a small integral matrix over Z[zeta_m], m <= 12.
+    With `planted` it is square and one row is a Z[zeta]-combination of the
+    others; without, it has 0 to 5 rows."""
+    F = FIELDS[draw(st.integers(2, 12))]
     n = draw(st.integers(1, 4))
     entry = st.tuples(*[st.integers(-3, 3)] * F.degree)
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    nrows = n if planted else draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=nrows, max_size=nrows))
     if planted:
         k = draw(st.integers(0, n - 1))
         others = rows[:k] + rows[k + 1 :]
@@ -596,12 +600,12 @@ def field_matrix(draw, planted):
         for c, row in zip(coeffs, others):
             combo = [F.add(x, F.mul(c, y)) for x, y in zip(combo, row)]
         rows[k] = combo
-    return F, rows
+    return F, rows, n
 
 
 class TestCertificate:
-    """The nonsingularity certificate modulo a split prime stands in for the
-    blowup kernel of a full-rank gram, and for nothing else."""
+    """The kernel lifted from RREFs modulo split primes is the kernel of the
+    rational blow-up; a full-rank image certifies it zero."""
 
     @pytest.mark.parametrize(
         "p,m", [(p, m) for p in (2, 3, 4) for m in range(2, 9)] + [(5, 2), (5, 3), (5, 4)]
@@ -609,8 +613,8 @@ class TestCertificate:
     def test_radical_equals_the_blowup_kernel(self, p, m):
         H = shared_algebra(p, m)
         # H is semisimple exactly when m > p, and the certificate fires there
-        assert H.field.nonsingular(H.gram) == (m > p)
-        assert H._radical == H.field.kernel(H.gram, H.dim)
+        assert (H._radical == (1, [])) == (m > p)
+        assert H._radical == blowup_kernel(H.field, H.gram, H.dim)
 
     @pytest.mark.parametrize("m", [6, 7])
     def test_rank_5_semisimple_blocks_are_squared_hook_dimensions(self, m):
@@ -625,31 +629,37 @@ class TestCertificate:
     @settings(max_examples=150, deadline=None)
     @given(field_matrix(planted=True))
     def test_planted_dependency_is_never_certified(self, case):
-        F, rows = case
-        assert not F.nonsingular(rows)
+        F, rows, n = case
+        kernel = F.kernel(rows, n)
+        assert kernel == blowup_kernel(F, rows, n)
+        assert kernel[1]
 
     @settings(max_examples=150, deadline=None)
     @given(field_matrix(planted=False))
+    @example((FIELDS[3], [], 3))
+    @example((FIELDS[5], [], 0))
+    @example((FIELDS[4], [[(0, 0), (0, 0)]], 2))
+    @example((FIELDS[6], [[(1, 2), (0, 1)], [(0, 0), (0, 0)], [(2, 4), (0, 2)]], 2))
     def test_certified_matrix_has_an_empty_blowup_kernel(self, case):
-        F, rows = case
-        if F.nonsingular(rows):
-            assert F.kernel(rows, len(rows)) == (1, [])
+        # the kernel equals the blow-up's, the certificate (1, []) included
+        F, rows, n = case
+        assert F.kernel(rows, n) == blowup_kernel(F, rows, n)
 
     def test_split_prime_has_a_root_of_exact_order_m(self):
         for m in range(2, 61):
             p, omega = Hk.split_prime(m)
-            assert sympy.isprime(p) and p % m == 1 and p > 2**31
+            assert sympy.isprime(p) and p % m == 1 and 2**29 < p < 2**30
             assert pow(omega, m, p) == 1
             assert all(pow(omega, m // q, p) != 1 for q in sympy.primefactors(m))
+            # the next split prime, for a lift that needs one
+            nxt, _ = Hk.split_prime(m, p)
+            assert sympy.isprime(nxt) and nxt % m == 1
+            assert not any(sympy.isprime(k) for k in range(p + m, nxt, m))
 
-    def test_non_square_matrix_is_refused(self):
-        F = Hk.CyclotomicField(5)
-        with pytest.raises(ValueError):
-            F.nonsingular([[F.one, F.zero]])
-
-    def test_singular_gram_falls_through_to_the_blowup(self, monkeypatch, capsys):
+    def test_singular_gram_takes_the_lifted_kernel(self, monkeypatch, capsys):
         # at (4, 5) the gram has full rank; with row 0 replaced by the sum of
-        # rows 1 and 2 it has rank 23, which only the blowup can say
+        # rows 1 and 2 it has rank 23, so no image is full rank and the lift
+        # finds the one kernel vector
         real_gram = vars(Hk.HeckeAlgebra)["gram"].func
         real_kernel = Hk.CyclotomicField.kernel
         kernel_widths = []
@@ -668,7 +678,9 @@ class TestCertificate:
         monkeypatch.setattr(Hk.HeckeAlgebra, "gram", gram)
         monkeypatch.setattr(Hk.CyclotomicField, "kernel", spy)
         H = Hk.HeckeAlgebra(4, 5)
-        assert not H.field.nonsingular(H.gram)
+        assert len(H._radical[1]) == 1
+        assert H._radical == blowup_kernel(H.field, H.gram, H.dim)
+        kernel_widths.clear()
         code = cli.main(["hecke-simples", "--p", "4", "--m", "5"])
         result = json.loads(capsys.readouterr().out)["result"]
         assert kernel_widths[0] == 24
@@ -688,6 +700,69 @@ class TestCertificate:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("internal error: ArithmeticError(")
+
+
+class TestLift:
+    """Faults injected into the modular lift: each must end in the true
+    kernel, from another prime, or in an ArithmeticError."""
+
+    @pytest.mark.parametrize("p,m", [(4, 3), (5, 3), (4, 4)])
+    def test_pivot_dropped_at_one_root_takes_the_next_prime(self, monkeypatch, p, m):
+        real = Hk._rref_mod
+        primes = []
+
+        def dropped(rows, ncols, l):
+            out = real(rows, ncols, l)
+            primes.append(l)
+            if len(primes) == 2:
+                # the second root of the first prime
+                del out[max(out)]
+            return out
+
+        monkeypatch.setattr(Hk, "_rref_mod", dropped)
+        H = Hk.HeckeAlgebra(p, m)
+        assert H._radical == shared_algebra(p, m)._radical
+        assert primes[0] == primes[1] < primes[2]
+
+    def test_pivot_dropped_at_every_prime_is_an_error(self, monkeypatch):
+        real = Hk._rref_mod
+        primes = []
+
+        def dropped(rows, ncols, l):
+            out = real(rows, ncols, l)
+            primes.append(l)
+            if primes.count(l) == 2:
+                del out[max(out)]
+            return out
+
+        monkeypatch.setattr(Hk, "_rref_mod", dropped)
+        with pytest.raises(ArithmeticError, match="no checked kernel"):
+            Hk.HeckeAlgebra(4, 3)._radical
+        assert len(set(primes)) == len(primes) // 2 == Hk._LIFT_PRIMES
+
+    def test_unlucky_prime_with_agreeing_pivots_fails_the_bound(self, monkeypatch):
+        # 7 divides the first entry, so both roots of Phi_3 mod 7 see the
+        # pivot at column 1 and the kernel vector e_0, which reconstructs;
+        # only the bound, 2 * 8 * 1 > 7, sends the lift on to primes that see
+        # the pivot at column 0
+        real_prime = Hk.split_prime
+        monkeypatch.setattr(Hk, "split_prime", lambda m, after=6: real_prime(m, after))
+        F, rows = FIELDS[3], [[(7, 0), (1, 0)]]
+        assert F.kernel(rows, 2) == blowup_kernel(F, rows, 2) == (7, [(1, [(-1, 0), (7, 0)])])
+
+    @pytest.mark.parametrize("p,m", [(4, 3), (5, 3)])
+    def test_tiny_first_prime_fails_and_combines_primes(self, monkeypatch, p, m):
+        # 7 is the least prime = 1 (mod 3): no one prime near it reconstructs
+        # these kernels, so residues of several primes are combined by CRT
+        real_prime, real_rational = Hk.split_prime, Hk._rational
+        moduli = set()
+        monkeypatch.setattr(Hk, "split_prime", lambda m, after=6: real_prime(m, after))
+        monkeypatch.setattr(Hk, "_rational", lambda u, L: moduli.add(L) or real_rational(u, L))
+        H = Hk.HeckeAlgebra(p, m)
+        truth = shared_algebra(p, m)
+        assert (H._radical, H._center) == (truth._radical, truth._center)
+        assert min(moduli) == 7
+        assert any(not sympy.isprime(L) for L in moduli)
 
 
 class TestDenominators:

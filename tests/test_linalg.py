@@ -65,8 +65,8 @@ def oracle_kernel_basis(
 
 
 def oracle_blowup_rows(field, fmatrix):
-    """The dense restriction of scalars that CyclotomicField._blowup_rows
-    replaced: one row per (row, zeta-power), zero rows included."""
+    """The dense restriction of scalars that `blowup_rows` replaced: one row
+    per (row, zeta-power), zero rows included."""
     d = field.degree
     zpows = field._powers[:d]
     zero_block = [field.zero] * d
@@ -79,6 +79,57 @@ def oracle_blowup_rows(field, fmatrix):
         for t in range(d):
             out.append([block[k][t] for block in blocks for k in range(d)])
     return out
+
+
+# CyclotomicField._blowup_rows and the blow-up CyclotomicField.kernel that
+# the modular lift replaced, verbatim with the field as an argument, kept as
+# the differential oracle of the lift.
+def blowup_rows(field, fmatrix: list[list]) -> list[dict[int, int]]:
+    """Restriction of scalars: one sparse rational row per (row,
+    zeta-power) that is not zero, with column j*d + k for row[j] * zeta^k."""
+    d = field.degree
+    zpows = field._powers[:d]
+    out = []
+    for row in fmatrix:
+        # coefficient t of row[j] * zeta^k goes to rational row t
+        blown: list[dict[int, int]] = [{} for _ in range(d)]
+        for j, entry in enumerate(row):
+            if not field.is_zero(entry):
+                for k, zp in enumerate(zpows):
+                    for t, x in enumerate(field.mul(entry, zp)):
+                        if x:
+                            blown[t][j * d + k] = x
+        out.extend(r for r in blown if r)
+    return out
+
+
+def blowup_kernel(field, fmatrix: list[list], ncols: int):
+    """RREF kernel over the field via the rational blowup, as one common
+    denominator den and (free column f, den * K_f) pairs with integer
+    coefficients; den is the least that makes them integral.
+
+    The rational kernel is closed under multiplication by zeta, so its
+    free columns come in whole blocks (f, 0), ..., (f, d-1), and the
+    vector for (f, 0) is the field's RREF kernel vector for column f."""
+    d = field.degree
+    kern = linalg.kernel_basis(blowup_rows(field, fmatrix), ncols * d)
+    firsts = []
+    for start in range(0, len(kern), d):
+        # the free column of an RREF vector over Q is its largest column
+        free = [max(v) for v, _ in kern[start : start + d]]
+        f = free[0] // d
+        if free != list(range(f * d, f * d + d)):
+            raise ArithmeticError(
+                f"free columns {free} of the rational kernel are not a whole block"
+            )
+        firsts.append((f, kern[start]))
+    common = lcm(*(den for _, (_, den) in firsts))
+    out = []
+    for f, (vec, den) in firsts:
+        s = common // den
+        blocks = [[vec.get(j * d + k, 0) for k in range(d)] for j in range(ncols)]
+        out.append((f, [tuple(s * x for x in c) if any(c) else field.zero for c in blocks]))
+    return common, out
 
 
 def sparse(row):
@@ -193,27 +244,13 @@ def test_full_rank_matches_sympy(seed):
 
 @pytest.mark.parametrize("p,m,rad_dim", [(4, 5, 0), (4, 3, 4)])
 def test_hecke_gram_blowup_matches_sympy(p, m, rad_dim):
-    # the restriction of scalars of the trace form, as the radical uses it
+    # the restriction of scalars of the trace form, dense, against sympy
     H = hecke.HeckeAlgebra(p, m)
     ncols = H.dim * H.field.degree
-    rows = [densify(row, ncols) for row in H.field._blowup_rows(H.gram)]
+    rows = oracle_blowup_rows(H.field, H.gram)
     kern = dense_kernel(rows, ncols)
     assert rational(kern) == sympy_kernel(rows, ncols)
     assert len(kern) == rad_dim * H.field.degree
-
-
-@pytest.mark.parametrize("p,m", [(4, 3), (4, 5)])
-def test_blowup_rows_are_the_dense_blowup_without_zero_rows(p, m):
-    H = hecke.HeckeAlgebra(p, m)
-    ncols = H.dim * H.field.degree
-    # a zero field row blows up to d zero rows; the gram has none
-    fmatrix = H.gram + [[H.field.zero] * H.dim]
-    rows = H.field._blowup_rows(fmatrix)
-    assert all(rows)
-    assert all(x for row in rows for x in row.values())
-    assert all(list(row) == sorted(row) for row in rows)
-    expected = [row for row in oracle_blowup_rows(H.field, fmatrix) if any(row)]
-    assert [list(densify(row, ncols)) for row in rows] == expected
 
 
 entries = st.one_of(
