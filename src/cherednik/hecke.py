@@ -4,20 +4,21 @@ The deformation parameter is the cyclotomic algebraic number zeta_m, never a
 float: coefficients live in Q(zeta_m) represented as coefficient tuples
 reduced modulo the m-th cyclotomic polynomial.
 
-Every elimination is one call of :meth:`CyclotomicField.kernel`, lifted from
-RREFs modulo split primes l = 1 (mod m); a full-rank image proves a kernel
-zero, so for m > p, where H is semisimple, the radical costs one reduction
-of the gram mod l.  The Jacobson radical J is the kernel K of the
-regular-representation trace form (valid in characteristic zero), read off
-the central Casimir element C with one right sweep.  The normal form of x
-modulo J is x - sum_f x_f K_f over the free columns f, and the quotient H/J
-has coordinates on the remaining pivot columns P.  Simple modules are
-counted through the center of H/J, the kernel in P-coordinates of the
-commutators with the generators.  The block dimensions (dim D^mu)^2 come
-from the LLT canonical basis (:func:`cherednik.fock.simple_dimensions`), a
-path with no linear algebra, and are cross-checked against the radical and
-the center: as many blocks as the center has dimensions, summing to
-dim H - dim J.
+Every elimination is one call of :meth:`CyclotomicField.kernel`, which hands
+the images of its matrix under zeta -> omega^e to the modular lift of
+:func:`cherednik.linalg.lift_kernel`, the package's one exact elimination; a
+full-rank image proves a kernel zero, so for m > p, where H is semisimple,
+the radical costs one reduction of the gram mod l.  The Jacobson radical J
+is the kernel K of the regular-representation trace form (valid in
+characteristic zero), read off the central Casimir element C with one right
+sweep.  The normal form of x modulo J is x - sum_f x_f K_f over the free
+columns f, and the quotient H/J has coordinates on the remaining pivot
+columns P.  Simple modules are counted through the center of H/J, the kernel
+in P-coordinates of the commutators with the generators.  The block
+dimensions (dim D^mu)^2 come from the LLT canonical basis
+(:func:`cherednik.fock.simple_dimensions`), a path with no linear algebra,
+and are cross-checked against the radical and the center: as many blocks as
+the center has dimensions, summing to dim H - dim J.
 
 Every number on this path is an integer.  The gram and the structure
 constants of H are integral, and each kernel is kept as integer vectors
@@ -31,14 +32,15 @@ exact identities of term dicts.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import permutations as _itperms
-from math import gcd, isqrt, lcm
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from .errors import IdentityViolation
 from .fock import simple_dimensions
+from .linalg import IntRow, cyclotomic_polynomial, lift_kernel
 from .partitions import count_m_regular
 
 Permutation = tuple[int, ...]
@@ -49,96 +51,6 @@ IntKernel = tuple[int, list[tuple[int, list[CycElement]]]]
 
 # ---------------------------------------------------------------------------
 # cyclotomic field arithmetic
-
-
-@cache
-def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the m-th cyclotomic polynomial:
-    x^m - 1 divided exactly by the monic Phi_d for each proper divisor d."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if m == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            divisor = cyclotomic_polynomial(d)
-            n = len(divisor)
-            quot = [0] * (len(poly) - n + 1)
-            for k in range(len(quot) - 1, -1, -1):
-                c = quot[k] = poly[k + n - 1]
-                if c:
-                    for j in range(n):
-                        poly[k + j] -= c * divisor[j]
-            if any(poly):
-                raise ArithmeticError("polynomial division left a remainder")
-            poly = quot
-    return tuple(poly)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
-    for b in bases:
-        chain = [pow(b, (n - 1) >> (s - k), n) for k in range(s)]
-        if chain[0] != 1 and n - 1 not in chain:
-            return False
-    return True
-
-
-_LIFT_PRIMES = 16  # split primes that `CyclotomicField.kernel` tries
-
-
-@cache
-def split_prime(m: int, after: int = 2**29) -> tuple[int, int]:
-    """The least prime l > after with l = 1 (mod m), over which Phi_m splits
-    into linear factors (l < 2^30 from the default, a one-digit int), and the
-    first root omega of Phi_m mod l among the g^((l-1)/m), g = 2, 3, ..."""
-    l = ((after - 1) // m + 1) * m + 1
-    while not _is_prime(l):
-        l += m
-    phi = cyclotomic_polynomial(m)
-    powers = (pow(g, (l - 1) // m, l) for g in range(2, l))
-    return l, next(w for w in powers if sum(c * pow(w, k, l) for k, c in enumerate(phi)) % l == 0)
-
-
-def _rref_mod(rows: list[list[int]], ncols: int, l: int) -> dict[int, list[int]]:
-    """The RREF modulo the prime l of a matrix of residues, as {pivot column:
-    the row's entries at the free columns}.  The rows are consumed."""
-    echelon: dict[int, list[int]] = {}  # rows 1 at their pivot, 0 before it
-    for row in rows:
-        for col in sorted(echelon):
-            if f := row[col]:
-                row[col:] = [(a - f * b) % l for a, b in zip(row[col:], echelon[col][col:])]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            inv = pow(row[lead], -1, l)
-            echelon[lead] = [x * inv % l for x in row]
-    free = [j for j in range(ncols) if j not in echelon]
-    reduced: dict[int, list[int]] = {}
-    for p in sorted(echelon, reverse=True):  # the later pivots' rows are final
-        tail = [echelon[p][j] for j in free]
-        for q, done in reduced.items():
-            if f := echelon[p][q]:
-                tail = [(a - f * b) % l for a, b in zip(tail, done)]
-        reduced[p] = tail
-    return reduced
-
-
-def _rational(u: int, L: int) -> tuple[int, int] | None:
-    """The fraction (num, den), den > 0, with num = u * den (mod L) and |num|,
-    den at most sqrt(L/2), which is unique, or None if there is none (Wang,
-    Guy and Davenport, "P-adic reconstruction of rational numbers", 1982)."""
-    bound = isqrt(L // 2)
-    r0, r1, t0, t1 = L, u % L, 0, 1
-    while r1 > bound:
-        r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 class CyclotomicField:
@@ -207,63 +119,27 @@ class CyclotomicField:
 
     def kernel(self, fmatrix: list[list[CycElement]], ncols: int) -> IntKernel:
         """RREF kernel K over the field of an integral matrix G, as its least
-        common denominator D and the pairs (free column f, D K_f).
+        common denominator D and the pairs (free column f, D K_f): the
+        modular lift of `linalg.lift_kernel` from the images of G under the
+        phi(m) maps zeta -> omega^e; a full-rank image gives (1, [])."""
 
-        zeta -> omega^e, e prime to m, are the phi(m) ring maps Z[zeta] -> F_l
-        of a split prime l; a full-rank image proves K = 0.  Else the pivots
-        must agree across the roots, and each entry of K is interpolated from
-        its values and reconstructed modulo the product L of the primes so far.
-        Once max_r sum_c |G_rc|_1 * max_c |D K_c|_1 * max_k |zeta^k|_inf, which
-        bounds the coefficients of G (D K), is below L/2, G (D K), 0 modulo every
-        prime above L, is 0: the rank is the pivot count, and as K_f lives on f
-        and the pivots before it, K is the field's RREF kernel."""
-        d, m = self.degree, self.m
+        def images(l: int, w: int) -> list[IntRow]:
+            pows = [pow(w, k, l) for k in range(self.degree)]
+            return [
+                {c: sum(map(mul, x, pows)) for c, x in enumerate(row) if any(x)} for row in fmatrix
+            ]
+
         norm = max((sum(sum(map(abs, x)) for x in row) for row in fmatrix), default=0)
         bound = 2 * norm * max(max(map(abs, z)) for z in self._powers)
-        pivots = l = None
-        for _ in range(_LIFT_PRIMES):
-            l, omega = split_prime(m) if l is None else split_prime(m, l)
-            if sum(c * pow(omega, k, l) for k, c in enumerate(self.modulus)) % l:
-                raise ArithmeticError(f"{omega} is not a root of Phi_{m} mod {l}")
-            roots = [pow(omega, e, l) for e in range(1, m) if gcd(e, m) == 1]
-            rrefs = []
-            for w in roots:
-                pows = [pow(w, k, l) for k in range(d)]
-                image = [
-                    [sum(map(mul, x, pows)) % l if any(x) else 0 for x in row] for row in fmatrix
-                ]
-                rrefs.append(_rref_mod(image, ncols, l))
-                if len(rrefs[-1]) == ncols:
-                    return 1, []
-            if any(r.keys() != rrefs[0].keys() for r in rrefs):
-                continue
-            piv = sorted(rrefs[0])
-            free = [f for f in range(ncols) if f not in rrefs[0]]
-            # the coefficients of the entries -R[p][f] of K, from their values:
-            # [V | values] row-reduces to [1 | V^-1 values], V = (root^k)
-            n = len(free) * len(piv)
-            values = [[-r[p][i] % l for i in range(len(free)) for p in piv] for r in rrefs]
-            vandermonde = [[pow(w, k, l) for k in range(d)] + v for w, v in zip(roots, values)]
-            new = [x for row in sorted(_rref_mod(vandermonde, d + n, l).items()) for x in row[1]]
-            if piv != pivots:  # residues of other pivots are dropped
-                L, pivots, residues = 1, piv, [0] * len(new)
-            inv = pow(L, -1, l)  # combine by CRT
-            residues = [x + L * ((y - x) * inv % l) for x, y in zip(residues, new)]
-            L *= l
-            fractions = [_rational(x, L) for x in residues]
-            if None in fractions:
-                continue
-            D = lcm(*(den for _, den in fractions))
-            coeffs = [num * (D // den) for num, den in fractions]
-            out = [(f, [self.zero] * ncols) for f in free]
-            for i, (f, vec) in enumerate(out):
-                vec[f] = self.scale(self.one, D)
-                for j, p in enumerate(piv, i * len(piv)):
-                    if any(c := tuple(coeffs[j::n])):
-                        vec[p] = c
-            if bound * max(sum(map(abs, c)) for _, vec in out for c in vec) < L:
-                return D, out
-        raise ArithmeticError(f"no checked kernel from {_LIFT_PRIMES} split primes")
+        vectors = lift_kernel(self.m, images, ncols, bound)
+        D = lcm(*(den for _, den, _ in vectors))
+        out = [
+            (f, [tuple(c.get(p, 0) * (D // den) for c in v) for p in range(ncols)])
+            for f, den, v in vectors
+        ]
+        for f, vec in out:
+            vec[f] = self.scale(self.one, D)
+        return D, out
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,25 @@ class TestExitCodes:
         assert captured.err == f"internal error: {exc(message)!r}\n"
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["dunkl-check", "--n", "3", "--c", "1/2", "--degree", "0"], "max_degree must be at least 1"),
+            (["singular", "--n", "3", "--c", "1/2", "--degree", "0"], "degree must be at least 1"),
+            (["fock-trace", "--m", "2", "--max", "-1"], "truncation must be nonnegative"),
+            (["hecke-simples", "--p", "0", "--m", "2"], "rank must be positive, got 0"),
+            (["hecke-simples", "--p", "3", "--m", "1"], "m must be at least 2, got 1"),
+        ],
+        ids=["dunkl-check-degree-0", "singular-degree-0", "fock-trace-max-negative", "hecke-p-0", "hecke-m-1"],
+    )
+    def test_library_refusal_exits_2(self, capsys, argv, message):
+        # flags that parse but that the library refuses
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("exc", [RuntimeError, ValueError])
     def test_exit_3_on_formatting_fault(self, monkeypatch, capsys, exc):
         # the command ran; a fault while formatting its output is internal,
@@ -574,6 +593,46 @@ class TestCountingFaults:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("identity violation: ")
+
+    def test_product_table_off_by_one_fails_the_trace(self, monkeypatch, capsys, fresh_census):
+        # the walk's eigenvalue table is checked against the Euler product
+        real = fock._product_table
+
+        def bumped(m, truncation):
+            table = [list(row) for row in real(m, truncation)]
+            table[4][2] += 1
+            return tuple(map(tuple, table))
+
+        monkeypatch.setattr(fock, "_product_table", bumped)
+        code = cli.main(["fock-trace", "--m", "2", "--max", "6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "identity violation: trace sum disagrees with its product expansion\n"
+
+    def test_m_regular_count_off_by_one_fails_the_product(self, monkeypatch, capsys, fresh_census):
+        # the product expansion is checked against the partition counts
+        real = fock.count_m_regular
+        monkeypatch.setattr(fock, "count_m_regular", lambda n, m: real(n, m) + (n == 3))
+        code = cli.main(["bo-verify", "--n-max", "6", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "identity violation: product expansion disagrees with counts at s^3 t^0\n"
+
+    def test_missing_canonical_basis_vector_exits_1(self, monkeypatch, capsys):
+        # without the 2-regular (3, 2), the LLT straightening of A((5,))
+        # meets a coefficient at (3, 2) with no canonical basis vector to
+        # subtract
+        real = fock.enumerate_m_regular
+        monkeypatch.setattr(fock, "enumerate_m_regular", lambda p, e: [x for x in real(p, e) if x != (3, 2)])
+        code = cli.main(["hecke-simples", "--p", "5", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "identity violation: (3, 2) in A((5,)) at e = 2 has no canonical basis vector\n"
+        )
 
     def test_wrong_support_invariant_count_exits_1(self, monkeypatch, capsys, fresh_census):
         # the walk hands (2, 2) the invariant 3 instead of 2, and the
@@ -748,11 +807,11 @@ class TestImportBoundary:
         # the LLT oracle imports characters only when it runs
         assert loaded_library(argv) == {"fock"}
 
-    def test_hecke_simples_loads_hecke_fock_characters(self):
-        # the regular path, with its own modular elimination, and the LLT
+    def test_hecke_simples_loads_hecke_linalg_fock_characters(self):
+        # the regular path, with the modular lift of linalg, and the LLT
         # oracle with the dimensions of S^lam
         argv = ["hecke-simples", "--p", "3", "--m", "2"]
-        assert loaded_library(argv) == {"hecke", "fock", "characters"}
+        assert loaded_library(argv) == {"hecke", "linalg", "fock", "characters"}
 
     @pytest.mark.parametrize("p,m", [(3, 2), (4, 5)])
     def test_hecke_audit_leaves_sympy_unloaded(self, p, m):

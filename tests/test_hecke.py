@@ -16,7 +16,8 @@ from cherednik import cli, linalg
 from cherednik import hecke as Hk
 from cherednik.errors import IdentityViolation
 from cherednik.partitions import count_m_regular, count_partitions
-from test_linalg import blowup_kernel
+import test_linalg
+from test_linalg import assert_rrefs_agree, blowup_kernel
 
 
 @cache
@@ -549,7 +550,7 @@ class TestKernels:
     def test_fkernel_rejects_free_columns_that_split_a_block(self, monkeypatch, flat):
         # the blow-up oracle checks that the rational kernel is a field kernel
         field = Hk.CyclotomicField(3)
-        monkeypatch.setattr(linalg, "kernel_basis", lambda rows, ncols: flat)
+        monkeypatch.setattr(test_linalg, "fraction_free_kernel_basis", lambda rows, ncols: flat)
         with pytest.raises(ArithmeticError):
             blowup_kernel(field, [[field.zero, field.zero]], 2)
 
@@ -633,6 +634,7 @@ class TestCertificate:
         kernel = F.kernel(rows, n)
         assert kernel == blowup_kernel(F, rows, n)
         assert kernel[1]
+        assert_rrefs_agree(F, rows, n)
 
     @settings(max_examples=150, deadline=None)
     @given(field_matrix(planted=False))
@@ -644,15 +646,16 @@ class TestCertificate:
         # the kernel equals the blow-up's, the certificate (1, []) included
         F, rows, n = case
         assert F.kernel(rows, n) == blowup_kernel(F, rows, n)
+        assert_rrefs_agree(F, rows, n)
 
     def test_split_prime_has_a_root_of_exact_order_m(self):
         for m in range(2, 61):
-            p, omega = Hk.split_prime(m)
+            p, omega = linalg.split_prime(m)
             assert sympy.isprime(p) and p % m == 1 and 2**29 < p < 2**30
             assert pow(omega, m, p) == 1
             assert all(pow(omega, m // q, p) != 1 for q in sympy.primefactors(m))
             # the next split prime, for a lift that needs one
-            nxt, _ = Hk.split_prime(m, p)
+            nxt, _ = linalg.split_prime(m, p)
             assert sympy.isprime(nxt) and nxt % m == 1
             assert not any(sympy.isprime(k) for k in range(p + m, nxt, m))
 
@@ -689,10 +692,10 @@ class TestCertificate:
         assert result["audit_note"] == "LLT gives 5 simples, the center 4"
 
     def test_omega_off_the_cyclotomic_polynomial_is_an_internal_error(self, monkeypatch, capsys):
-        p, omega = Hk.split_prime(5)
+        p, omega = linalg.split_prime(5)
         bad = omega + 1
         assert sum(c * pow(bad, k, p) for k, c in enumerate(Hk.cyclotomic_polynomial(5))) % p
-        monkeypatch.setattr(Hk, "split_prime", lambda m: (p, bad))
+        monkeypatch.setattr(linalg, "split_prime", lambda m: (p, bad))
         with pytest.raises(ArithmeticError):
             Hk.HeckeAlgebra(4, 5)._radical
         code = cli.main(["hecke-simples", "--p", "4", "--m", "5"])
@@ -708,45 +711,45 @@ class TestLift:
 
     @pytest.mark.parametrize("p,m", [(4, 3), (5, 3), (4, 4)])
     def test_pivot_dropped_at_one_root_takes_the_next_prime(self, monkeypatch, p, m):
-        real = Hk._rref_mod
+        real = linalg._rref_mod
         primes = []
 
-        def dropped(rows, ncols, l):
-            out = real(rows, ncols, l)
+        def dropped(rows, l):
+            out = real(rows, l)
             primes.append(l)
             if len(primes) == 2:
                 # the second root of the first prime
                 del out[max(out)]
             return out
 
-        monkeypatch.setattr(Hk, "_rref_mod", dropped)
+        monkeypatch.setattr(linalg, "_rref_mod", dropped)
         H = Hk.HeckeAlgebra(p, m)
         assert H._radical == shared_algebra(p, m)._radical
         assert primes[0] == primes[1] < primes[2]
 
     def test_pivot_dropped_at_every_prime_is_an_error(self, monkeypatch):
-        real = Hk._rref_mod
+        real = linalg._rref_mod
         primes = []
 
-        def dropped(rows, ncols, l):
-            out = real(rows, ncols, l)
+        def dropped(rows, l):
+            out = real(rows, l)
             primes.append(l)
             if primes.count(l) == 2:
                 del out[max(out)]
             return out
 
-        monkeypatch.setattr(Hk, "_rref_mod", dropped)
+        monkeypatch.setattr(linalg, "_rref_mod", dropped)
         with pytest.raises(ArithmeticError, match="no checked kernel"):
             Hk.HeckeAlgebra(4, 3)._radical
-        assert len(set(primes)) == len(primes) // 2 == Hk._LIFT_PRIMES
+        assert len(set(primes)) == len(primes) // 2 == linalg._LIFT_PRIMES
 
     def test_unlucky_prime_with_agreeing_pivots_fails_the_bound(self, monkeypatch):
         # 7 divides the first entry, so both roots of Phi_3 mod 7 see the
         # pivot at column 1 and the kernel vector e_0, which reconstructs;
         # only the bound, 2 * 8 * 1 > 7, sends the lift on to primes that see
         # the pivot at column 0
-        real_prime = Hk.split_prime
-        monkeypatch.setattr(Hk, "split_prime", lambda m, after=6: real_prime(m, after))
+        real_prime = linalg.split_prime
+        monkeypatch.setattr(linalg, "split_prime", lambda m, after=6: real_prime(m, after))
         F, rows = FIELDS[3], [[(7, 0), (1, 0)]]
         assert F.kernel(rows, 2) == blowup_kernel(F, rows, 2) == (7, [(1, [(-1, 0), (7, 0)])])
 
@@ -754,10 +757,10 @@ class TestLift:
     def test_tiny_first_prime_fails_and_combines_primes(self, monkeypatch, p, m):
         # 7 is the least prime = 1 (mod 3): no one prime near it reconstructs
         # these kernels, so residues of several primes are combined by CRT
-        real_prime, real_rational = Hk.split_prime, Hk._rational
+        real_prime, real_rational = linalg.split_prime, linalg._rational
         moduli = set()
-        monkeypatch.setattr(Hk, "split_prime", lambda m, after=6: real_prime(m, after))
-        monkeypatch.setattr(Hk, "_rational", lambda u, L: moduli.add(L) or real_rational(u, L))
+        monkeypatch.setattr(linalg, "split_prime", lambda m, after=6: real_prime(m, after))
+        monkeypatch.setattr(linalg, "_rational", lambda u, L: moduli.add(L) or real_rational(u, L))
         H = Hk.HeckeAlgebra(p, m)
         truth = shared_algebra(p, m)
         assert (H._radical, H._center) == (truth._radical, truth._center)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 import sympy
@@ -9,8 +11,118 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from cherednik import hecke, linalg
-from cherednik.linalg import IntRow, _eliminate, _primitive
+from cherednik import cli, dunkl, hecke, linalg
+from cherednik.linalg import IntRow
+
+
+# The fraction-free kernel_basis that the modular lift replaced, with its two
+# helpers, verbatim, kept as the differential oracle of the lift over Q.
+def _primitive(row: IntRow) -> IntRow:
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _eliminate(row: IntRow, pivot_row: IntRow, col: int) -> IntRow:
+    """The primitive part of the integer combination of `row` and
+    `pivot_row` that is zero at `col`."""
+    g = gcd(row[col], pivot_row[col])
+    a, b = pivot_row[col] // g, row[col] // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out) if out else out
+
+
+def fraction_free_kernel_basis(rows: list[IntRow], ncols: int) -> list[tuple[IntRow, int]]:
+    """Basis of {x : A x = 0} for the integer matrix A given by `rows`, each
+    a sparse row {column: nonzero int} with columns in range(ncols); an
+    empty dict is a zero row.
+
+    Returns one (vec, den) pair per free (non-pivot) column of the reduced
+    row echelon form of A, in increasing column order: `vec` is a sparse
+    int vector in increasing column order, den > 0, gcd(den, *vec.values())
+    == 1, and vec/den is the RREF kernel vector.  The vector for free column
+    f has den at f, no entry at any other free column and none after f, so
+    f == max(vec).  Callers rely on this normal form.  The empty matrix (no
+    rows) has the standard basis as kernel.
+    """
+    # pivot column -> integer row whose first nonzero entry is at the pivot
+    # and which is zero at every other pivot column
+    pivots: dict[int, IntRow] = {}
+    for r in rows:
+        if not r:
+            continue
+        r = _primitive(r)
+        for col in [col for col in r if col in pivots]:
+            r = _eliminate(r, pivots[col], col)
+        if not r:
+            continue
+        p = min(r)
+        for q, other in pivots.items():
+            if p in other:
+                pivots[q] = _eliminate(other, r, p)
+        pivots[p] = r
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        # the RREF entry at pivot p is -r[f]/r[p]; den is the lcm of their
+        # reduced denominators, so the vector comes out primitive
+        meets = sorted((p, r[f], r[p]) for p, r in pivots.items() if f in r)
+        den = lcm(*(y // gcd(x, y) for _, x, y in meets))
+        vec = {p: -x * den // y for p, x, y in meets}
+        vec[f] = den
+        basis.append((vec, den))
+    return basis
+
+
+# The dense RREF modulo l that the sparse linalg._rref_mod replaced,
+# verbatim, kept as its differential oracle.
+def dense_rref_mod(rows: list[list[int]], ncols: int, l: int) -> dict[int, list[int]]:
+    """The RREF modulo the prime l of a matrix of residues, as {pivot column:
+    the row's entries at the free columns}.  The rows are consumed."""
+    echelon: dict[int, list[int]] = {}  # rows 1 at their pivot, 0 before it
+    for row in rows:
+        for col in sorted(echelon):
+            if f := row[col]:
+                row[col:] = [(a - f * b) % l for a, b in zip(row[col:], echelon[col][col:])]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, l)
+            echelon[lead] = [x * inv % l for x in row]
+    free = [j for j in range(ncols) if j not in echelon]
+    reduced: dict[int, list[int]] = {}
+    for p in sorted(echelon, reverse=True):  # the later pivots' rows are final
+        tail = [echelon[p][j] for j in free]
+        for q, done in reduced.items():
+            if f := echelon[p][q]:
+                tail = [(a - f * b) % l for a, b in zip(tail, done)]
+        reduced[p] = tail
+    return reduced
+
+
+def sparse_rref_as_dense(rows: list[dict[int, int]], ncols: int, l: int) -> dict[int, list[int]]:
+    """linalg._rref_mod in the format of dense_rref_mod."""
+    echelon = linalg._rref_mod([dict(row) for row in rows], l)
+    free = [j for j in range(ncols) if j not in echelon]
+    return {p: [row.get(j, 0) for j in free] for p, row in echelon.items()}
+
+
+def assert_rrefs_agree(field, fmatrix, ncols):
+    """At each root of the first split prime, the sparse RREF of the image of
+    `fmatrix` equals the dense one."""
+    l, omega = linalg.split_prime(field.m)
+    for e in range(1, field.m + 1):
+        if gcd(e, field.m) == 1:
+            pows = [pow(omega, e * k, l) for k in range(field.degree)]
+            image = [[sum(map(mul, x, pows)) % l for x in row] for row in fmatrix]
+            assert sparse_rref_as_dense(list(map(sparse, image)), ncols, l) == dense_rref_mod(
+                image, ncols, l
+            )
 
 
 # The dense kernel_basis that took and returned dense rows, verbatim, kept as
@@ -83,7 +195,8 @@ def oracle_blowup_rows(field, fmatrix):
 
 # CyclotomicField._blowup_rows and the blow-up CyclotomicField.kernel that
 # the modular lift replaced, verbatim with the field as an argument, kept as
-# the differential oracle of the lift.
+# the differential oracle of the lift; the rational kernel of the blow-up is
+# the fraction-free one, so the oracle shares no code with the lift.
 def blowup_rows(field, fmatrix: list[list]) -> list[dict[int, int]]:
     """Restriction of scalars: one sparse rational row per (row,
     zeta-power) that is not zero, with column j*d + k for row[j] * zeta^k."""
@@ -112,7 +225,7 @@ def blowup_kernel(field, fmatrix: list[list], ncols: int):
     free columns come in whole blocks (f, 0), ..., (f, d-1), and the
     vector for (f, 0) is the field's RREF kernel vector for column f."""
     d = field.degree
-    kern = linalg.kernel_basis(blowup_rows(field, fmatrix), ncols * d)
+    kern = fraction_free_kernel_basis(blowup_rows(field, fmatrix), ncols * d)
     firsts = []
     for start in range(0, len(kern), d):
         # the free column of an RREF vector over Q is its largest column
@@ -276,6 +389,7 @@ def test_kernel_vectors_are_primitive_integer_vectors(case):
     rows, ncols = case
     rows = integer_rows(rows)
     kern = linalg.kernel_basis([sparse(row) for row in rows], ncols)
+    assert kern == fraction_free_kernel_basis([sparse(row) for row in rows], ncols)
     free = [max(vec) for vec, _ in kern]
     assert free == sorted(set(free))
     for (vec, den), f in zip(kern, free):
@@ -309,7 +423,8 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_sparse_kernel_matches_the_dense_oracle(case):
     rows, ncols = case
-    kern = linalg.kernel_basis(rows, ncols)
+    kern = linalg.kernel_basis([dict(row) for row in rows], ncols)
+    assert kern == fraction_free_kernel_basis(rows, ncols)
     expected = oracle_kernel_basis([list(densify(row, ncols)) for row in rows], ncols)
     assert [(densify(vec, ncols), den) for vec, den in kern] == expected
 
@@ -333,3 +448,134 @@ def test_integer_matrix_builds_no_fraction(monkeypatch):
     # the spy sees a Fraction built while it is installed
     Fraction(1, 3)
     assert made == [(1, 3)]
+
+
+@st.composite
+def residue_matrices(draw):
+    """(rows, ncols, l): sparse rows of residues modulo a small prime or a
+    split prime, zero rows and dependent rows included."""
+    l = draw(st.sampled_from([2, 3, 7, 13, linalg.split_prime(1)[0]]))
+    ncols = draw(st.integers(0, 8))
+    entry = st.integers(1, l - 1)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry) if ncols else st.just({})
+    rows = draw(st.lists(row, max_size=7))
+    if len(rows) > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, l - 1))
+        combo = {j: (rows[0].get(j, 0) + k * rows[1].get(j, 0)) % l for j in range(ncols)}
+        rows.append({j: x for j, x in combo.items() if x})
+    return rows, ncols, l
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices())
+def test_sparse_rref_mod_matches_the_dense_one(case):
+    rows, ncols, l = case
+    dense = [list(densify(row, ncols)) for row in rows]
+    assert sparse_rref_as_dense(rows, ncols, l) == dense_rref_mod(dense, ncols, l)
+
+
+@cache
+def singular_matrix(n, c, d):
+    """The rows and width that `singular` hands to kernel_basis."""
+    seen = []
+    real = linalg.kernel_basis
+    linalg.kernel_basis = lambda rows, ncols: seen.append(([dict(r) for r in rows], ncols)) or real(rows, ncols)
+    try:
+        dunkl.singular_vectors(dunkl.EngineConfig(n, Fraction(c)), d)
+    finally:
+        linalg.kernel_basis = real
+    [(rows, ncols)] = seen
+    return rows, ncols
+
+
+# singular vectors whose entries need two split primes and CRT
+CRT_CASES = [(2, "21/2", 21), (4, "9/4", 9)]
+
+
+class TestLiftOverQ:
+    """The lift at m = 1, where Phi_1 = x - 1 has the one root 1: faults
+    injected into it must end in the fraction-free kernel or in an
+    ArithmeticError."""
+
+    @pytest.fixture(params=CRT_CASES, ids=lambda case: "n{}-c{}-d{}".format(*case).replace("/", "_"))
+    def lift(self, request):
+        """The lift of a `singular` matrix, built before the test patches
+        anything, and its fraction-free kernel."""
+        rows, ncols = singular_matrix(*request.param)
+        expected = fraction_free_kernel_basis(rows, ncols)
+        return lambda: (linalg.kernel_basis([dict(r) for r in rows], ncols), expected)
+
+    def test_the_root_of_phi_1_is_1(self):
+        l, omega = linalg.split_prime(1)
+        assert omega == 1 and sympy.isprime(l) and 2**29 < l < 2**30
+
+    def test_entries_that_need_two_primes(self, monkeypatch, lift):
+        real = linalg.split_prime
+        primes = []
+        monkeypatch.setattr(linalg, "split_prime", lambda m, *after: primes.append(m) or real(m, *after))
+        kern, expected = lift()
+        assert kern == expected
+        assert primes == [1, 1]
+        # an entry needs both primes: it is larger than the first prime alone
+        # can reconstruct
+        assert max(abs(x) for vec, _ in kern for x in vec.values()) ** 2 * 2 > real(1)[0]
+
+    def test_tiny_first_prime_gives_the_fraction_free_kernel(self, monkeypatch, lift):
+        # 7 is the least prime above 6: the lift combines many primes by CRT
+        real_prime, real_rational = linalg.split_prime, linalg._rational
+        primes, moduli = [], set()
+        monkeypatch.setattr(
+            linalg, "split_prime", lambda m, after=6: primes.append(real_prime(m, after)[0]) or real_prime(m, after)
+        )
+        monkeypatch.setattr(linalg, "_rational", lambda u, L: moduli.add(L) or real_rational(u, L))
+        kern, expected = lift()
+        assert kern == expected
+        assert primes[:3] == [7, 11, 13]
+        assert any(not sympy.isprime(L) for L in moduli)
+
+    def test_pivot_dropped_at_the_first_prime(self, monkeypatch, lift):
+        real = linalg._rref_mod
+        primes = []
+
+        def dropped(rows, l):
+            out = real(rows, l)
+            primes.append(l)
+            if len(primes) == 1:
+                del out[max(out)]
+            return out
+
+        monkeypatch.setattr(linalg, "_rref_mod", dropped)
+        kern, expected = lift()
+        assert kern == expected
+        # the first prime's residues are dropped, and two more primes follow
+        assert len(primes) == 3
+
+    @staticmethod
+    def drop_a_new_pivot_at_every_prime(monkeypatch):
+        """The k-th prime loses its k-th pivot, so no two primes agree on the
+        pivots, and no one prime reconstructs the CRT_CASES entries."""
+        real = linalg._rref_mod
+        primes = []
+
+        def dropped(rows, l):
+            out = real(rows, l)
+            del out[sorted(out)[len(primes) % len(out)]]
+            primes.append(l)
+            return out
+
+        monkeypatch.setattr(linalg, "_rref_mod", dropped)
+        return primes
+
+    def test_pivot_dropped_at_every_prime_is_an_error(self, monkeypatch, lift):
+        primes = self.drop_a_new_pivot_at_every_prime(monkeypatch)
+        with pytest.raises(ArithmeticError, match="no checked kernel"):
+            lift()
+        assert len(set(primes)) == len(primes) == linalg._LIFT_PRIMES
+
+    def test_pivot_dropped_at_every_prime_exits_3(self, monkeypatch, capsys):
+        self.drop_a_new_pivot_at_every_prime(monkeypatch)
+        code = cli.main(["singular", "--n", "2", "--c", "21/2", "--degree", "21"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ArithmeticError('no checked kernel")
