@@ -13,7 +13,7 @@ from itertools import zip_longest
 from math import comb, factorial, prod
 from typing import NamedTuple
 
-from .errors import IdentityViolation
+from .errors import IdentityViolation, UsageError
 from .partitions import Partition, add, conjugate, dominates, enumerate_partitions, size
 
 # multiplicity vector over partitions of a fixed n; zero entries are absent
@@ -132,7 +132,7 @@ def induction_verdict(lam: Partition, mu: Partition, c: Fraction | None) -> Indu
     strictly below the weight of every other constituent.
     """
     if c is not None and c <= 0:
-        raise ValueError("leading term analysis requires a positive parameter")
+        raise UsageError("leading term analysis requires a positive parameter")
     target = add(lam, mu)
     product = lr_induce(lam, mu)
     induced = comb(size(target), size(lam)) * dimension(lam) * dimension(mu)

@@ -2,10 +2,11 @@
 
 Every subcommand emits machine-readable output (json by default, csv or an
 aligned table on request) and the exit code reports the identity checks:
-0 when everything asserted holds, 1 on a violated identity, 2 on usage
-errors, 3 on an internal error (any other exception).  All configuration is
-by flags; output is deterministic for fixed flags apart from the version
-header.
+0 when everything asserted holds, 1 on a violated identity
+(`IdentityViolation`), 2 on an input the library refuses (`UsageError`),
+3 on an internal error (any other exception, a builtin `ValueError`
+included).  All configuration is by flags; output is deterministic for
+fixed flags apart from the version header.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cache
 # each command imports the library module it runs, so a process loads and
 # compiles only what its command needs; these are shared by all of them
 from . import __version__, partitions
-from .errors import IdentityViolation
+from .errors import IdentityViolation, UsageError
 from .serialize import (
     fraction_str,
     json_text,
@@ -116,12 +117,12 @@ def cmd_bo_verify(args):
 
     tokens = args.m.split(",")
     if not all(tok.strip() for tok in tokens):
-        raise ValueError(f"--m lists an empty denominator: {args.m!r}")
+        raise UsageError(f"--m lists an empty denominator: {args.m!r}")
     m_values = [parse_digits(tok) for tok in tokens]
     # refused before any walk, not after the walks of the values before it
     for m in m_values:
         if m < 2:
-            raise ValueError(f"m must be at least 2, got {m}")
+            raise UsageError(f"m must be at least 2, got {m}")
     rows = [
         {
             "n": entry.n,
@@ -184,10 +185,11 @@ def cmd_lr(args):
 def cmd_dunkl_check(args):
     from . import dunkl
 
-    report = dunkl.verify_relations(dunkl.EngineConfig(args.n, parse_fraction(args.c)), args.degree)
+    c = parse_fraction(args.c)
+    report = dunkl.verify_relations(dunkl.EngineConfig(args.n, c), args.degree)
     payload = {
         "n": args.n,
-        "c": fraction_str(report.cfg.c),
+        "c": fraction_str(c),
         "degree": args.degree,
         "checked": report.checked,
         "violations": report.violations,
@@ -248,8 +250,8 @@ def cmd_hecke_simples(args):
 
     report = hecke.count_simples(args.p, args.m)
     payload = {
-        "p": report.p,
-        "m": report.m,
+        "p": args.p,
+        "m": args.m,
         "dim": report.dim,
         "rad_dim": report.rad_dim,
         "simples": report.simples,
@@ -423,13 +425,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_merge_negative_rationals(argv))
     try:
-        try:
-            payload, rows, ok = COMMANDS[args.command](args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # a formatting fault is internal, whatever its type
+        payload, rows, ok = COMMANDS[args.command](args)
         _emit(args, payload, rows, ok)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import linalg
+from .errors import UsageError
 
 Exponent = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -82,24 +83,20 @@ class EngineConfig(namedtuple("EngineConfig", "n c")):
 
     def __new__(cls, n: int, c):
         if n < 2:
-            raise ValueError(f"need at least 2 variables, got n={n}")
+            raise UsageError(f"need at least 2 variables, got n={n}")
         return super().__new__(cls, n, Fraction(c))
 
 
 def dunkl_apply(i: int, f: Polynomial, cfg: EngineConfig) -> Polynomial:
-    """s D_i f for c = r/s: the i-th deformed directional derivative, scaled
-    by the denominator of c so that it stays integral.
+    """s D_i f for c = r/s and 0 <= i < n: the i-th deformed directional
+    derivative, scaled by the denominator of c so that it stays integral.
 
     The divided difference of each monomial against each transposition is
     expanded as a telescoping sum, which is exact by construction.
     """
     n, r, s = cfg.n, cfg.c.numerator, cfg.c.denominator
-    if not 0 <= i < n:
-        raise ValueError(f"variable index {i} out of range for n={n}")
     out: Polynomial = {}
     for exp, coeff in f.items():
-        if len(exp) != n:
-            raise ValueError(f"exponent {exp} fed to an n={n} engine")
         a = exp[i]
         if a:
             e2 = exp[:i] + (a - 1,) + exp[i + 1 :]
@@ -143,7 +140,6 @@ def euler_apply(f: Polynomial, cfg: EngineConfig) -> Polynomial:
 class RelationReport(NamedTuple):
     """Outcome of sweeping the defining relations over a monomial basis."""
 
-    cfg: EngineConfig
     checked: int
     violations: list[str]
 
@@ -167,7 +163,7 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
     a failed check are written back as exponent dicts.
     """
     if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
+        raise UsageError("max_degree must be at least 1")
     n, r, s = cfg.n, cfg.c.numerator, cfg.c.denominator
     # [X_i, X_j] reaches degree D+2, the commutators read sD_i up to degree
     # D+1, and the relations are checked on the monomials of degree <= D
@@ -251,7 +247,7 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
             for i in range(n):
                 lhs = {ids[e]: x for e, x in image[i][k].items()}
                 record("conjugation", k, lhs, image[w[i]][wk], "w={},i={}", w, i)
-    return RelationReport(cfg, checked, violations)
+    return RelationReport(checked, violations)
 
 
 def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
@@ -263,7 +259,7 @@ def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
     proper submodule of the polynomial representation.
     """
     if d < 1:
-        raise ValueError("degree must be at least 1")
+        raise UsageError("degree must be at least 1")
     n = cfg.n
     cols = monomials(n, d)
     target = monomials(n, d - 1)
@@ -386,16 +382,16 @@ def ideal_stability_check(
     integral s D_i is applied.
 
     The parameter defaults to 1/m, where stability is the expected outcome;
-    passing any other value gives a negative control.  Raises ValueError when
+    passing any other value gives a negative control.  Raises UsageError when
     every slice up to max_degree is zero, since nothing would be checked.
     """
     if m < 2:
         # m = 1 would give zero ideal slices, a vacuous check
-        raise ValueError(f"m must be at least 2, got {m}")
+        raise UsageError(f"m must be at least 2, got {m}")
     if not 1 <= q <= n // m:
-        raise ValueError(f"q={q} out of range for n={n}, m={m}")
+        raise UsageError(f"q={q} out of range for n={n}, m={m}")
     if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
+        raise UsageError("max_degree must be at least 1")
     cfg = EngineConfig(n, Fraction(1, m) if c is None else c)
     dims: dict[int, int] = {}
     failures: list[str] = []
@@ -415,7 +411,7 @@ def ideal_stability_check(
                     failures.append(f"degree {d} generator {idx}: D_{i} image leaves the ideal")
     if not any(dims.values()):
         # no generator, so no image was checked: a vacuous pass
-        raise ValueError(
+        raise UsageError(
             f"the stratum ideal has no nonzero element of degree at most {max_degree}; "
             "raise the degree bound"
         )

@@ -29,7 +29,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import IdentityViolation
+from .errors import IdentityViolation, UsageError
 from .partitions import Partition, count_m_regular, count_partitions, enumerate_m_regular
 
 
@@ -37,8 +37,6 @@ def annihilate(i: int, k: list[int]) -> int:
     """Annihilation in mode i, in place: on a basis vector with k_i parts
     equal to i, remove one and return the coefficient i * k_i.  With no such
     part the image is zero: k is left alone and the coefficient is 0."""
-    if i < 1:
-        raise ValueError(f"mode must be positive, got {i}")
     c = k[i] if i < len(k) else 0
     if c:
         k[i] = c - 1
@@ -47,8 +45,6 @@ def annihilate(i: int, k: list[int]) -> int:
 
 def create(i: int, k: list[int]) -> None:
     """Creation in mode i, in place: insert one part i, with coefficient 1."""
-    if i < 1:
-        raise ValueError(f"mode must be positive, got {i}")
     if i >= len(k):
         k.extend([0] * (i + 1 - len(k)))
     k[i] += 1
@@ -63,8 +59,6 @@ def weight_operator(m: int, k: list[int]) -> int:
     The operator composition here is the computation; the walk checks that
     k came back and that the coefficient equals the eigenvalue it carries.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
     total = 0
     for i in range(m, len(k), m):
         c = annihilate(i, k)
@@ -145,9 +139,7 @@ def _walk(m: int, truncation: int) -> _Census:
     operator sees for every partition with largest part a.
     """
     if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+        raise UsageError(f"m must be positive, got {m}")
     eigenvalues = [[0] * (n + 1) for n in range(truncation + 1)]
     invariants = [{} for _ in range(truncation + 1)]
     tallied = invariants if m > 1 else None
@@ -190,7 +182,7 @@ def trace_series(m: int, truncation: int) -> Triangle:
     coefficientwise against the Euler-product expansion; a mismatch raises.
     """
     if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+        raise UsageError("truncation must be nonnegative")
     table = _walk(m, truncation).eigenvalues
     if table != _product_table(m, truncation):
         raise IdentityViolation("trace sum disagrees with its product expansion")
@@ -204,8 +196,6 @@ def product_series(m: int, truncation: int) -> Triangle:
     Expanded from its Euler product form and cross-checked against those
     counts on the whole triangle.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
     table = _product_table(m, truncation)
     for n in range(truncation + 1):
         for e in range(n + 1):
@@ -253,8 +243,6 @@ def verify_bo(m: int, n_max: int) -> list[StratumCounts]:
     dim_eigenspace and coeff_trace are one entry of the walk's table, which
     trace_series has checked against the product expansion.
     """
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
     trace = trace_series(m, n_max)
     product = product_series(m, n_max)
     census = _walk(m, n_max)
@@ -383,8 +371,6 @@ def _decomposition_numbers(p: int, e: int) -> dict[Partition, dict[Partition, in
     coefficient outside vZ[v], the lex-largest such nu loses alpha G(nu),
     alpha the bar-invariant Laurent polynomial that agrees with that
     coefficient in degrees <= 0.  mu must have coefficient 1 in A(mu)."""
-    if e < 2:
-        raise ValueError(f"e must be at least 2, got {e}")
     basis: dict[Partition, FockVector] = {}
     for mu in reversed(enumerate_m_regular(p, e)):
         vec = _ladder_vector(mu, e)

@@ -38,7 +38,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import IdentityViolation
+from .errors import IdentityViolation, UsageError
 from .fock import simple_dimensions
 from .linalg import IntRow, cyclotomic_polynomial, lift_kernel
 from .partitions import count_m_regular
@@ -59,7 +59,7 @@ class CyclotomicField:
 
     def __init__(self, m: int):
         if m < 2:
-            raise ValueError(f"m must be at least 2, got {m}")
+            raise UsageError(f"m must be at least 2, got {m}")
         self.m = m
         self.modulus = cyclotomic_polynomial(m)
         self.degree = len(self.modulus) - 1
@@ -189,7 +189,7 @@ class HeckeAlgebra:
 
     def __init__(self, p: int, m: int):
         if p < 1:
-            raise ValueError(f"rank must be positive, got {p}")
+            raise UsageError(f"rank must be positive, got {p}")
         self.p = p
         self.m = m
         self.field = CyclotomicField(m)
@@ -415,8 +415,6 @@ def check_relations(H: HeckeAlgebra) -> None:
 
 
 class HeckeSimplesReport(NamedTuple):
-    p: int
-    m: int
     dim: int
     rad_dim: int
     simples: int
@@ -460,8 +458,6 @@ def count_simples(p: int, m: int) -> HeckeSimplesReport:
         note = f"LLT blocks {blocks} do not sum to the quotient dimension {quotient_dim}"
     agree = note is None
     return HeckeSimplesReport(
-        p=p,
-        m=m,
         dim=H.dim,
         rad_dim=rad_dim,
         simples=simples,

@@ -24,8 +24,6 @@ LiftedVector = tuple[int, int, list[IntRow]]
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the m-th cyclotomic polynomial:
     x^m - 1 divided exactly by the monic Phi_d for each proper divisor d."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:

@@ -10,6 +10,8 @@ from functools import cache
 from itertools import zip_longest
 from operator import index
 
+from .errors import UsageError
+
 Partition = tuple[int, ...]
 
 
@@ -20,14 +22,14 @@ def check_partition(parts) -> Partition:
     try:
         lam = tuple(map(index, parts))
     except TypeError:
-        raise ValueError(f"parts must be integers, got {parts!r}") from None
+        raise UsageError(f"parts must be integers, got {parts!r}") from None
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     for i, p in enumerate(lam):
         if p < 1:
-            raise ValueError(f"parts must be positive, got {lam}")
+            raise UsageError(f"parts must be positive, got {lam}")
         if i + 1 < len(lam) and lam[i + 1] > p:
-            raise ValueError(f"parts must be weakly decreasing, got {lam}")
+            raise UsageError(f"parts must be weakly decreasing, got {lam}")
     return lam
 
 
@@ -56,8 +58,6 @@ def multiplicities(lam: Partition) -> dict[int, int]:
 
 def is_m_regular(lam: Partition, m: int) -> bool:
     """True iff no part value occurs m or more times."""
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
     return all(k < m for k in multiplicities(lam).values())
 
 
@@ -68,7 +68,7 @@ def support_invariant(lam: Partition, m: int) -> int:
     sequence padded by a trailing zero.  Always satisfies q * m <= |lam|.
     """
     if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
+        raise UsageError(f"m must be at least 2, got {m}")
     q = prev = 0
     # at index i, prev = lam_i and p = lam_{i+1} (1-based), so row i adds
     # i * floor((prev - p) / m); rows inside a run of equal parts add nothing
@@ -102,7 +102,7 @@ def decompose(lam: Partition, m: int) -> tuple[Partition, Partition]:
     unique and size(mu) equals support_invariant(lam, m).
     """
     if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
+        raise UsageError(f"m must be at least 2, got {m}")
     mu: list[int] = []
     nu: list[int] = []
     mu_i = nu_i = nxt = 0
@@ -133,10 +133,7 @@ def decompose_regular_parts(lam: Partition, m: int) -> tuple[Partition, Partitio
 
 def recombine_regular_parts(mu: Partition, nu: Partition, m: int) -> Partition:
     """Inverse of :func:`decompose_regular_parts`."""
-    out = nu
-    for _ in range(m):
-        out = union(out, mu)
-    return out
+    return union(nu, mu * m)
 
 
 def splitting(lam: Partition, m: int, regular: str) -> tuple[Partition, Partition, bool]:
@@ -146,17 +143,13 @@ def splitting(lam: Partition, m: int, regular: str) -> tuple[Partition, Partitio
     if regular == "transpose":
         mu, nu = decompose(lam, m)
         return mu, nu, add(scale(m, mu), nu) == lam
-    if regular != "parts":
-        raise ValueError(f"regular side must be 'transpose' or 'parts', got {regular!r}")
     mu, nu = decompose_regular_parts(lam, m)
     return mu, nu, recombine_regular_parts(mu, nu, m) == lam
 
 
 def dominates(alpha: Partition, beta: Partition) -> bool:
-    """True iff alpha >= beta in dominance order (Equal counts): every
-    prefix sum of alpha is at least the one of beta."""
-    if size(alpha) != size(beta):
-        raise ValueError("dominance is only defined for partitions of equal size")
+    """True iff alpha >= beta in dominance order, for alpha and beta of equal
+    size: every prefix sum of alpha is at least the one of beta."""
     sa = sb = 0
     for a, b in zip_longest(alpha, beta, fillvalue=0):
         sa += a
@@ -176,7 +169,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     new x[h], which gives the next partition in reverse lexicographic order.
     """
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise UsageError(f"n must be nonnegative, got {n}")
     if n == 0:
         return [()]
     x = [1] * n
@@ -226,8 +219,6 @@ def count_partitions(n: int) -> int:
 @cache
 def count_m_regular(n: int, m: int) -> int:
     """Number of partitions of n in which no part repeats m or more times."""
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
     if n < 0:
         return 0
     table = [1] + [0] * n
@@ -255,8 +246,6 @@ def label_from_pair(mu: Partition, nu: Partition, m: int) -> Partition:
     """Partition labelling the irreducible attached to the pair (mu, nu) at
     positive parameter, where nu must be m-regular: m*mu + conjugate(nu).
     At negative parameter the label is its conjugate."""
-    if not is_m_regular(nu, m):
-        raise ValueError(f"nu must be {m}-regular, got {nu}")
     return add(scale(m, mu), conjugate(nu))
 
 
@@ -268,18 +257,16 @@ def stratum_census(
     order of enumerate_partitions, and the verdict on the classification.
 
     The verdict holds when the strata are exactly q = 0..n//m, stratum q has
-    count_partitions(q) * count_m_regular(n - q*m, m) members, and
-    label_from_pair takes every member's splitting back to it; a splitting
-    it refuses as not m-regular fails the verdict.
+    count_partitions(q) * count_m_regular(n - q*m, m) members, and each
+    member's nu has an m-regular conjugate that label_from_pair takes, with
+    mu, back to the member.
     """
     groups: dict[int, list[tuple[Partition, Partition, Partition]]] = {}
     ok = True
     for lam in enumerate_partitions(n):
         mu, nu = decompose(lam, m)
-        try:
-            ok = ok and label_from_pair(mu, conjugate(nu), m) == lam
-        except ValueError:
-            ok = False
+        regular = conjugate(nu)
+        ok = ok and is_m_regular(regular, m) and label_from_pair(mu, regular, m) == lam
         groups.setdefault(support_invariant(lam, m), []).append((lam, mu, nu))
     census = dict(sorted(groups.items()))
     ok = ok and list(census) == list(range(n // m + 1))

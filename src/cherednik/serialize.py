@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import repeat
 
+from .errors import UsageError
 from .partitions import Partition, check_partition
 
 
@@ -28,26 +29,26 @@ def fraction_str(x) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
+    if "_" in text or not text.isascii():
+        raise UsageError(f"not a rational number: {text!r}")
     try:
-        if "_" in text or not text.isascii():
-            raise ValueError
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise UsageError(f"not a rational number: {text!r}") from exc
 
 
 def parse_digits(text: str) -> int:
     """A nonnegative integer in ASCII decimal digits; surrounding whitespace
     is dropped."""
     if not _DIGITS.fullmatch(text.strip()):
-        raise ValueError(f"not a plain decimal integer: {text!r}")
+        raise UsageError(f"not a plain decimal integer: {text!r}")
     return int(text)
 
 
 def parse_int(text: str) -> int:
     """An integer flag: ASCII decimal digits after an optional minus sign."""
     if not _INTEGER.fullmatch(text.strip()):
-        raise ValueError(f"not a plain decimal integer: {text!r}")
+        raise UsageError(f"not a plain decimal integer: {text!r}")
     return int(text)
 
 
@@ -59,8 +60,8 @@ def parse_partition(text: str) -> Partition:
         return ()
     try:
         parts = [parse_digits(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"not a partition: {text!r}") from exc
+    except UsageError as exc:
+        raise UsageError(f"not a partition: {text!r}") from exc
     return check_partition(parts)
 
 

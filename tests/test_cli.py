@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cherednik import characters, cli, fock, hecke, partitions
+from cherednik import characters, cli, dunkl, fock, hecke, partitions
 
 
 def run(capsys, *argv):
@@ -502,10 +502,11 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("exc", [ArithmeticError, RecursionError, NotImplementedError])
+    @pytest.mark.parametrize("exc", [ArithmeticError, RecursionError, NotImplementedError, ValueError])
     def test_exit_3_on_internal_error(self, monkeypatch, capsys, exc):
         # RecursionError and NotImplementedError are RuntimeErrors, but no
-        # identity was checked, so they must not read as a violation
+        # identity was checked, so they must not read as a violation; a
+        # builtin ValueError refuses no input, so it is not a usage error
         message = "free columns split a block\nsecond line"
 
         def broken(args):
@@ -575,6 +576,16 @@ def moved_vector(m, k):
     return total
 
 
+PRODUCT_TABLE = fock._product_table
+
+
+def bumped_product_table(m, truncation):
+    """The Euler product expansion with s^4 t^2 off by one."""
+    table = [list(row) for row in PRODUCT_TABLE(m, truncation)]
+    table[4][2] += 1
+    return tuple(map(tuple, table))
+
+
 class TestCountingFaults:
     @pytest.mark.parametrize(
         "fault",
@@ -596,14 +607,7 @@ class TestCountingFaults:
 
     def test_product_table_off_by_one_fails_the_trace(self, monkeypatch, capsys, fresh_census):
         # the walk's eigenvalue table is checked against the Euler product
-        real = fock._product_table
-
-        def bumped(m, truncation):
-            table = [list(row) for row in real(m, truncation)]
-            table[4][2] += 1
-            return tuple(map(tuple, table))
-
-        monkeypatch.setattr(fock, "_product_table", bumped)
+        monkeypatch.setattr(fock, "_product_table", bumped_product_table)
         code = cli.main(["fock-trace", "--m", "2", "--max", "6"])
         captured = capsys.readouterr()
         assert code == 1
@@ -733,6 +737,129 @@ SYMPY_FREE = [
     ["ideal-check", "--n", "3", "--m", "3", "--q", "1", "--degree", "3"],
     ["fock-trace", "--m", "2", "--max", "6"],
 ]
+
+
+# Every exit code each command can give.  support and singular assert no
+# identity, so they cannot exit 1.
+EXIT_CODES = {
+    "support": {0, 2, 3},
+    "decompose": {0, 1, 2, 3},
+    "census": {0, 1, 2, 3},
+    "bo-verify": {0, 1, 2, 3},
+    "weights": {0, 1, 2, 3},
+    "lr": {0, 1, 2, 3},
+    "dunkl-check": {0, 1, 2, 3},
+    "singular": {0, 2, 3},
+    "ideal-check": {0, 1, 2, 3},
+    "fock-trace": {0, 1, 2, 3},
+    "hecke-simples": {0, 1, 2, 3},
+}
+
+PASSING = {argv[0]: argv for argv in SYMPY_FREE[1:]} | {
+    "hecke-simples": ["hecke-simples", "--p", "3", "--m", "2"],
+}
+
+DUNKL_APPLY = dunkl.dunkl_apply
+
+
+def doubled_first_derivative(i, f, cfg):
+    """sD_0 scaled by 2, which breaks [D_0, X_0]; the other D_i are exact."""
+    image = DUNKL_APPLY(i, f, cfg)
+    return {exp: 2 * x for exp, x in image.items()} if i == 0 else image
+
+
+# a violated identity: the argv, and the library fault it needs, if any, as
+# (owner, attribute, replacement)
+VIOLATED = {
+    "decompose": (["decompose", "--lambda", "5,3,1", "--m", "2"], (partitions, "scale", lambda m, mu: mu)),
+    "census": (["census", "--n", "8", "--m", "2"], (partitions, "count_m_regular", lambda n, m: 1)),
+    "bo-verify": (["bo-verify", "--n-max", "6", "--m", "2"], (fock, "count_m_regular", lambda n, m: 0)),
+    "weights": (["weights", "--n", "3", "--c", "1/2"], (characters, "content_sum", lambda lam: 1)),
+    "lr": (["lr", "--lambda", "2,1", "--mu", "1"], (characters, "lr_induce", lambda lam, mu: {})),
+    "dunkl-check": (["dunkl-check", "--n", "3", "--c", "1/2", "--degree", "1"], (dunkl, "dunkl_apply", doubled_first_derivative)),
+    # c = 1/2 is not the parameter 1/m the ideal is stable at
+    "ideal-check": (["ideal-check", "--n", "3", "--m", "3", "--q", "1", "--degree", "3", "--c", "1/2"], None),
+    "fock-trace": (["fock-trace", "--m", "2", "--max", "6"], (fock, "_product_table", bumped_product_table)),
+    "hecke-simples": (["hecke-simples", "--p", "3", "--m", "2"], (hecke, "simple_dimensions", lambda p, e: {})),
+}
+
+# a refused input and its one error line
+REFUSED = {
+    "support": (["support", "--lambda", "3,1", "--m", "1"], "m must be at least 2, got 1"),
+    "decompose": (["decompose", "--lambda", "2,3", "--m", "2"], "parts must be weakly decreasing, got (2, 3)"),
+    "census": (["census", "--n", "-3", "--m", "2"], "n must be nonnegative, got -3"),
+    "bo-verify": (["bo-verify", "--n-max", "4", "--m", "1"], "m must be at least 2, got 1"),
+    "weights": (["weights", "--n", "3", "--c", "1/0"], "not a rational number: '1/0'"),
+    "lr": (["lr", "--lambda", "2,1", "--mu", "1", "--c", "0"], "leading term analysis requires a positive parameter"),
+    "dunkl-check": (["dunkl-check", "--n", "1", "--c", "1/2", "--degree", "1"], "need at least 2 variables, got n=1"),
+    "singular": (["singular", "--n", "3", "--c", "1/3", "--degree", "0"], "degree must be at least 1"),
+    "ideal-check": (["ideal-check", "--n", "3", "--m", "3", "--q", "0", "--degree", "3"], "q=0 out of range for n=3, m=3"),
+    "fock-trace": (["fock-trace", "--m", "0", "--max", "4"], "m must be positive, got 0"),
+    "hecke-simples": (["hecke-simples", "--p", "0", "--m", "2"], "rank must be positive, got 0"),
+}
+
+
+def injected(*args):
+    raise ValueError("injected")
+
+
+# the library attribute each command reaches, where a bare ValueError is a bug
+INTERNAL = {
+    "support": (partitions, "support_invariant", injected),
+    "decompose": (partitions, "decompose", injected),
+    "census": (partitions, "decompose", injected),
+    "bo-verify": (fock, "product_series", injected),
+    "weights": (characters, "content_sum", injected),
+    "lr": (characters, "lr_induce", injected),
+    "dunkl-check": (dunkl, "dunkl_apply", injected),
+    "singular": (dunkl, "dunkl_apply", injected),
+    "ideal-check": (dunkl, "stratum_ideal_basis", injected),
+    "fock-trace": (fock, "_walk", injected),
+    "hecke-simples": (hecke.HeckeAlgebra, "gram", property(injected)),
+}
+
+
+class TestExitCodeTable:
+    def test_table_lists_every_command(self):
+        assert set(EXIT_CODES) == set(cli.COMMANDS)
+        tables = [PASSING, VIOLATED, REFUSED, INTERNAL]  # indexed by exit code
+        for command, codes in EXIT_CODES.items():
+            assert codes == {code for code, table in enumerate(tables) if command in table}, command
+
+    @pytest.mark.parametrize("command", sorted(PASSING))
+    def test_exit_0(self, capsys, command):
+        code, payload = run_json(capsys, *PASSING[command])
+        assert code == 0
+        assert payload["ok"]
+
+    @pytest.mark.parametrize("command", sorted(VIOLATED))
+    def test_exit_1(self, monkeypatch, capsys, command):
+        argv, fault = VIOLATED[command]
+        if fault:
+            monkeypatch.setattr(*fault)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        # the failed record is in the output, or one line on stderr names the identity
+        assert (json.loads(out)["ok"] is False) if out else err.startswith("identity violation: ")
+
+    @pytest.mark.parametrize("command", sorted(REFUSED))
+    def test_exit_2(self, capsys, command):
+        argv, message = REFUSED[command]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", sorted(INTERNAL))
+    def test_exit_3_on_a_bare_value_error(self, monkeypatch, capsys, command):
+        monkeypatch.setattr(*INTERNAL[command])
+        code = cli.main(PASSING[command])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "internal error: ValueError('injected')\n"
 
 
 def probe(argv):

@@ -157,14 +157,6 @@ class TestLadderOperators:
         assert type(F.weight_operator(2, k)) is int
         assert type(F.annihilate(2, k)) is int
 
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            F.create(0, [0])
-        with pytest.raises(ValueError):
-            F.annihilate(-1, [0])
-        with pytest.raises(ValueError, match="m must be positive"):
-            F.weight_operator(0, [0])
-
     def test_heisenberg_commutator(self):
         # [a_i, a_{-j}] = i delta_{ i j } on every basis vector of degree <= 12
         modes = range(1, 13)
@@ -388,14 +380,6 @@ class TestVerify:
             assert row.count_product != row.count_qm
             assert row.count_qm == row.dim_eigenspace == row.coeff_series == row.coeff_trace
 
-    @pytest.mark.parametrize("m", [1, 0, -2])
-    def test_refuses_m_below_two_before_walking(self, monkeypatch, m):
-        calls = []
-        monkeypatch.setattr(F, "_walk", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match=f"m must be at least 2, got {m}"):
-            F.verify_bo(m, 10)
-        assert calls == []
-
 
 # (p, e) -> (rad_dim, simples, block_dims) of H_p(zeta_e): the rows that
 # test_hecke.py pins for the regular path, and six rows for p = 6, 7 that
@@ -505,10 +489,6 @@ class TestLLTOracle:
             F._divide_quantum({0: 1}, 2)
         with pytest.raises(IdentityViolation):
             F._divide_quantum(product, 4)
-
-    def test_e_below_2_is_refused(self):
-        with pytest.raises(ValueError):
-            F.simple_dimensions(3, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7), st.integers(2, 6))

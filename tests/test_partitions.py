@@ -77,10 +77,6 @@ class TestRegularity:
         assert not P.is_m_regular((1, 1), 2)
         assert P.is_m_regular((3, 3, 1), 3)
 
-    def test_m_too_small(self):
-        with pytest.raises(ValueError):
-            P.is_m_regular((2, 1), 1)
-
     def test_counts_match_enumeration(self):
         for n in range(15):
             for m in (2, 3, 4):
@@ -158,8 +154,6 @@ class TestDecompose:
                 for lam in P.enumerate_partitions(n):
                     assert P.splitting(lam, m, "transpose") == (*P.decompose(lam, m), True)
                     assert P.splitting(lam, m, "parts") == (*P.decompose_regular_parts(lam, m), True)
-        with pytest.raises(ValueError):
-            P.splitting((2, 1), 2, "rows")
 
     def test_splitting_verdict_sees_a_wrong_recombination(self, monkeypatch):
         monkeypatch.setattr(P, "recombine_regular_parts", lambda mu, nu, m: nu)
@@ -209,10 +203,6 @@ class TestDominance:
         assert P.dominates((2, 2), (2, 2))
         assert not P.dominates((3, 1, 1, 1), (2, 2, 2))
         assert not P.dominates((2, 2, 2), (3, 1, 1, 1))
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            P.dominates((2,), (1,))
 
     def test_partial_order_axioms(self):
         # reflexivity, antisymmetry and transitivity, and conjugation
@@ -301,10 +291,6 @@ class TestSupportLevelAndLabels:
         assert (positive if sign > 0 else P.conjugate(positive)) == label
         assert P.support_level(label, m, sign) == (P.size(mu), mu, nu)
 
-    def test_label_rejects_irregular(self):
-        with pytest.raises(ValueError):
-            P.label_from_pair((1,), (1, 1), 2)
-
     def test_stratum_counts(self):
         # number of partitions at stratum q is p(q) * p_regular(n - q*m)
         for n in range(16):
@@ -377,3 +363,9 @@ class TestStrata:
         label = P.label_from_pair
         monkeypatch.setattr(P, "label_from_pair", lambda mu, nu, m: P.conjugate(label(mu, nu, m)))
         assert not P.stratum_census(8, 2)[1]
+
+    def test_census_verdict_sees_an_irregular_splitting(self, monkeypatch):
+        # (mu, nu) = ((), lam) labels lam back, but conjugate(nu) is 2-regular
+        # only for lam with distinct columns
+        monkeypatch.setattr(P, "decompose", lambda lam, m: ((), lam))
+        assert not P.stratum_census(4, 2)[1]

@@ -5,7 +5,10 @@ reason for every other exception.
 
 Likewise every parameter is set by src/ itself: a parameter that every call
 under src/ leaves at its default, or sets to one and the same literal, is a
-knob that only tests turn.  PARAMETER_ALLOWLIST names the exceptions."""
+knob that only tests turn.  PARAMETER_ALLOWLIST names the exceptions.
+
+And no code under src/ raises a bare ValueError: the CLI reads only
+UsageError as a refused input, so any other ValueError is a bug."""
 
 import ast
 from pathlib import Path
@@ -221,3 +224,22 @@ def test_every_parameter_is_set_from_src():
 
 def test_parameter_allowlist_is_current():
     assert set(PARAMETER_ALLOWLIST) <= set(_fixed_parameters())
+
+
+def _value_error_raises():
+    """path:line of every `raise ValueError` or `raise ValueError(...)`
+    under src/."""
+    out = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                out.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    return out
+
+
+def test_no_bare_value_error_is_raised():
+    sites = _value_error_raises()
+    assert sites == [], "raise UsageError for a refused input; these raise ValueError:\n" + "\n".join(sites)
