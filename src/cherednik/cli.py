@@ -378,7 +378,9 @@ def _emit(args, payload: dict, rows: list[dict], ok: bool) -> None:
             "ok": ok,
             "result": payload,
         }
-        sys.stdout.write(json_text(envelope) + "\n")
+        # two writes, not a copy of a document that runs to megabytes
+        sys.stdout.write(json_text(envelope))
+        sys.stdout.write("\n")
         return
     if not rows:
         return

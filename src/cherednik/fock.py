@@ -13,7 +13,8 @@ One depth-first walk per (m, N) reaches every basis vector of degree at
 most N, vacuum included: it appends parts in nonincreasing order to one
 multiplicity vector per first part, checks the weight operator on each
 vector it reaches, and carries the eigenvalue and the support invariant
-along.  Its recursion goes one level per part, so at most N levels deep.
+along.  The 1s that end a partition are appended in a loop, so the recursion
+goes one level per part of 2 or more, at most N // 2 levels deep.
 
 The same partitions index the level-1 Fock space of U_v(sl^_e), where the
 canonical basis of Lascoux, Leclerc and Thibon (Comm. Math. Phys. 181, 1996)
@@ -58,13 +59,13 @@ def weight_operator(m: int, k: list[int]) -> int:
     the basis, with eigenvalue the total size of the parts divisible by m.
     The operator composition here is the computation; the walk checks that
     k came back and that the coefficient equals the eigenvalue it carries.
+    A mode with no part annihilates k to zero, so it is skipped.
     """
     total = 0
     for i in range(m, len(k), m):
-        c = annihilate(i, k)
-        if c:
+        if k[i]:
+            total += annihilate(i, k)
             create(i, k)
-            total += c
     return total
 
 
@@ -89,16 +90,10 @@ class _Census(NamedTuple):
     invariants: tuple[Mapping[int, int], ...]
 
 
-def _visit(m, truncation, k, n, last, length, eig, q, eigenvalues, invariants) -> None:
+def _check(m, k, before, n, eig, q, eigenvalues, invariants) -> None:
     """Check the basis vector k of one partition of n against the mode-m
-    weight operator, tally it, then visit each partition that extends it by
-    one part p <= last while the degree stays at most truncation.
-
-    The partition has `length` parts, the smallest equal to `last`, weight
-    operator eigenvalue eig and support invariant q.  k is extended in place
-    and handed back as it came.
-    """
-    before = k[:]
+    weight operator, which must hand k back equal to `before` with
+    coefficient eig; then tally eig and, unless invariants is None, q."""
     coeff = weight_operator(m, k)
     if k != before:
         lam = _partition(before)
@@ -109,23 +104,38 @@ def _visit(m, truncation, k, n, last, length, eig, q, eigenvalues, invariants) -
     if invariants is not None:
         tally = invariants[n]
         tally[q] = tally.get(q, 0) + 1
-    for p in range(1, min(last, truncation - n) + 1):
+
+
+def _visit(m, truncation, k, n, last, length, eig, q, eigenvalues, invariants) -> None:
+    """Check and tally the basis vector k of one partition of n, then visit
+    each partition that extends it by parts p <= last while the degree stays
+    at most truncation.
+
+    The partition has `length` parts, the smallest equal to `last`, weight
+    operator eigenvalue eig and support invariant q.  k is extended in place
+    and handed back as it came.
+    """
+    _check(m, k, k[:], n, eig, q, eigenvalues, invariants)
+    # q is the sum over rows i of i * ((lam_i - lam_{i+1}) // m), with a
+    # zero after the last row: a new part p turns the term length * (last // m)
+    # into length * ((last - p) // m), and the new row adds (length + 1) * (p // m)
+    if last and n < truncation:
+        # a partition ending in 1 extends only by more 1s: that chain is walked
+        # here, with one copy of k kept in step.  After the first 1 (p = 1
+        # above), each 1 adds 1 // m to q, as each 1 does to eig
+        unit = 1 // m
+        ones_q = q + length * ((last - 1) // m - last // m + unit)
+        before = k[:]
+        for j in range(1, truncation - n + 1):
+            k[1] += 1
+            before[1] += 1
+            _check(m, k, before, n + j, eig + unit * j, ones_q + unit * j, eigenvalues, invariants)
+        k[1] -= truncation - n
+    for p in range(2, min(last, truncation - n) + 1):
         k[p] += 1
-        # q is the sum over rows i of i * ((lam_i - lam_{i+1}) // m), with a
-        # zero after the last row: the term length * (last // m) becomes
-        # length * ((last - p) // m), and the new row adds (length + 1) * (p // m)
-        _visit(
-            m,
-            truncation,
-            k,
-            n + p,
-            p,
-            length + 1,
-            eig if p % m else eig + p,
-            q + length * ((last - p) // m - last // m) + (length + 1) * (p // m),
-            eigenvalues,
-            invariants,
-        )
+        child_eig = eig if p % m else eig + p
+        child_q = q + length * ((last - p) // m - last // m) + (length + 1) * (p // m)
+        _visit(m, truncation, k, n + p, p, length + 1, child_eig, child_q, eigenvalues, invariants)
         k[p] -= 1
 
 

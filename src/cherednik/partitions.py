@@ -6,9 +6,9 @@ empty tuple is the partition of 0.  Everything here is pure and exact.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import zip_longest
-from operator import index
 
 from .errors import UsageError
 
@@ -20,7 +20,7 @@ def check_partition(parts) -> Partition:
     weakly decreasing sequence of positive integers (trailing zeros are
     stripped); parts go through operator.index, so 2.7 and "3" are refused."""
     try:
-        lam = tuple(map(index, parts))
+        lam = tuple(map(operator.index, parts))
     except TypeError:
         raise UsageError(f"parts must be integers, got {parts!r}") from None
     while lam and lam[-1] == 0:
@@ -40,12 +40,13 @@ def size(lam: Partition) -> int:
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: column lengths become row lengths."""
     cols: list[int] = []
-    prev = 0
-    # walking up from the last row, columns prev+1..lam[length-1] have length `length`
-    for length in range(len(lam), 0, -1):
-        p = lam[length - 1]
-        cols += [length] * (p - prev)
-        prev = p
+    prev, length = 0, len(lam)
+    # walking up from the last row, columns prev+1..p have length `length`
+    for p in reversed(lam):
+        if p != prev:
+            cols += [length] * (p - prev)
+            prev = p
+        length -= 1
     return tuple(cols)
 
 
@@ -81,12 +82,12 @@ def support_invariant(lam: Partition, m: int) -> int:
 
 def add(lam: Partition, mu: Partition) -> Partition:
     """Componentwise sum; adding the empty partition is the identity."""
-    return tuple(a + b for a, b in zip_longest(lam, mu, fillvalue=0))
+    return tuple(map(operator.add, lam, mu)) + lam[len(mu) :] + mu[len(lam) :]
 
 
 def scale(m: int, mu: Partition) -> Partition:
     """Componentwise multiple (m * mu_1, m * mu_2, ...)."""
-    return tuple(m * p for p in mu) if m else ()
+    return tuple([m * p for p in mu]) if m else ()
 
 
 def union(lam: Partition, mu: Partition) -> Partition:
@@ -105,18 +106,19 @@ def decompose(lam: Partition, m: int) -> tuple[Partition, Partition]:
         raise UsageError(f"m must be at least 2, got {m}")
     mu: list[int] = []
     nu: list[int] = []
-    mu_i = nu_i = nxt = 0
-    # walking up from the last row both sums only grow, so dropping zeros
-    # drops exactly the trailing zeros
+    mu_i = nxt = 0
+    # walking up from the last row, mu_i sums the quotients of the differences
+    # and nu_i = p - m * mu_i the remainders: both only grow, so dropping zeros
+    # drops exactly the trailing zeros, and equal parts add nothing
     for p in reversed(lam):
-        quot, rem = divmod(p - nxt, m)
-        mu_i += quot
-        nu_i += rem
+        if p != nxt:
+            mu_i += (p - nxt) // m
+            nxt = p
         if mu_i:
             mu.append(mu_i)
+        nu_i = p - m * mu_i
         if nu_i:
             nu.append(nu_i)
-        nxt = p
     return tuple(reversed(mu)), tuple(reversed(nu))
 
 
@@ -263,10 +265,18 @@ def stratum_census(
     """
     groups: dict[int, list[tuple[Partition, Partition, Partition]]] = {}
     ok = True
+    # mu and nu repeat across the rows: each distinct one is stored once, and
+    # each distinct nu conjugated and tested for regularity once
+    mus: dict[Partition, Partition] = {}
+    nus: dict[Partition, tuple[Partition, Partition, bool]] = {}
     for lam in enumerate_partitions(n):
         mu, nu = decompose(lam, m)
-        regular = conjugate(nu)
-        ok = ok and is_m_regular(regular, m) and label_from_pair(mu, regular, m) == lam
+        mu = mus.setdefault(mu, mu)
+        if nu not in nus:
+            regular = conjugate(nu)
+            nus[nu] = (nu, regular, is_m_regular(regular, m))
+        nu, regular, is_regular = nus[nu]
+        ok = ok and is_regular and label_from_pair(mu, regular, m) == lam
         groups.setdefault(support_invariant(lam, m), []).append((lam, mu, nu))
     census = dict(sorted(groups.items()))
     ok = ok and list(census) == list(range(n // m + 1))

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import UsageError
 from .partitions import Partition, check_partition
@@ -24,11 +23,18 @@ _DIGITS = re.compile("[0-9]+")
 _INTEGER = re.compile("-?[0-9]+")
 
 
+# fractions, which loads decimal, is imported by the three functions that
+# use it, so that commands with no rational never load it
 def fraction_str(x) -> str:
+    from fractions import Fraction
+
     return str(Fraction(x))
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str):
+    """The rational number text writes, as a fractions.Fraction."""
+    from fractions import Fraction
+
     if "_" in text or not text.isascii():
         raise UsageError(f"not a rational number: {text!r}")
     try:
@@ -66,12 +72,15 @@ def parse_partition(text: str) -> Partition:
 
 
 def partition_key(lam: Partition) -> str:
-    return "[" + ",".join(str(p) for p in lam) + "]"
+    """The compact key "[3,1]"; repr writes a list of ints as "[3, 1]"."""
+    return str(list(lam)).replace(" ", "")
 
 
 def poly_json(f: dict[tuple[int, ...], int], den: int) -> list[dict]:
     """The polynomial f/den, for f with integer coefficients, leading term
     first."""
+    from fractions import Fraction
+
     return [
         {"exponents": list(exp), "coeff": str(Fraction(f[exp], den))}
         for exp in sorted(f, reverse=True)
@@ -87,8 +96,11 @@ _CONTAINERS = (dict, list, tuple)
 def _flat(depth: int):
     """Encoder of a container at nesting depth `depth` whose items are all
     scalars: the indentation of its items is folded into the item
-    separator, so the C encoder writes them in one call."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+    separator, so the C encoder writes them in one call.  A container of
+    scalars, or of rows of scalars, holds no cycle to check for."""
+    return json.JSONEncoder(
+        separators=(",\n" + "  " * (depth + 1), ": "), check_circular=False
+    ).encode
 
 
 def _key(key) -> str:
@@ -125,7 +137,11 @@ def _chunks(value, depth: int, out: list[str]) -> None:
         return
     if closing == "]":
         kinds = set(map(type, value))
-        if (kinds == {dict} or kinds <= {list, tuple}) and all(map(_is_flat, value)):
+        cells = chain.from_iterable(map(dict.values, value) if kinds == {dict} else value)
+        # all(map(_is_flat, value)), asking isinstance once per type of cell
+        if (kinds == {dict} or kinds <= {list, tuple}) and all(value) and not any(
+            issubclass(kind, _CONTAINERS) for kind in set(map(type, cells))
+        ):
             # Rows of scalars, like a table: encode them in one call with the
             # rows' item separator, then indent the rows' own brackets.  A row's
             # closing bracket followed by a comma and a newline marks where it

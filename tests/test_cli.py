@@ -708,7 +708,8 @@ class TestCountingFaults:
 
 
 # runs one command in a fresh interpreter and reports its exit code, whether
-# sympy and dataclasses were loaded and which modules of the package it loaded
+# sympy, dataclasses and fractions were loaded and which modules of the
+# package it loaded
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cherednik import cli
@@ -718,6 +719,7 @@ print(json.dumps({
     "code": code,
     "sympy": "sympy" in sys.modules,
     "dataclasses": "dataclasses" in sys.modules,
+    "fractions": "fractions" in sys.modules,
     "modules": sorted(m for m in sys.modules if m.startswith("cherednik.")),
 }))
 """
@@ -924,6 +926,27 @@ class TestImportBoundary:
         # dataclasses loads inspect, about 10 ms of every process
         out = probe(argv)
         assert (out["code"], out["dataclasses"]) == (0, False)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["support", "--lambda", "3,1", "--m", "2"],
+            ["decompose", "--lambda", "5,3,1", "--m", "2"],
+            ["census", "--n", "10", "--m", "3"],
+            ["bo-verify", "--n-max", "6", "--m", "2,3"],
+            ["fock-trace", "--m", "2", "--max", "6"],
+        ],
+        ids=lambda a: a[0] if a else "import",
+    )
+    def test_fractions_is_not_imported(self, argv):
+        # fractions loads decimal; these commands read and write no rational
+        out = probe(argv)
+        assert (out["code"], out["fractions"]) == (0, False)
+
+    def test_fractions_is_imported_for_a_rational(self):
+        out = probe(["weights", "--n", "5", "--c", "1/2"])
+        assert (out["code"], out["fractions"]) == (0, True)
 
     @pytest.mark.parametrize(
         "argv",

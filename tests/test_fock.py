@@ -54,6 +54,12 @@ def walk_census(n, m, truncation=None):
     return eigenvalues, dict(census.invariants[n])
 
 
+def carried_invariant(lam, m):
+    """The support invariant sum_i i * ((lam_i - lam_{i+1}) // m) that the
+    walk carries; at m = 1, where it is not tallied, the sum is the size."""
+    return sum(lam) if m == 1 else P.support_invariant(lam, m)
+
+
 @pytest.fixture
 def fresh_walk():
     # a walk cached by an earlier test would not pass through a spy
@@ -302,25 +308,41 @@ class TestCensus:
             for n in range(11):
                 assert walk_census(n, m) == walk_census(n, m, 10) == oracle_census(n, m)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_carried_values(self, monkeypatch, fresh_walk, m):
-        # every visit, the vacuum included, carries the degree, eigenvalue
-        # and support invariant of the partition whose vector it holds
-        seen = []
-        visit = F._visit
+        # every vector checked, the vacuum included, carries the degree,
+        # eigenvalue and support invariant of the partition whose vector it
+        # holds, and every node of the recursion its length and smallest part
+        checked, visited = [], []
+        check, visit = F._check, F._visit
 
-        def spy(m, truncation, k, n, last, length, eig, q, *tallies):
+        def check_spy(m, k, before, n, eig, q, *tallies):
             lam = as_partition(k)
-            seen.append(lam)
+            checked.append(lam)
+            assert k == before == multiplicity_vector(lam), lam
+            assert before is not k, lam
+            assert (n, eig) == (sum(lam), divisible_weight(lam, m)), lam
+            assert q == carried_invariant(lam, m), lam
+            check(m, k, before, n, eig, q, *tallies)
+
+        def visit_spy(m, truncation, k, n, last, length, eig, q, *tallies):
+            lam = as_partition(k)
+            visited.append(lam)
             assert k == multiplicity_vector(lam), lam
             assert (n, len(lam), eig) == (sum(lam), length, divisible_weight(lam, m)), lam
             assert last == (lam[-1] if lam else 0), lam
-            assert q == P.support_invariant(lam, m), lam
+            assert q == carried_invariant(lam, m), lam
             visit(m, truncation, k, n, last, length, eig, q, *tallies)
 
-        monkeypatch.setattr(F, "_visit", spy)
+        monkeypatch.setattr(F, "_check", check_spy)
+        monkeypatch.setattr(F, "_visit", visit_spy)
         F._walk(m, 20)
-        assert sorted(seen) == sorted(lam for n in range(21) for lam in P.enumerate_partitions(n))
+        basis = sorted(lam for n in range(21) for lam in P.enumerate_partitions(n))
+        assert sorted(checked) == basis
+        # the recursion reaches the partitions with no part 1, and (1,); the
+        # partitions that end in 1 are checked by the loop of the node they
+        # extend, so the recursion goes one level per part of 2 or more
+        assert sorted(visited) == sorted([(1,)] + [lam for lam in basis if 1 not in lam])
 
     @pytest.mark.parametrize(
         "fault,message",

@@ -91,6 +91,21 @@ def test_int_round_trip_on_random_integers(k):
 def test_partition_encodings():
     assert S.partition_key((3, 1)) == "[3,1]"
     assert S.partition_key(()) == "[]"
+    assert S.partition_key((12, 10, 1)) == "[12,10,1]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.just(()),
+        PARTITIONS,
+        st.lists(st.integers(1, 10**6), max_size=12).map(lambda ps: tuple(sorted(ps, reverse=True))),
+    )
+)
+def test_partition_key_on_random_partitions(lam):
+    # the key as it was first written, part by part
+    assert S.partition_key(lam) == "[" + ",".join(str(p) for p in lam) + "]"
+    assert S.parse_partition(S.partition_key(lam)[1:-1]) == lam
 
 
 def test_poly_json():
