@@ -369,18 +369,15 @@ def _stringify(value):
     return str(value)
 
 
+def _write_json(args, ok: bool, **body) -> None:
+    envelope = {"tool": "cherednik", "version": __version__, "command": args.command, "ok": ok}
+    sys.stdout.writelines(json_text(envelope | body))
+    sys.stdout.write("\n")
+
+
 def _emit(args, payload: dict, rows: list[dict], ok: bool) -> None:
     if args.format == "json":
-        envelope = {
-            "tool": "cherednik",
-            "version": __version__,
-            "command": args.command,
-            "ok": ok,
-            "result": payload,
-        }
-        # two writes, not a copy of a document that runs to megabytes
-        sys.stdout.write(json_text(envelope))
-        sys.stdout.write("\n")
+        _write_json(args, ok, result=payload)
         return
     if not rows:
         return
@@ -434,6 +431,10 @@ def main(argv=None) -> int:
         return 2
     except IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
+        if args.format == "json":
+            flags = {k: v for k, v in vars(args).items() if k != "command"}
+            error = {"kind": "identity violation", "message": str(exc), "flags": flags}
+            _write_json(args, False, error=error)
         return 1
     except Exception as exc:
         # repr keeps the exception type and one line whatever the message

@@ -20,10 +20,10 @@ dimensions (dim D^mu)^2 come from the LLT canonical basis
 and are cross-checked against the radical and the center: as many blocks as
 the center has dimensions, summing to dim H - dim J.
 
-Every number on this path is an integer.  The gram and the structure
-constants of H are integral, and each kernel is kept as integer vectors
-over one common denominator (D for the radical, D_Z for the center), so
-`reduce` returns D times the normal form.
+Every number on this path is an integer, and every row and vector is sparse,
+{column: nonzero element}.  The gram and the structure constants of H are
+integral, and each kernel is kept as integer vectors over one denominator, D
+for the radical, so `reduce` returns D times the normal form.
 
 The verdict of :func:`count_simples` begins with :func:`check_relations`:
 the quadratic, braid and commuting relations of the generators, checked as
@@ -45,8 +45,8 @@ from .partitions import count_m_regular
 
 Permutation = tuple[int, ...]
 CycElement = tuple  # coefficients of 1, zeta, ..., zeta^(phi-1)
-# a kernel over the field: common denominator, (free column, integer vector)
-IntKernel = tuple[int, list[tuple[int, list[CycElement]]]]
+FieldRow = dict[int, CycElement]  # {column: nonzero element}
+IntKernel = tuple[int, dict[int, FieldRow]]  # D, {free column f: D K_f at the pivots}
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +113,26 @@ class CyclotomicField:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in the cyclotomic field")
         n = lcm(*(x.denominator for x in a))
-        row = [tuple(int(c * n) for c in a), self.scale(self.one, -n)]
-        den, [(_, (x, _))] = self.kernel([row], 2)
-        return tuple(Fraction(c, den) for c in x)
+        den, kern = self.kernel([{0: tuple(int(c * n) for c in a), 1: self.scale(self.one, -n)}], 2)
+        return tuple(Fraction(c, den) for c in kern[1][0])
 
-    def kernel(self, fmatrix: list[list[CycElement]], ncols: int) -> IntKernel:
-        """RREF kernel K over the field of an integral matrix G, as its least
-        common denominator D and the pairs (free column f, D K_f): the
-        modular lift of `linalg.lift_kernel` from the images of G under the
-        phi(m) maps zeta -> omega^e; a full-rank image gives (1, [])."""
+    def kernel(self, rows: list[FieldRow], ncols: int) -> IntKernel:
+        """RREF kernel K of the integral G with sparse `rows`, as its least
+        denominator D and {f: D K_f}: the lift of `linalg.lift_kernel` from the
+        images of G under zeta -> omega^e; a full-rank image gives (1, {})."""
 
         def images(l: int, w: int) -> list[IntRow]:
             pows = [pow(w, k, l) for k in range(self.degree)]
-            return [
-                {c: sum(map(mul, x, pows)) for c, x in enumerate(row) if any(x)} for row in fmatrix
-            ]
+            return [{c: sum(map(mul, x, pows)) for c, x in row.items()} for row in rows]
 
-        norm = max((sum(sum(map(abs, x)) for x in row) for row in fmatrix), default=0)
-        bound = 2 * norm * max(max(map(abs, z)) for z in self._powers)
-        vectors = lift_kernel(self.m, images, ncols, bound)
+        norms = [sum(sum(map(abs, x)) for x in row.values()) for row in rows]
+        height = max(max(map(abs, z)) for z in self._powers)  # of the powers of zeta
+        vectors = lift_kernel(self.m, images, ncols, norms, height)
         D = lcm(*(den for _, den, _ in vectors))
-        out = [
-            (f, [tuple(c.get(p, 0) * (D // den) for c in v) for p in range(ncols)])
+        return D, {
+            f: {p: tuple(c.get(p, 0) * (D // den) for c in v) for p in sorted(set().union(*v))}
             for f, den, v in vectors
-        ]
-        for f, vec in out:
-            vec[f] = self.scale(self.one, D)
-        return D, out
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +276,15 @@ class HeckeAlgebra:
         return {x: c for x, c in out.items() if not F.is_zero(c)}
 
     @cached_property
-    def gram(self) -> list[list[CycElement]]:
-        """Symmetric matrix of theta(T_v T_w) over the basis.
+    def gram(self) -> list[FieldRow]:
+        """Symmetric matrix of theta(T_v T_w) over the basis, as sparse rows.
 
         Since tau(T_v T_x) = delta_(v,x^-1) q^l(v) and C is central,
         theta(T_v T_w) = tau(T_v C T_w) = q^l(v) (C T_w)_(v^-1): one right
         sweep of C gives every entry, column w as soon as C T_w is built."""
         F = self.field
-        rows = [[F.zero] * self.dim for _ in self.perms]
-        # the term at x of a translate lands in row x^-1, scaled by q^l(x)
+        rows: list[FieldRow] = [{} for _ in self.perms]
+        # the term at x of a translate, never 0, lands in row x^-1 times the unit q^l(x)
         place = {
             x: (rows[self.index[perm_inverse(x)]], F.zeta(perm_length(x)))
             for x in self.perms
@@ -306,67 +299,51 @@ class HeckeAlgebra:
     @cached_property
     def _radical(self) -> IntKernel:
         """RREF basis of the radical, the kernel K of the trace form, as its
-        common denominator D and the pairs (f, D K_f)."""
+        common denominator D and {f: D K_f at the pivots}."""
         return self.field.kernel(self.gram, self.dim)
 
     @cached_property
     def quotient_columns(self) -> list[int]:
         """The pivot columns P of the radical kernel; they coordinatise the
         quotient by the radical."""
-        free = {f for f, _ in self._radical[1]}
-        return [c for c in range(self.dim) if c not in free]
-
-    @cached_property
-    def _radical_on_quotient(self) -> list[tuple[Permutation, dict[int, CycElement]]]:
-        """Each radical vector D K_f at the columns c in P, as the
-        permutation of f and {position of c in P: nonzero entry}."""
-        F = self.field
-        cols = list(enumerate(self.quotient_columns))
-        return [
-            (self.perms[f], {pos: vec[c] for pos, c in cols if not F.is_zero(vec[c])})
-            for f, vec in self._radical[1]
-        ]
+        return [c for c in range(self.dim) if c not in self._radical[1]]
 
     def radical_dimension(self) -> int:
         return len(self._radical[1])
 
-    def reduce(self, terms: dict) -> list[CycElement]:
+    def reduce(self, terms: dict) -> FieldRow:
         """D times the coordinates on P of the normal form x - sum_f x_f K_f
-        of `terms` modulo the radical, D its common denominator: integral
-        for integral terms, and zero exactly on the radical."""
+        of `terms` modulo the radical, D its common denominator, as {c in P:
+        element}: integral for integral terms, and empty exactly on J."""
         F = self.field
-        D = self._radical[0]
-        out = [F.zero] * len(self.quotient_columns)
-        for pos, c in enumerate(self.quotient_columns):
-            x = terms.get(self.perms[c])
-            if x is not None:
-                out[pos] = F.scale(x, D) if D != 1 else x
-        for f, entries in self._radical_on_quotient:
-            x = terms.get(f)
-            if x is None:
-                continue
-            for pos, k in entries.items():
-                out[pos] = F.sub(out[pos], F.mul(x, k))
-        return out
+        D, radical = self._radical
+        out: FieldRow = {}
+        for w, x in terms.items():
+            c = self.index[w]
+            if c in radical:
+                for p, k in radical[c].items():
+                    out[p] = F.sub(out.get(p, F.zero), F.mul(x, k))
+            else:
+                out[c] = F.add(out.get(c, F.zero), F.scale(x, D) if D != 1 else x)
+        return {c: x for c, x in out.items() if not F.is_zero(x)}
 
     @cached_property
     def _center(self) -> IntKernel:
         """RREF basis, in coordinates on P, of the center of the quotient:
         the z with [T_i, z] in the radical for every generator.  As its
-        common denominator D_Z and the pairs (f, D_Z z_f)."""
+        common denominator D_Z and {f: D_Z z_f at the pivots}."""
         F = self.field
-        rows: list[list[CycElement]] = []
+        # constraint row (i, k) holds coordinate k of each [T_i, T_c], c = P[j]
+        rows: dict[tuple[int, int], FieldRow] = {}
         for i in range(self.p - 1):
-            cols = []
-            for c in self.quotient_columns:
+            for j, c in enumerate(self.quotient_columns):
                 single = {self.perms[c]: F.one}
                 comm: dict[Permutation, CycElement] = dict(self.rmul_gen(i, single))
                 for w, x in self.lmul_gen(i, single).items():
                     comm[w] = F.sub(comm.get(w, F.zero), x)
-                cols.append(self.reduce(comm))
-            # transpose the per-basis-element columns into constraint rows
-            rows.extend(map(list, zip(*cols)))
-        return self.field.kernel(rows, len(self.quotient_columns))
+                for k, x in self.reduce(comm).items():
+                    rows.setdefault((i, k), {})[j] = x
+        return self.field.kernel(list(rows.values()), len(self.quotient_columns))
 
     def center_dimension(self) -> int:
         """Dimension over the cyclotomic field of the center of the quotient

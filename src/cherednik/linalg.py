@@ -54,9 +54,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_LIFT_PRIMES = 64  # split primes that `lift_kernel` tries
-
-
 @cache
 def split_prime(m: int, after: int = 2**29) -> tuple[int, int]:
     """The least prime l > after with l = 1 (mod m), over which Phi_m splits
@@ -112,23 +109,42 @@ def _rational(u: int, L: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
+def prime_cap(d: int, norms: list[int], height: int, ncols: int) -> int:
+    """What the primes `lift_kernel` tries multiply past before it gives up.
+    A minor of the rational blow-up of G has at most d ncols rows of 1-norm
+    at most d height norms[r], so H = prod (d height norms[r])^d over the
+    ncols largest bounds (Hadamard) every numerator, denominator, den_f and
+    |v_kc| of K and the norm of the pivot minor, which each unlucky prime
+    divides: the cap is H times max(2 H^2, bound d H) for the lucky ones."""
+    top = sorted(norms, reverse=True)[:ncols]
+    hbits = d * sum((d * height * n).bit_length() for n in top)
+    bound = 2 * max(norms, default=0) * height
+    return 1 << (hbits + max(2 * hbits + 1, (bound * d).bit_length() + hbits))
+
+
 def lift_kernel(
-    m: int, images: Callable[[int, int], list[IntRow]], ncols: int, bound: int
+    m: int, images: Callable[[int, int], list[IntRow]], ncols: int, norms: list[int], height: int
 ) -> list[LiftedVector]:
     """RREF kernel K over Q(zeta_m) of G over Z[zeta_m] with `ncols` columns,
     one LiftedVector per free column f in increasing order.  images(l, w) is
-    G under zeta -> w mod l, bound is 2 max_r sum_c |G_rc|_1 max_k |zeta^k|_inf.
+    G under zeta -> w mod l; norms[r] = sum_c |G_rc|_1, height = max_k
+    |zeta^k|_inf and bound = 2 max_r norms[r] height.
 
     A full-rank image proves K = 0.  Else the pivots must agree across the
     phi(m) roots, and each entry of K is interpolated from its values and
     reconstructed modulo the product L of the primes so far.  Once bound *
     max_f max(den_f, sum_k max_c |v_kc|) < L, G (den_f K_f), 0 modulo every
-    prime and with coefficients below L/2, is 0: the rank is the pivot count,
-    and as K_f lives on f and the pivots before it, K is the RREF kernel."""
+    prime and with coefficients below L/2, is 0: the rank is the pivot
+    count, and as K_f lives on f and the pivots before it, K is the RREF
+    kernel.  Past `prime_cap` it raises ArithmeticError."""
     phi = cyclotomic_polynomial(m)
+    cap = prime_cap(len(phi) - 1, norms, height, ncols)
+    bound = 2 * max(norms, default=0) * height
     pivots = l = None
-    for _ in range(_LIFT_PRIMES):
+    tried, count = 1, 0
+    while tried <= cap:
         l, omega = split_prime(m) if l is None else split_prime(m, l)
+        tried, count = tried * l, count + 1
         if sum(c * pow(omega, k, l) for k, c in enumerate(phi)) % l:
             raise ArithmeticError(f"{omega} is not a root of Phi_{m} mod {l}")
         roots = [pow(omega, e, l) for e in range(1, m + 1) if gcd(e, m) == 1]
@@ -174,7 +190,7 @@ def lift_kernel(
         else:
             if bound * top < L:
                 return out
-    raise ArithmeticError(f"no checked kernel from {_LIFT_PRIMES} split primes")
+    raise ArithmeticError(f"no checked kernel from {count} split primes")
 
 
 def kernel_basis(rows: list[IntRow], ncols: int) -> list[tuple[IntRow, int]]:
@@ -187,6 +203,6 @@ def kernel_basis(rows: list[IntRow], ncols: int) -> list[tuple[IntRow, int]]:
     at f, no entry at any other free column and none after f, so f ==
     max(vec).  Callers rely on this normal form.  The empty matrix (no rows)
     has the standard basis as kernel."""
-    norm = max((sum(map(abs, r.values())) for r in rows), default=0)
-    vectors = lift_kernel(1, lambda l, w: [dict(row) for row in rows], ncols, 2 * norm)
+    norms = [sum(map(abs, r.values())) for r in rows]
+    vectors = lift_kernel(1, lambda l, w: [dict(row) for row in rows], ncols, norms, 1)
     return [(vec | {f: den}, den) for f, den, (vec,) in vectors]

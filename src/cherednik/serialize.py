@@ -90,6 +90,7 @@ def poly_json(f: dict[tuple[int, ...], int], den: int) -> list[dict]:
 # encodes scalars exactly as json.dumps does, in C where json has it
 _scalar = json.JSONEncoder().encode
 _CONTAINERS = (dict, list, tuple)
+_TABLE_ROWS = 512  # rows of a table per encoder call: no copy of a whole table
 
 
 @cache
@@ -142,16 +143,19 @@ def _chunks(value, depth: int, out: list[str]) -> None:
         if (kinds == {dict} or kinds <= {list, tuple}) and all(value) and not any(
             issubclass(kind, _CONTAINERS) for kind in set(map(type, cells))
         ):
-            # Rows of scalars, like a table: encode them in one call with the
-            # rows' item separator, then indent the rows' own brackets.  A row's
-            # closing bracket followed by a comma and a newline marks where it
-            # ends, since a row holds no bracket outside its strings and an
-            # encoded string holds no newline.
+            # Rows of scalars, like a table: encode them _TABLE_ROWS to a call
+            # with the rows' item separator, then indent the rows' own
+            # brackets.  A row's closing bracket followed by a comma and a
+            # newline marks where it ends, since a row holds no bracket
+            # outside its strings and an encoded string holds no newline.
             start, end = ("{", "}") if dict in kinds else ("[", "]")
             inner = pad + "  "
-            text = _flat(depth + 1)(value)[2:-2]
-            text = text.replace(end + "," + inner + start, pad + end + "," + pad + start + inner)
-            out.append(opening + pad + start + inner + text + pad + end + close + closing)
+            between = pad + end + "," + pad + start + inner
+            for k in range(0, len(value), _TABLE_ROWS):
+                text = _flat(depth + 1)(value[k : k + _TABLE_ROWS])[2:-2]
+                out.append(between if k else opening + pad + start + inner)
+                out.append(text.replace(end + "," + inner + start, between))
+            out.append(pad + end + close + closing)
             return
     heads = [_key(key) + ": " for key in value] if closing == "}" else [""] * len(value)
     out.append(opening)
@@ -163,13 +167,14 @@ def _chunks(value, depth: int, out: list[str]) -> None:
     out.append(close + closing)
 
 
-def json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for acyclic values.
+def json_text(value) -> list[str]:
+    """``json.dumps(value, indent=2)``, byte for byte, for acyclic values, as
+    chunks to write in order, not joined into a second copy.
 
     Containers whose items are all scalars, and lists of such containers,
-    go through the C encoder, one call each, instead of json's pure-Python
-    indenting encoder; only the containers above them are walked here.
+    go through the C encoder, not json's pure-Python indenting encoder;
+    only the containers above them are walked here.
     """
     out: list[str] = []
     _chunks(value, 0, out)
-    return "".join(out)
+    return out

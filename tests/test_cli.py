@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,19 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def violation_record(captured) -> dict:
+    """The error record of the JSON envelope that a raised IdentityViolation
+    leaves on stdout, after checking it against the one stderr line."""
+    doc = json.loads(captured.out)
+    assert doc["tool"] == "cherednik"
+    assert doc["ok"] is False
+    assert "result" not in doc
+    error = doc["error"]
+    assert error["kind"] == "identity violation"
+    assert captured.err == f"identity violation: {error['message']}\n"
+    return error
 
 
 class TestSupport:
@@ -312,7 +326,7 @@ class TestEngineCommands:
         code = cli.main(["hecke-simples", "--p", "3", "--m", "2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
+        assert violation_record(captured)["flags"] == {"format": "json", "seed": 0, "p": 3, "m": 2}
         assert captured.err == "identity violation: quadratic relation fails at T_0\n"
 
 
@@ -494,8 +508,16 @@ class TestExitCodes:
         code = cli.main(["weights", "--n", "3", "--c", "1/2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
+        error = violation_record(captured)
+        assert error["flags"] == {"format": "json", "seed": 0, "n": 3, "c": "1/2"}
         assert captured.err.startswith("identity violation: weight formulas disagree")
+        # the record goes to stdout under --format json only
+        for fmt in ("csv", "table"):
+            code = cli.main(["--format", fmt, "weights", "--n", "3", "--c", "1/2"])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == f"identity violation: {error['message']}\n"
 
     def test_exit_2_on_usage_error(self, capsys):
         code = cli.main(["weights", "--n", "3", "--c", "x/2"])
@@ -554,6 +576,34 @@ class TestExitCodes:
         assert captured.err == f"internal error: {exc('unencodable')!r}\n"
 
 
+class TestEmissionMemory:
+    def test_census_emission_peaks_at_twice_its_text(self, monkeypatch):
+        # the envelope goes out chunk by chunk: no joined copy of the text,
+        # and no copy of the whole table while it is encoded
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+            def writelines(self, chunks):
+                for text in chunks:
+                    self.write(text)
+
+        args = cli.build_parser().parse_args(["census", "--n", "35", "--m", "3"])
+        payload, rows, ok = cli.COMMANDS["census"](args)
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._emit(args, payload, rows, ok)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 2_000_000
+        assert peak <= 2 * sink.size
+
+
 @pytest.fixture
 def fresh_census():
     # a walk cached by an earlier test would skip the faulted operator
@@ -602,8 +652,7 @@ class TestCountingFaults:
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("identity violation: ")
+        violation_record(captured)
 
     def test_product_table_off_by_one_fails_the_trace(self, monkeypatch, capsys, fresh_census):
         # the walk's eigenvalue table is checked against the Euler product
@@ -611,7 +660,7 @@ class TestCountingFaults:
         code = cli.main(["fock-trace", "--m", "2", "--max", "6"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
+        violation_record(captured)
         assert captured.err == "identity violation: trace sum disagrees with its product expansion\n"
 
     def test_m_regular_count_off_by_one_fails_the_product(self, monkeypatch, capsys, fresh_census):
@@ -621,7 +670,7 @@ class TestCountingFaults:
         code = cli.main(["bo-verify", "--n-max", "6", "--m", "2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
+        violation_record(captured)
         assert captured.err == "identity violation: product expansion disagrees with counts at s^3 t^0\n"
 
     def test_missing_canonical_basis_vector_exits_1(self, monkeypatch, capsys):
@@ -633,7 +682,7 @@ class TestCountingFaults:
         code = cli.main(["hecke-simples", "--p", "5", "--m", "2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.out == ""
+        violation_record(captured)
         assert captured.err == (
             "identity violation: (3, 2) in A((5,)) at e = 2 has no canonical basis vector\n"
         )
@@ -840,10 +889,16 @@ class TestExitCodeTable:
         if fault:
             monkeypatch.setattr(*fault)
         code = cli.main(argv)
-        out, err = capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 1
-        # the failed record is in the output, or one line on stderr names the identity
-        assert (json.loads(out)["ok"] is False) if out else err.startswith("identity violation: ")
+        # the failed verdict's record, or the record of the raised violation
+        # with its one stderr line
+        if captured.err:
+            violation_record(captured)
+        else:
+            doc = json.loads(captured.out)
+            assert doc["ok"] is False
+            assert "error" not in doc and "result" in doc
 
     @pytest.mark.parametrize("command", sorted(REFUSED))
     def test_exit_2(self, capsys, command):

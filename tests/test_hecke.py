@@ -17,7 +17,7 @@ from cherednik import hecke as Hk
 from cherednik.errors import IdentityViolation
 from cherednik.partitions import count_m_regular, count_partitions
 import test_linalg
-from test_linalg import assert_rrefs_agree, blowup_kernel
+from test_linalg import assert_rrefs_agree, blowup_kernel, dense_view, sparse_field_rows
 
 
 @cache
@@ -95,7 +95,8 @@ def radical_elements(H):
     integral term dicts."""
     F = H.field
     return [
-        {w: c for w, c in zip(H.perms, vec) if not F.is_zero(c)} for _, vec in H._radical[1]
+        {w: c for w, c in zip(H.perms, vec) if not F.is_zero(c)}
+        for _, vec in dense_view(F, H._radical, H.dim)[1]
     ]
 
 
@@ -366,25 +367,24 @@ class TestRadical:
         )
         # and it is exactly the line through T_1 - T_e
         line = combine(H, (one, gen(H, 0)), (minus_one, unit(H)))
-        assert H.reduce(line) == [F.zero]
+        assert H.reduce(line) == {}
 
     def test_semisimple_cases_have_zero_radical(self):
-        assert Hk.HeckeAlgebra(2, 3)._radical == (1, [])
-        assert Hk.HeckeAlgebra(3, 4)._radical == (1, [])
-        assert Hk.HeckeAlgebra(3, 5)._radical == (1, [])
+        assert Hk.HeckeAlgebra(2, 3)._radical == (1, {})
+        assert Hk.HeckeAlgebra(3, 4)._radical == (1, {})
+        assert Hk.HeckeAlgebra(3, 5)._radical == (1, {})
 
     @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (4, 2), (4, 3)])
     def test_radical_is_a_two_sided_ideal(self, p, m):
         H = Hk.HeckeAlgebra(p, m)
-        zero = [H.field.zero] * len(H.quotient_columns)
         for r in radical_elements(H):
             for i in range(p - 1):
-                assert H.reduce(H.lmul_gen(i, r)) == zero
-                assert H.reduce(H.rmul_gen(i, r)) == zero
+                assert H.reduce(H.lmul_gen(i, r)) == {}
+                assert H.reduce(H.rmul_gen(i, r)) == {}
 
     def test_gram_is_symmetric(self):
         H = Hk.HeckeAlgebra(3, 3)
-        G = H.gram
+        G = dense_view(H.field, H.gram, H.dim)
         for i in range(H.dim):
             for j in range(H.dim):
                 assert G[i][j] == G[j][i]
@@ -395,12 +395,13 @@ class TestRadical:
         H = Hk.HeckeAlgebra(p, m)
         F = H.field
         theta = sweep_trace(H)
+        gram = dense_view(F, H.gram, H.dim)
         for v in H.perms:
             for w in H.perms:
                 acc = F.zero
                 for x, c in mul(H, {v: F.one}, {w: F.one}).items():
                     acc = F.add(acc, F.mul(c, theta[x]))
-                assert H.gram[H.index[v]][H.index[w]] == acc
+                assert gram[H.index[v]][H.index[w]] == acc
 
     def test_trace_of_identity(self):
         H = Hk.HeckeAlgebra(4, 3)
@@ -412,12 +413,14 @@ class TestRadical:
         # G[e][w] = theta(T_w)
         H = shared_algebra(p, m)
         theta = sweep_trace(H)
-        assert H.gram[H.index[H.identity_perm]] == [theta[w] for w in H.perms]
+        gram = dense_view(H.field, H.gram, H.dim)
+        assert gram[H.index[H.identity_perm]] == [theta[w] for w in H.perms]
 
     @pytest.mark.parametrize("key", sorted(GRAM_DIGESTS))
     def test_gram_matches_recorded_digest(self, key):
         p, m = fixture_key(key)
-        digest = hashlib.sha256(repr(shared_algebra(p, m).gram).encode()).hexdigest()
+        H = shared_algebra(p, m)
+        digest = hashlib.sha256(repr(dense_view(H.field, H.gram, H.dim)).encode()).hexdigest()
         assert digest == GRAM_DIGESTS[key]
 
 
@@ -515,7 +518,11 @@ class TestKernels:
     def test_radical_basis_is_in_rref_over_the_field(self, p, m):
         H = Hk.HeckeAlgebra(p, m)
         F = H.field
-        D, radical = H._radical
+        # sparse: each vector holds nonzero entries at the pivots only
+        for vec in H._radical[1].values():
+            assert set(vec) <= set(H.quotient_columns)
+            assert not any(F.is_zero(x) for x in vec.values())
+        D, radical = dense_view(F, H._radical, H.dim)
         free = [f for f, _ in radical]
         assert sorted(free + H.quotient_columns) == list(range(H.dim))
         # D is the least common denominator
@@ -525,7 +532,7 @@ class TestKernels:
             assert vec[f] == F.scale(F.one, D)
             assert all(F.is_zero(vec[g]) for g in free if g != f)
             assert all(F.is_zero(x) for x in vec[f + 1 :])
-            for row in H.gram:
+            for row in dense_view(F, H.gram, H.dim):
                 acc = F.zero
                 for a, x in zip(row, vec):
                     acc = F.add(acc, F.mul(a, x))
@@ -536,13 +543,13 @@ class TestKernels:
         H = Hk.HeckeAlgebra(4, 3)
         F = H.field
         D = H._radical[0]
-        P = H.quotient_columns
-        for pos, c in enumerate(P):
-            unit = [F.zero] * len(P)
-            unit[pos] = F.one
-            assert H.reduce({H.perms[c]: F.one}) == [F.scale(x, D) for x in unit]
+        for c in H.quotient_columns:
+            assert H.reduce({H.perms[c]: F.one}) == {c: F.scale(F.one, D)}
+        # a free column f reduces to -D K_f, which lives on the pivots
+        for f, vec in H._radical[1].items():
+            assert H.reduce({H.perms[f]: F.one}) == {p: F.scale(x, -1) for p, x in vec.items()}
         for r in radical_elements(H):
-            assert H.reduce(r) == [F.zero] * len(P)
+            assert H.reduce(r) == {}
 
     @pytest.mark.parametrize(
         "flat", [[({1: 1}, 1)], [({1: 1}, 1), ({2: 1}, 1)]]
@@ -559,15 +566,19 @@ class TestKernelDigests:
     @pytest.mark.parametrize("key", sorted(KERNEL_FIXTURE["radical"]))
     def test_radical_and_center_match_recorded_digests(self, key):
         H = shared_algebra(*fixture_key(key))
-        for name, kernel in (("radical", H._radical), ("center", H._center)):
-            digest = hashlib.sha256(repr(rational_view(kernel)).encode()).hexdigest()
+        for name, kernel, ncols in (
+            ("radical", H._radical, H.dim),
+            ("center", H._center, len(H.quotient_columns)),
+        ):
+            dense = dense_view(H.field, kernel, ncols)
+            digest = hashlib.sha256(repr(rational_view(dense)).encode()).hexdigest()
             assert digest == KERNEL_FIXTURE[name][key], name
 
     def test_center_basis_is_integral_over_its_denominator(self):
         # at (4, 4) the RREF center basis has halves
         H = Hk.HeckeAlgebra(4, 4)
         F = H.field
-        DZ, center = H._center
+        DZ, center = dense_view(F, H._center, len(H.quotient_columns))
         assert DZ == 2
         assert len(center) == H.center_dimension() == 4
         assert gcd(DZ, *(x for _, vec in center for c in vec for x in c)) == 1
@@ -614,8 +625,9 @@ class TestCertificate:
     def test_radical_equals_the_blowup_kernel(self, p, m):
         H = shared_algebra(p, m)
         # H is semisimple exactly when m > p, and the certificate fires there
-        assert (H._radical == (1, [])) == (m > p)
-        assert H._radical == blowup_kernel(H.field, H.gram, H.dim)
+        assert (H._radical == (1, {})) == (m > p)
+        dense = dense_view(H.field, H._radical, H.dim)
+        assert dense == blowup_kernel(H.field, dense_view(H.field, H.gram, H.dim), H.dim)
 
     @pytest.mark.parametrize("m", [6, 7])
     def test_rank_5_semisimple_blocks_are_squared_hook_dimensions(self, m):
@@ -631,8 +643,8 @@ class TestCertificate:
     @given(field_matrix(planted=True))
     def test_planted_dependency_is_never_certified(self, case):
         F, rows, n = case
-        kernel = F.kernel(rows, n)
-        assert kernel == blowup_kernel(F, rows, n)
+        kernel = F.kernel(sparse_field_rows(rows), n)
+        assert dense_view(F, kernel, n) == blowup_kernel(F, rows, n)
         assert kernel[1]
         assert_rrefs_agree(F, rows, n)
 
@@ -645,7 +657,7 @@ class TestCertificate:
     def test_certified_matrix_has_an_empty_blowup_kernel(self, case):
         # the kernel equals the blow-up's, the certificate (1, []) included
         F, rows, n = case
-        assert F.kernel(rows, n) == blowup_kernel(F, rows, n)
+        assert dense_view(F, F.kernel(sparse_field_rows(rows), n), n) == blowup_kernel(F, rows, n)
         assert_rrefs_agree(F, rows, n)
 
     def test_split_prime_has_a_root_of_exact_order_m(self):
@@ -668,8 +680,10 @@ class TestCertificate:
         kernel_widths = []
 
         def singular(self):
+            F = self.field
             rows = real_gram(self)
-            rows[0] = [self.field.add(a, b) for a, b in zip(rows[1], rows[2])]
+            total = {c: F.add(rows[1].get(c, F.zero), rows[2].get(c, F.zero)) for c in rows[1] | rows[2]}
+            rows[0] = {c: x for c, x in total.items() if not F.is_zero(x)}
             return rows
 
         def spy(self, fmatrix, ncols):
@@ -682,7 +696,8 @@ class TestCertificate:
         monkeypatch.setattr(Hk.CyclotomicField, "kernel", spy)
         H = Hk.HeckeAlgebra(4, 5)
         assert len(H._radical[1]) == 1
-        assert H._radical == blowup_kernel(H.field, H.gram, H.dim)
+        dense = dense_view(H.field, H._radical, H.dim)
+        assert dense == blowup_kernel(H.field, dense_view(H.field, H.gram, H.dim), H.dim)
         kernel_widths.clear()
         code = cli.main(["hecke-simples", "--p", "4", "--m", "5"])
         result = json.loads(capsys.readouterr().out)["result"]
@@ -739,9 +754,18 @@ class TestLift:
             return out
 
         monkeypatch.setattr(linalg, "_rref_mod", dropped)
-        with pytest.raises(ArithmeticError, match="no checked kernel"):
-            Hk.HeckeAlgebra(4, 3)._radical
-        assert len(set(primes)) == len(primes) // 2 == linalg._LIFT_PRIMES
+        H = Hk.HeckeAlgebra(4, 3)
+        with pytest.raises(ArithmeticError, match="no checked kernel") as excinfo:
+            H._radical
+        tried = sorted(set(primes))
+        assert len(tried) == len(primes) // 2
+        assert str(excinfo.value) == f"no checked kernel from {len(tried)} split primes"
+        # the lift gives up at the first prime whose product passes the cap
+        F = H.field
+        norms = [sum(sum(map(abs, x)) for x in row.values()) for row in H.gram]
+        height = max(max(map(abs, z)) for z in F._powers)
+        cap = linalg.prime_cap(F.degree, norms, height, H.dim)
+        assert prod(tried[:-1]) <= cap < prod(tried)
 
     def test_unlucky_prime_with_agreeing_pivots_fails_the_bound(self, monkeypatch):
         # 7 divides the first entry, so both roots of Phi_3 mod 7 see the
@@ -751,7 +775,8 @@ class TestLift:
         real_prime = linalg.split_prime
         monkeypatch.setattr(linalg, "split_prime", lambda m, after=6: real_prime(m, after))
         F, rows = FIELDS[3], [[(7, 0), (1, 0)]]
-        assert F.kernel(rows, 2) == blowup_kernel(F, rows, 2) == (7, [(1, [(-1, 0), (7, 0)])])
+        kernel = dense_view(F, F.kernel(sparse_field_rows(rows), 2), 2)
+        assert kernel == blowup_kernel(F, rows, 2) == (7, [(1, [(-1, 0), (7, 0)])])
 
     @pytest.mark.parametrize("p,m", [(4, 3), (5, 3)])
     def test_tiny_first_prime_fails_and_combines_primes(self, monkeypatch, p, m):
@@ -780,8 +805,8 @@ class TestDenominators:
         real = Hk.CyclotomicField.kernel
 
         def dropped(self, fmatrix, ncols):
-            den, pairs = real(self, fmatrix, ncols)
-            return (den, pairs[:-1]) if ncols == 6 else (den, pairs)
+            den, vectors = real(self, fmatrix, ncols)
+            return (den, dict(list(vectors.items())[:-1])) if ncols == 6 else (den, vectors)
 
         monkeypatch.setattr(Hk.CyclotomicField, "kernel", dropped)
         code = cli.main(["hecke-simples", "--p", "3", "--m", "2"])
@@ -804,8 +829,10 @@ class TestDenominators:
 
         def scaled(self, fmatrix, ncols):
             k = next(factors)
-            den, pairs = real(self, fmatrix, ncols)
-            return k * den, [(f, [self.scale(c, k) for c in vec]) for f, vec in pairs]
+            den, vectors = real(self, fmatrix, ncols)
+            return k * den, {
+                f: {p: self.scale(c, k) for p, c in vec.items()} for f, vec in vectors.items()
+            }
 
         monkeypatch.setattr(Hk.CyclotomicField, "kernel", scaled)
         report = Hk.count_simples(p, m)

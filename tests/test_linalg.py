@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -245,6 +245,27 @@ def blowup_kernel(field, fmatrix: list[list], ncols: int):
     return common, out
 
 
+def dense_view(field, value, ncols):
+    """The dense form that `gram`, `_radical`, `_center` and
+    `CyclotomicField.kernel` gave before they went sparse.  Sparse rows
+    {column: element} become lists with the field's zero at the columns
+    they lack; a kernel (D, {f: D K_f at the pivots}) becomes (D, [(f, D K_f
+    at every column)]), in increasing f, with D at f."""
+    if isinstance(value, list):
+        return [[row.get(c, field.zero) for c in range(ncols)] for row in value]
+    D, vectors = value
+    at_f = field.scale(field.one, D)
+    return D, [
+        (f, dense_view(field, [vec | {f: at_f}], ncols)[0]) for f, vec in sorted(vectors.items())
+    ]
+
+
+def sparse_field_rows(rows):
+    """Dense rows over the field as the sparse rows `CyclotomicField.kernel`
+    takes."""
+    return [{c: x for c, x in enumerate(row) if any(x)} for row in rows]
+
+
 def sparse(row):
     return {j: x for j, x in enumerate(row) if x}
 
@@ -339,6 +360,19 @@ def test_zero_and_empty_matrices():
     assert linalg.kernel_basis([{0: 2, 1: 3}], 2) == [({0: -3, 1: 2}, 2)]
 
 
+def test_kernel_of_1000_bit_entries():
+    # reconstructing b/a takes split primes multiplying past 2 a b, over
+    # 2000 bits: some 70 primes near 2^29, which the cap derived from the
+    # row must allow
+    rng = random.Random(1000)
+    a = b = 2
+    while gcd(a, b) != 1:
+        a, b = (rng.getrandbits(1000) | 1 << 999 for _ in range(2))
+    assert linalg.kernel_basis([{0: a, 1: b}], 2) == [({0: -b, 1: a}, a)]
+    F = hecke.CyclotomicField(3)
+    assert F.kernel([{0: (a, 0), 1: (b, 0)}], 2) == (a, {1: {0: (-b, 0)}})
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_full_rank_matches_sympy(seed):
     rng = random.Random(seed)
@@ -360,7 +394,7 @@ def test_hecke_gram_blowup_matches_sympy(p, m, rad_dim):
     # the restriction of scalars of the trace form, dense, against sympy
     H = hecke.HeckeAlgebra(p, m)
     ncols = H.dim * H.field.degree
-    rows = oracle_blowup_rows(H.field, H.gram)
+    rows = oracle_blowup_rows(H.field, dense_view(H.field, H.gram, H.dim))
     kern = dense_kernel(rows, ncols)
     assert rational(kern) == sympy_kernel(rows, ncols)
     assert len(kern) == rad_dim * H.field.degree
@@ -503,7 +537,12 @@ class TestLiftOverQ:
         anything, and its fraction-free kernel."""
         rows, ncols = singular_matrix(*request.param)
         expected = fraction_free_kernel_basis(rows, ncols)
-        return lambda: (linalg.kernel_basis([dict(r) for r in rows], ncols), expected)
+
+        def run():
+            return linalg.kernel_basis([dict(r) for r in rows], ncols), expected
+
+        run.norms, run.ncols = [sum(map(abs, r.values())) for r in rows], ncols
+        return run
 
     def test_the_root_of_phi_1_is_1(self):
         l, omega = linalg.split_prime(1)
@@ -568,9 +607,13 @@ class TestLiftOverQ:
 
     def test_pivot_dropped_at_every_prime_is_an_error(self, monkeypatch, lift):
         primes = self.drop_a_new_pivot_at_every_prime(monkeypatch)
-        with pytest.raises(ArithmeticError, match="no checked kernel"):
+        with pytest.raises(ArithmeticError, match="no checked kernel") as excinfo:
             lift()
-        assert len(set(primes)) == len(primes) == linalg._LIFT_PRIMES
+        assert len(set(primes)) == len(primes)
+        assert str(excinfo.value) == f"no checked kernel from {len(primes)} split primes"
+        # the lift gives up at the first prime whose product passes the cap
+        cap = linalg.prime_cap(1, lift.norms, 1, lift.ncols)
+        assert prod(primes[:-1]) <= cap < prod(primes)
 
     def test_pivot_dropped_at_every_prime_exits_3(self, monkeypatch, capsys):
         self.drop_a_new_pivot_at_every_prime(monkeypatch)

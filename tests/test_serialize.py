@@ -142,7 +142,7 @@ def nested(children):
 @settings(max_examples=200, deadline=None)
 @given(st.recursive(SCALARS, nested, max_leaves=40))
 def test_json_text_is_json_dumps_indent_2(value):
-    assert S.json_text(value) == json.dumps(value, indent=2)
+    assert "".join(S.json_text(value)) == json.dumps(value, indent=2)
 
 
 def test_json_text_refuses_what_json_refuses():
@@ -151,3 +151,16 @@ def test_json_text_refuses_what_json_refuses():
             json.dumps(value, indent=2)
         with pytest.raises(TypeError):
             S.json_text(value)
+
+
+@pytest.mark.parametrize("kind", [dict, list])
+def test_table_across_encoder_calls(kind):
+    # more rows than one encoder call takes, with strings that look like the
+    # row boundaries the rows are split at
+    n = 2 * S._TABLE_ROWS + 3
+    cells = ["},\n  {", "],\n  [", "\u00e9", 1.5, None, True]
+    rows = [{"k": k, "s": cells[k % 6]} if kind is dict else [k, cells[k % 6]] for k in range(n)]
+    for value in (rows, {"rows": rows}, [rows[: S._TABLE_ROWS]], rows[: S._TABLE_ROWS + 1]):
+        chunks = S.json_text(value)
+        assert all(type(c) is str for c in chunks)
+        assert "".join(chunks) == json.dumps(value, indent=2)
