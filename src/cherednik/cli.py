@@ -166,14 +166,12 @@ def cmd_lr(args):
     c = parse_fraction(args.c) if args.c is not None else None
     verdict = characters.induction_verdict(lam, mu, c)
     product = verdict.product
-    rows = [
-        {"nu": partition_key(nu), "coeff": product[nu]}
-        for nu in sorted(product, reverse=True)
-    ]
+    # lr_induce gives the product in reverse lexicographic order
+    rows = [{"nu": partition_key(nu), "coeff": coeff} for nu, coeff in product.items()]
     payload = {
         "lambda": lam,
         "mu": mu,
-        "product": {partition_key(nu): product[nu] for nu in sorted(product, reverse=True)},
+        "product": {partition_key(nu): coeff for nu, coeff in product.items()},
         "leading": verdict.leading,
         "ok": verdict.ok,
     }
@@ -224,7 +222,7 @@ def cmd_ideal_check(args):
         "q": args.q,
         "c": fraction_str(report.c),
         "degree": args.degree,
-        "graded_dims": {str(d): report.graded_dims[d] for d in sorted(report.graded_dims)},
+        "graded_dims": {str(d): dim for d, dim in report.graded_dims.items()},
         "failures": report.failures,
         "stable": report.stable,
     }
@@ -432,7 +430,10 @@ def main(argv=None) -> int:
     except IdentityViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         if args.format == "json":
-            flags = {k: v for k, v in vars(args).items() if k != "command"}
+            # each parsed value keyed by the option that sets it, e.g. --lambda
+            (sub,) = (a for a in parser._actions if a.dest == "command")
+            option = {a.dest: a.option_strings[-1] for a in sub.choices[args.command]._actions}
+            flags = {option[k]: v for k, v in vars(args).items() if k != "command"}
             error = {"kind": "identity violation", "message": str(exc), "flags": flags}
             _write_json(args, False, error=error)
         return 1

@@ -21,9 +21,12 @@ and are cross-checked against the radical and the center: as many blocks as
 the center has dimensions, summing to dim H - dim J.
 
 Every number on this path is an integer, and every row and vector is sparse,
-{column: nonzero element}.  The gram and the structure constants of H are
-integral, and each kernel is kept as integer vectors over one denominator, D
-for the radical, so `reduce` returns D times the normal form.
+{column: nonzero element}.  A basis element T_w is named by one int, the
+position of w in the lexicographic list of permutations (the identity at 0),
+which is both the key of a term dict and a column of the gram.  The gram and
+the structure constants of H are integral, and each kernel is kept as integer
+vectors over one denominator, D for the radical, so `reduce` returns D times
+the normal form.
 
 The verdict of :func:`count_simples` begins with :func:`check_relations`:
 the quadratic, braid and commuting relations of the generators, checked as
@@ -43,7 +46,6 @@ from .fock import simple_dimensions
 from .linalg import IntRow, cyclotomic_polynomial, lift_kernel
 from .partitions import count_m_regular
 
-Permutation = tuple[int, ...]
 CycElement = tuple  # coefficients of 1, zeta, ..., zeta^(phi-1)
 FieldRow = dict[int, CycElement]  # {column: nonzero element}
 IntKernel = tuple[int, dict[int, FieldRow]]  # D, {free column f: D K_f at the pivots}
@@ -136,33 +138,6 @@ class CyclotomicField:
 
 
 # ---------------------------------------------------------------------------
-# permutations
-
-
-def perm_length(w: Permutation) -> int:
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-
-def perm_inverse(w: Permutation) -> Permutation:
-    return tuple(sorted(range(len(w)), key=w.__getitem__))
-
-
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """Reduced word by bubble sorting descents: the product of the adjacent
-    transpositions s_{word[0]} ... s_{word[-1]} equals w."""
-    work = list(w)
-    collected = []
-    while True:
-        for i in range(len(work) - 1):
-            if work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                collected.append(i)
-                break
-        else:
-            return tuple(reversed(collected))
-
-
-# ---------------------------------------------------------------------------
 # the algebra
 
 
@@ -172,8 +147,10 @@ class HeckeAlgebra:
     the algebra is a Galois conjugate of this one, and its simple modules
     depend only on e = m (Dipper-James 1986), so no other power is built.
 
-    Elements are term dicts {permutation: coefficient} with no zero
-    coefficients.  The generators act on them by `lmul_gen` and `rmul_gen`:
+    Elements are term dicts {basis index: coefficient} with no zero
+    coefficients, the index of T_w being the position of w in `perms`; each
+    w has its reduced word `words[w]` and its inverse `inverse[w]`, both
+    indices too.  The generators act on them by `lmul_gen` and `rmul_gen`:
     the Casimir element is a sum of `lmul_gen` words, and the trace form is
     read off one right sweep (`right_sweep`) of it over the weak order.  From
     the trace form come the radical, the normal form modulo it (`reduce`) and
@@ -188,30 +165,38 @@ class HeckeAlgebra:
         self.field = CyclotomicField(m)
         self.q = self.field.zeta()
         self.one_minus_q = self.field.sub(self.field.one, self.q)
-        self.perms: list[Permutation] = sorted(_itperms(range(p)))
-        self.index = {w: k for k, w in enumerate(self.perms)}
-        self.identity_perm: Permutation = tuple(range(p))
+        self.perms = sorted(_itperms(range(p)))
         self.dim = len(self.perms)
-        # generator actions: value swaps for left, position swaps for right
-        self._left: list[dict[Permutation, tuple[Permutation, bool]]] = []
-        self._right: list[dict[Permutation, tuple[Permutation, bool]]] = []
+        index = {w: k for k, w in enumerate(self.perms)}
+        # generator actions, (index, raises length) per index: value swaps
+        # for left, position swaps for right
+        self._left: list[list[tuple[int, bool]]] = []
+        self._right: list[list[tuple[int, bool]]] = []
         for i in range(p - 1):
-            lact, ract = {}, {}
+            lact, ract = [], []
             for w in self.perms:
                 siw = tuple((i + 1 if x == i else i if x == i + 1 else x) for x in w)
-                lact[w] = (siw, w.index(i) < w.index(i + 1))
+                lact.append((index[siw], w.index(i) < w.index(i + 1)))
                 wsi = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                ract[w] = (wsi, w[i] < w[i + 1])
+                ract.append((index[wsi], w[i] < w[i + 1]))
             self._left.append(lact)
             self._right.append(ract)
-        # factorizations w = parent * s_j by length; the identity, first, has
-        # none.  Each step also says whether it builds the parent's last
-        # child and whether w has children, so a sweep keeps a translate only
-        # while its children are still to come
+        # factorizations w = parent * s_j, j the first descent of w: the
+        # parent comes first in `perms`, so one pass gives every reduced word
+        # and, by w^-1 = s_j parent^-1, every inverse
+        self.words: list[tuple[int, ...]] = [()]
+        self.inverse = [0]
         steps = []
-        for w in sorted(self.perms, key=lambda v: (perm_length(v), v))[1:]:
-            j = min(k for k in range(p - 1) if w[k] > w[k + 1])
-            steps.append((w, j, self._right[j][w][0]))
+        for w, perm in enumerate(self.perms[1:], 1):
+            j = min(k for k in range(p - 1) if perm[k] > perm[k + 1])
+            parent = self._right[j][w][0]
+            self.words.append(self.words[parent] + (j,))
+            self.inverse.append(self._left[j][self.inverse[parent]][0])
+            steps.append((w, j, parent))
+        # the steps in order of length.  Each step also says whether it
+        # builds the parent's last child and whether w has children, so a
+        # sweep keeps a translate only while its children are still to come
+        steps.sort(key=lambda step: len(self.words[step[0]]))
         last = {parent: k for k, (_, _, parent) in enumerate(steps)}
         self._right_bfs = [
             (w, j, parent, last[parent] == k, w in last)
@@ -228,10 +213,10 @@ class HeckeAlgebra:
         """Right multiplication by the i-th generator."""
         return self._gen_mul(self._right[i], elem)
 
-    def _gen_mul(self, act: dict, elem: dict) -> dict:
+    def _gen_mul(self, act: list, elem: dict) -> dict:
         F = self.field
         q, omq = self.q, self.one_minus_q
-        out: dict[Permutation, CycElement] = {}
+        out: dict[int, CycElement] = {}
         for w, c in elem.items():
             w2, up = act[w]
             if up:
@@ -244,10 +229,10 @@ class HeckeAlgebra:
         return {w: c for w, c in out.items() if not F.is_zero(c)}
 
     def right_sweep(self, a: dict):
-        """Yield (w, a T_w) for every permutation w, swept up the weak order
+        """Yield (w, a T_w) for every basis index w, swept up the weak order
         in one pass; each translate is dropped once its children are built."""
-        live = {self.identity_perm: a}
-        yield self.identity_perm, a
+        live = {0: a}
+        yield 0, a
         for w, j, parent, drop, keep in self._right_bfs:
             t = self.rmul_gen(j, live[parent])
             if drop:
@@ -264,12 +249,12 @@ class HeckeAlgebra:
         q^-l = zeta^-l.  For the symmetrizing trace tau(T_w) = delta_(w,e)
         the regular trace is theta(h) = tau(h C) (Geck-Pfeiffer 2000, 7.1-7.2)."""
         F = self.field
-        out: dict[Permutation, CycElement] = {}
-        for w in self.perms:
+        out: dict[int, CycElement] = {}
+        for w, word in enumerate(self.words):
             # q^-l(w) T_w T_(w^-1): the generators of w's word, applied to
             # the scaled term of w^-1 from the right end of the word
-            term = {perm_inverse(w): F.zeta(-perm_length(w))}
-            for i in reversed(reduced_word(w)):
+            term = {self.inverse[w]: F.zeta(-len(word))}
+            for i in reversed(word):
                 term = self.lmul_gen(i, term)
             for x, c in term.items():
                 out[x] = F.add(out[x], c) if x in out else c
@@ -283,17 +268,13 @@ class HeckeAlgebra:
         theta(T_v T_w) = tau(T_v C T_w) = q^l(v) (C T_w)_(v^-1): one right
         sweep of C gives every entry, column w as soon as C T_w is built."""
         F = self.field
-        rows: list[FieldRow] = [{} for _ in self.perms]
+        rows: list[FieldRow] = [{} for _ in range(self.dim)]
         # the term at x of a translate, never 0, lands in row x^-1 times the unit q^l(x)
-        place = {
-            x: (rows[self.index[perm_inverse(x)]], F.zeta(perm_length(x)))
-            for x in self.perms
-        }
+        place = [(rows[v], F.zeta(len(word))) for v, word in zip(self.inverse, self.words)]
         for w, t in self.right_sweep(self.casimir):
-            col = self.index[w]
             for x, c in t.items():
                 row, qx = place[x]
-                row[col] = F.mul(qx, c)
+                row[w] = F.mul(qx, c)
         return rows
 
     @cached_property
@@ -318,8 +299,7 @@ class HeckeAlgebra:
         F = self.field
         D, radical = self._radical
         out: FieldRow = {}
-        for w, x in terms.items():
-            c = self.index[w]
+        for c, x in terms.items():
             if c in radical:
                 for p, k in radical[c].items():
                     out[p] = F.sub(out.get(p, F.zero), F.mul(x, k))
@@ -337,8 +317,8 @@ class HeckeAlgebra:
         rows: dict[tuple[int, int], FieldRow] = {}
         for i in range(self.p - 1):
             for j, c in enumerate(self.quotient_columns):
-                single = {self.perms[c]: F.one}
-                comm: dict[Permutation, CycElement] = dict(self.rmul_gen(i, single))
+                single = {c: F.one}
+                comm: dict[int, CycElement] = dict(self.rmul_gen(i, single))
                 for w, x in self.lmul_gen(i, single).items():
                     comm[w] = F.sub(comm.get(w, F.zero), x)
                 for k, x in self.reduce(comm).items():
@@ -364,7 +344,7 @@ def check_relations(H: HeckeAlgebra) -> None:
     takes 1 - q from q, not from the multiplication's own `one_minus_q`, so
     a corrupted `one_minus_q` fails the check instead of cancelling out."""
     F = H.field
-    unit = {H.identity_perm: F.one}
+    unit = {0: F.one}
 
     def word(*gens):
         elem = unit
@@ -375,7 +355,7 @@ def check_relations(H: HeckeAlgebra) -> None:
     omq = F.sub(F.one, H.q)
     for i in range(H.p - 1):
         rhs = {w: F.mul(omq, c) for w, c in word(i).items()}
-        rhs[H.identity_perm] = F.add(rhs.get(H.identity_perm, F.zero), H.q)
+        rhs[0] = F.add(rhs.get(0, F.zero), H.q)
         if word(i, i) != {w: c for w, c in rhs.items() if not F.is_zero(c)}:
             raise IdentityViolation(f"quadratic relation fails at T_{i}")
     for i in range(H.p - 2):

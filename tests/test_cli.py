@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cherednik import characters, cli, dunkl, fock, hecke, partitions
+from cherednik.errors import IdentityViolation
 
 
 def run(capsys, *argv):
@@ -33,6 +35,13 @@ def violation_record(captured) -> dict:
     assert error["kind"] == "identity violation"
     assert captured.err == f"identity violation: {error['message']}\n"
     return error
+
+
+def option_strings(capsys, command) -> set[str]:
+    """The options that `cherednik COMMAND --help` lists."""
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
 
 
 class TestSupport:
@@ -326,7 +335,7 @@ class TestEngineCommands:
         code = cli.main(["hecke-simples", "--p", "3", "--m", "2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert violation_record(captured)["flags"] == {"format": "json", "seed": 0, "p": 3, "m": 2}
+        assert violation_record(captured)["flags"] == {"--format": "json", "--seed": 0, "--p": 3, "--m": 2}
         assert captured.err == "identity violation: quadratic relation fails at T_0\n"
 
 
@@ -509,7 +518,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         error = violation_record(captured)
-        assert error["flags"] == {"format": "json", "seed": 0, "n": 3, "c": "1/2"}
+        assert error["flags"] == {"--format": "json", "--seed": 0, "--n": 3, "--c": "1/2"}
         assert captured.err.startswith("identity violation: weight formulas disagree")
         # the record goes to stdout under --format json only
         for fmt in ("csv", "table"):
@@ -892,13 +901,27 @@ class TestExitCodeTable:
         captured = capsys.readouterr()
         assert code == 1
         # the failed verdict's record, or the record of the raised violation
-        # with its one stderr line
+        # with its one stderr line, its flags keyed by option
         if captured.err:
-            violation_record(captured)
+            flags = violation_record(captured)["flags"]
+            assert set(flags) <= option_strings(capsys, command)
         else:
             doc = json.loads(captured.out)
             assert doc["ok"] is False
             assert "error" not in doc and "result" in doc
+
+    @pytest.mark.parametrize("command", sorted(PASSING))
+    def test_violation_flags_are_keyed_by_option(self, monkeypatch, capsys, command):
+        # a violation raised inside any command records each parsed value
+        # under the option a user types, every option of the command but
+        # --help included
+        def violated(args):
+            raise IdentityViolation("injected")
+
+        monkeypatch.setitem(cli.COMMANDS, command, violated)
+        assert cli.main(PASSING[command]) == 1
+        flags = violation_record(capsys.readouterr())["flags"]
+        assert set(flags) == option_strings(capsys, command) - {"--help"}
 
     @pytest.mark.parametrize("command", sorted(REFUSED))
     def test_exit_2(self, capsys, command):

@@ -28,8 +28,40 @@ def shared_algebra(p, m):
     return Hk.HeckeAlgebra(p, m)
 
 
+# permutation helpers, kept here as oracles for the algebra's own reduced
+# words and inverses
+
+
+def perm_length(w):
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def perm_inverse(w):
+    return tuple(sorted(range(len(w)), key=w.__getitem__))
+
+
+def reduced_word(w):
+    """Reduced word by bubble sorting descents: the product of the adjacent
+    transpositions s_{word[0]} ... s_{word[-1]} equals w."""
+    work = list(w)
+    collected = []
+    while True:
+        for i in range(len(work) - 1):
+            if work[i] > work[i + 1]:
+                work[i], work[i + 1] = work[i + 1], work[i]
+                collected.append(i)
+                break
+        else:
+            return tuple(reversed(collected))
+
+
+def element(H, terms):
+    """The term dict of {permutation: coefficient}, keyed by basis index."""
+    return {H.perms.index(w): c for w, c in terms.items()}
+
+
 def unit(H):
-    return {H.identity_perm: H.field.one}
+    return element(H, {tuple(range(H.p)): H.field.one})
 
 
 def gen(H, i):
@@ -70,9 +102,9 @@ def quadratic_relation(H, t):
 def left_sweep(H, b):
     """All products T_v b, swept up the weak order: T_v b = T_i (T_v' b)
     for v = s_i v' longer than v'."""
-    out = {H.identity_perm: b}
-    for v in sorted(H.perms, key=Hk.perm_length)[1:]:
-        i = Hk.reduced_word(v)[0]
+    out = {0: b}
+    for v in sorted(range(H.dim), key=lambda v: perm_length(H.perms[v]))[1:]:
+        i = reduced_word(H.perms[v])[0]
         out[v] = H.lmul_gen(i, out[H._left[i][v][0]])
     return out
 
@@ -82,8 +114,8 @@ def sweep_trace(H):
     each basis element: the oracle for the trace form from the Casimir
     element."""
     F = H.field
-    theta = {v: F.zero for v in H.perms}
-    for w in H.perms:
+    theta = [F.zero] * H.dim
+    for w in range(H.dim):
         for v, y in left_sweep(H, {w: F.one}).items():
             if w in y:
                 theta[v] = F.add(theta[v], y[w])
@@ -95,7 +127,7 @@ def radical_elements(H):
     integral term dicts."""
     F = H.field
     return [
-        {w: c for w, c in zip(H.perms, vec) if not F.is_zero(c)}
+        {w: c for w, c in enumerate(vec) if not F.is_zero(c)}
         for _, vec in dense_view(F, H._radical, H.dim)[1]
     ]
 
@@ -234,15 +266,38 @@ class TestPermutations:
     def test_reduced_words_recompose(self):
         # T_{word[0]} ... T_{word[-1]} applied to the unit is T_w exactly when
         # the word multiplies out to w without a length drop
-        for p in (2, 3, 4):
+        for p in (2, 3, 4, 5):
             H = Hk.HeckeAlgebra(p, 3)
-            for w in H.perms:
-                word = Hk.reduced_word(w)
-                assert len(word) == Hk.perm_length(w)
+            assert len(H.words) == H.dim
+            for w, perm in enumerate(H.perms):
+                word = H.words[w]
+                assert word == reduced_word(perm)
+                assert len(word) == perm_length(perm)
                 acc = unit(H)
                 for i in reversed(word):
                     acc = H.lmul_gen(i, acc)
                 assert acc == {w: H.field.one}
+
+    @pytest.mark.parametrize("p,peak", [(4, 7), (5, 23), (6, 102)])
+    def test_sweep_holds_few_translates(self, p, peak):
+        # replay the sweep's bookkeeping: every parent is live when it is
+        # used, nothing is left at the end, and the live translates plus the
+        # one being built stay within the peak (all p! would be 24, 120 and
+        # 720; a level-by-level sweep 11, 42 and 202)
+        H = Hk.HeckeAlgebra(p, 2)
+        live = {0}
+        most = 0
+        for w, j, parent, drop, keep in H._right_bfs:
+            assert parent in live
+            assert H._right[j][parent] == (w, True)
+            most = max(most, len(live) + 1)
+            if drop:
+                live.remove(parent)
+            if keep:
+                live.add(w)
+        assert not live
+        assert sorted(w for w, *_ in H._right_bfs) == list(range(1, H.dim))
+        assert most <= peak
 
 
 class TestMultiplication:
@@ -259,7 +314,7 @@ class TestMultiplication:
     def test_identity_is_neutral(self):
         H = Hk.HeckeAlgebra(3, 3)
         one = unit(H)
-        for w in H.perms:
+        for w in range(H.dim):
             b = {w: H.field.one}
             assert mul(H, one, b) == b
             assert mul(H, b, one) == b
@@ -271,21 +326,21 @@ class TestMultiplication:
         rhs = mul(H, t1, mul(H, t2, t1))
         assert lhs == rhs
         # both equal the basis element of the longest element
-        assert lhs == {(2, 1, 0): H.field.one}
+        assert lhs == element(H, {(2, 1, 0): H.field.one})
 
     def test_word_products_give_basis_elements(self):
         # multiplying generators along a reduced word lands on T_w
         for m in (2, 5):
             H = Hk.HeckeAlgebra(4, m)
-            for w in H.perms:
+            for w, perm in enumerate(H.perms):
                 acc = unit(H)
-                for i in Hk.reduced_word(w):
+                for i in reduced_word(perm):
                     acc = mul(H, acc, gen(H, i))
                 assert acc == {w: H.field.one}
 
     def test_associativity_exhaustive_rank3(self):
         H = Hk.HeckeAlgebra(3, 3)
-        basis = [{w: H.field.one} for w in H.perms]
+        basis = [{w: H.field.one} for w in range(H.dim)]
         for a in basis:
             for b in basis:
                 ab = mul(H, a, b)
@@ -297,7 +352,7 @@ class TestMultiplication:
         H = shared_algebra(p, m)
         rng = random.Random(11)
         for _ in range(8):
-            a, b, c = ({H.perms[rng.randrange(H.dim)]: H.field.one} for _ in range(3))
+            a, b, c = ({rng.randrange(H.dim): H.field.one} for _ in range(3))
             assert mul(H, mul(H, a, b), c) == mul(H, a, mul(H, b, c))
 
 
@@ -335,19 +390,19 @@ class TestRelationCheck:
         with pytest.raises(IdentityViolation, match="^quadratic relation fails at T_0$"):
             Hk.check_relations(H)
 
-    def test_corrupted_action_fails_the_braid_relation(self, monkeypatch):
+    def test_corrupted_action_fails_the_braid_relation(self):
         # T_0 fixes T_{s_1 s_0} instead of lengthening it
         H = Hk.HeckeAlgebra(3, 2)
-        s1s0 = H._left[1][H._left[0][H.identity_perm][0]][0]
-        monkeypatch.setitem(H._left[0], s1s0, (s1s0, True))
+        s1s0 = H._left[1][H._left[0][0][0]][0]
+        H._left[0][s1s0] = (s1s0, True)
         with pytest.raises(IdentityViolation, match="^braid relation fails at T_0, T_1$"):
             Hk.check_relations(H)
 
-    def test_corrupted_action_fails_the_commuting_relation(self, monkeypatch):
+    def test_corrupted_action_fails_the_commuting_relation(self):
         # T_0 fixes T_{s_2}, which no quadratic or braid word passes it
         H = Hk.HeckeAlgebra(4, 2)
-        s2 = H._left[2][H.identity_perm][0]
-        monkeypatch.setitem(H._left[0], s2, (s2, True))
+        s2 = H._left[2][0][0]
+        H._left[0][s2] = (s2, True)
         with pytest.raises(IdentityViolation, match="^T_0 and T_2 do not commute$"):
             Hk.check_relations(H)
 
@@ -362,8 +417,8 @@ class TestRadical:
         assert mul(H, v, v) == {}  # the radical line is nilpotent
         one, minus_one = F.one, F.scale(F.one, -1)
         assert v in (
-            {(0, 1): one, (1, 0): minus_one},
-            {(0, 1): minus_one, (1, 0): one},
+            element(H, {(0, 1): one, (1, 0): minus_one}),
+            element(H, {(0, 1): minus_one, (1, 0): one}),
         )
         # and it is exactly the line through T_1 - T_e
         line = combine(H, (one, gen(H, 0)), (minus_one, unit(H)))
@@ -396,17 +451,17 @@ class TestRadical:
         F = H.field
         theta = sweep_trace(H)
         gram = dense_view(F, H.gram, H.dim)
-        for v in H.perms:
-            for w in H.perms:
+        for v in range(H.dim):
+            for w in range(H.dim):
                 acc = F.zero
                 for x, c in mul(H, {v: F.one}, {w: F.one}).items():
                     acc = F.add(acc, F.mul(c, theta[x]))
-                assert gram[H.index[v]][H.index[w]] == acc
+                assert gram[v][w] == acc
 
     def test_trace_of_identity(self):
         H = Hk.HeckeAlgebra(4, 3)
-        e = H.index[H.identity_perm]
-        assert sweep_trace(H)[H.identity_perm] == H.gram[e][e] == (24, 0)
+        (e,) = unit(H)
+        assert sweep_trace(H)[e] == H.gram[e][e] == (24, 0)
 
     @pytest.mark.parametrize("p,m", [(3, 5), (4, 3), (4, 5), (5, 3), (5, 4)])
     def test_gram_row_e_is_the_swept_trace(self, p, m):
@@ -414,7 +469,8 @@ class TestRadical:
         H = shared_algebra(p, m)
         theta = sweep_trace(H)
         gram = dense_view(H.field, H.gram, H.dim)
-        assert gram[H.index[H.identity_perm]] == [theta[w] for w in H.perms]
+        (e,) = unit(H)
+        assert gram[e] == theta
 
     @pytest.mark.parametrize("key", sorted(GRAM_DIGESTS))
     def test_gram_matches_recorded_digest(self, key):
@@ -507,10 +563,15 @@ class TestCasimir:
             assert H.lmul_gen(i, C) == H.rmul_gen(i, C)
 
     def test_perm_inverse(self):
-        for w in Hk.HeckeAlgebra(4, 2).perms:
-            v = Hk.perm_inverse(w)
-            assert tuple(w[v[i]] for i in range(4)) == tuple(v[w[i]] for i in range(4)) == (0, 1, 2, 3)
-            assert Hk.perm_length(v) == Hk.perm_length(w)
+        for p in (2, 3, 4, 5):
+            H = Hk.HeckeAlgebra(p, 2)
+            assert len(H.inverse) == H.dim
+            for w, perm in enumerate(H.perms):
+                v = perm_inverse(perm)
+                identity = tuple(range(p))
+                assert tuple(perm[v[i]] for i in range(p)) == tuple(v[perm[i]] for i in range(p)) == identity
+                assert perm_length(v) == perm_length(perm)
+                assert H.perms[H.inverse[w]] == v
 
 
 class TestKernels:
@@ -544,10 +605,10 @@ class TestKernels:
         F = H.field
         D = H._radical[0]
         for c in H.quotient_columns:
-            assert H.reduce({H.perms[c]: F.one}) == {c: F.scale(F.one, D)}
+            assert H.reduce({c: F.one}) == {c: F.scale(F.one, D)}
         # a free column f reduces to -D K_f, which lives on the pivots
         for f, vec in H._radical[1].items():
-            assert H.reduce({H.perms[f]: F.one}) == {p: F.scale(x, -1) for p, x in vec.items()}
+            assert H.reduce({f: F.one}) == {p: F.scale(x, -1) for p, x in vec.items()}
         for r in radical_elements(H):
             assert H.reduce(r) == {}
 
