@@ -9,9 +9,10 @@ the images of its matrix under zeta -> omega^e to the modular lift of
 :func:`cherednik.linalg.lift_kernel`, the package's one exact elimination; a
 full-rank image proves a kernel zero, so for m > p, where H is semisimple,
 the radical costs one reduction of the gram mod l.  The Jacobson radical J
-is the kernel K of the regular-representation trace form (valid in
-characteristic zero), read off the central Casimir element C with one right
-sweep.  The normal form of x modulo J is x - sum_f x_f K_f over the free
+is the kernel of the regular trace form theta(h) = tau(h C) (valid in
+characteristic zero), C the central Casimir element; tau is nondegenerate,
+so J = {h : C h = 0}, the kernel K of the columns C T_w, read off one right
+sweep of C.  The normal form of x modulo J is x - sum_f x_f K_f over the free
 columns f, and the quotient H/J has coordinates on the remaining pivot
 columns P.  Simple modules are counted through the center of H/J, the kernel
 in P-coordinates of the commutators with the generators.  The block
@@ -23,10 +24,10 @@ the center has dimensions, summing to dim H - dim J.
 Every number on this path is an integer, and every row and vector is sparse,
 {column: nonzero element}.  A basis element T_w is named by one int, the
 position of w in the lexicographic list of permutations (the identity at 0),
-which is both the key of a term dict and a column of the gram.  The gram and
-the structure constants of H are integral, and each kernel is kept as integer
-vectors over one denominator, D for the radical, so `reduce` returns D times
-the normal form.
+which is both the key of a term dict and a row and column of the gram.  The
+gram and the structure constants of H are integral, and each kernel is kept
+as integer vectors over one denominator, D for the radical, so `reduce`
+returns D times the normal form.
 
 The verdict of :func:`count_simples` begins with :func:`check_relations`:
 the quadratic, braid and commuting relations of the generators, checked as
@@ -149,19 +150,19 @@ class HeckeAlgebra:
 
     Elements are term dicts {basis index: coefficient} with no zero
     coefficients, the index of T_w being the position of w in `perms`; each
-    w has its reduced word `words[w]` and its inverse `inverse[w]`, both
-    indices too.  The generators act on them by `lmul_gen` and `rmul_gen`:
-    the Casimir element is a sum of `lmul_gen` words, and the trace form is
-    read off one right sweep (`right_sweep`) of it over the weak order.  From
-    the trace form come the radical, the normal form modulo it (`reduce`) and
-    the center of the quotient, each kernel one call of the field's `kernel`.
+    w has its reduced word `words[w]`.  The generators act on them by
+    `lmul_gen` and `rmul_gen`: the Casimir element C is a sum of `rmul_gen`
+    words, and the products C T_w, the columns of the radical's equations
+    C h = 0, are read off one right sweep (`right_sweep`) of it over the weak
+    order.  From them come the radical, the normal form modulo it
+    (`reduce`) and the center of the quotient, each kernel one call of the
+    field's `kernel`.
     """
 
     def __init__(self, p: int, m: int):
         if p < 1:
             raise UsageError(f"rank must be positive, got {p}")
         self.p = p
-        self.m = m
         self.field = CyclotomicField(m)
         self.q = self.field.zeta()
         self.one_minus_q = self.field.sub(self.field.one, self.q)
@@ -183,15 +184,12 @@ class HeckeAlgebra:
             self._right.append(ract)
         # factorizations w = parent * s_j, j the first descent of w: the
         # parent comes first in `perms`, so one pass gives every reduced word
-        # and, by w^-1 = s_j parent^-1, every inverse
         self.words: list[tuple[int, ...]] = [()]
-        self.inverse = [0]
         steps = []
         for w, perm in enumerate(self.perms[1:], 1):
             j = min(k for k in range(p - 1) if perm[k] > perm[k + 1])
             parent = self._right[j][w][0]
             self.words.append(self.words[parent] + (j,))
-            self.inverse.append(self._left[j][self.inverse[parent]][0])
             steps.append((w, j, parent))
         # the steps in order of length.  Each step also says whether it
         # builds the parent's last child and whether w has children, so a
@@ -241,7 +239,7 @@ class HeckeAlgebra:
                 live[w] = t
             yield w, t
 
-    # -- trace form, radical, center ------------------------------------------
+    # -- Casimir element, radical, center -----------------------------------
 
     @cached_property
     def casimir(self) -> dict:
@@ -251,36 +249,34 @@ class HeckeAlgebra:
         F = self.field
         out: dict[int, CycElement] = {}
         for w, word in enumerate(self.words):
-            # q^-l(w) T_w T_(w^-1): the generators of w's word, applied to
-            # the scaled term of w^-1 from the right end of the word
-            term = {self.inverse[w]: F.zeta(-len(word))}
+            # q^-l(w) T_w T_(w^-1): the scaled term of w, times the
+            # generators of w's word from its right end
+            term = {w: F.zeta(-len(word))}
             for i in reversed(word):
-                term = self.lmul_gen(i, term)
+                term = self.rmul_gen(i, term)
             for x, c in term.items():
                 out[x] = F.add(out[x], c) if x in out else c
         return {x: c for x, c in out.items() if not F.is_zero(c)}
 
     @cached_property
     def gram(self) -> list[FieldRow]:
-        """Symmetric matrix of theta(T_v T_w) over the basis, as sparse rows.
+        """The matrix M[x][w] = (C T_w)_x as sparse rows, column w filled as
+        soon as one right sweep of C builds C T_w.
 
-        Since tau(T_v T_x) = delta_(v,x^-1) q^l(v) and C is central,
-        theta(T_v T_w) = tau(T_v C T_w) = q^l(v) (C T_w)_(v^-1): one right
-        sweep of C gives every entry, column w as soon as C T_w is built."""
-        F = self.field
+        Since tau(T_v T_x) = delta_(v,x^-1) q^l(v) and C is central, the
+        trace form theta(T_v T_w) = tau(T_v C T_w) = q^l(v) M[v^-1][w] is M
+        with rows permuted and scaled by units: one row space and kernel."""
         rows: list[FieldRow] = [{} for _ in range(self.dim)]
-        # the term at x of a translate, never 0, lands in row x^-1 times the unit q^l(x)
-        place = [(rows[v], F.zeta(len(word))) for v, word in zip(self.inverse, self.words)]
         for w, t in self.right_sweep(self.casimir):
             for x, c in t.items():
-                row, qx = place[x]
-                row[w] = F.mul(qx, c)
+                rows[x][w] = c
         return rows
 
     @cached_property
     def _radical(self) -> IntKernel:
-        """RREF basis of the radical, the kernel K of the trace form, as its
-        common denominator D and {f: D K_f at the pivots}."""
+        """RREF basis of the radical, the kernel K of the trace form and of
+        `gram`, the h with C h = 0, as its common denominator D and
+        {f: D K_f at the pivots}."""
         return self.field.kernel(self.gram, self.dim)
 
     @cached_property
@@ -337,34 +333,36 @@ class HeckeAlgebra:
 
 def check_relations(H: HeckeAlgebra) -> None:
     """Check the quadratic, braid and commuting relations of the generators
-    exactly, each side an `lmul_gen` word applied to the unit, and raise
-    IdentityViolation at the first that fails.
+    exactly, each side a word applied to the unit, by `lmul_gen` from its
+    end and then by `rmul_gen` from its start (C and the gram use the right
+    table, the center the left), and raise IdentityViolation at the first
+    that fails.
 
     The quadratic relation reads T_i T_i = (1 - q) T_i + q.  Its right side
     takes 1 - q from q, not from the multiplication's own `one_minus_q`, so
     a corrupted `one_minus_q` fails the check instead of cancelling out."""
     F = H.field
-    unit = {0: F.one}
-
-    def word(*gens):
-        elem = unit
-        for i in reversed(gens):
-            elem = H.lmul_gen(i, elem)
-        return elem
-
     omq = F.sub(F.one, H.q)
-    for i in range(H.p - 1):
-        rhs = {w: F.mul(omq, c) for w, c in word(i).items()}
-        rhs[0] = F.add(rhs.get(0, F.zero), H.q)
-        if word(i, i) != {w: c for w, c in rhs.items() if not F.is_zero(c)}:
-            raise IdentityViolation(f"quadratic relation fails at T_{i}")
-    for i in range(H.p - 2):
-        if word(i, i + 1, i) != word(i + 1, i, i + 1):
-            raise IdentityViolation(f"braid relation fails at T_{i}, T_{i + 1}")
-    for i in range(H.p - 1):
-        for j in range(i + 2, H.p - 1):
-            if word(i, j) != word(j, i):
-                raise IdentityViolation(f"T_{i} and T_{j} do not commute")
+    for gen_mul, order in ((H.lmul_gen, reversed), (H.rmul_gen, iter)):
+
+        def word(*gens):
+            elem = {0: F.one}
+            for i in order(gens):
+                elem = gen_mul(i, elem)
+            return elem
+
+        for i in range(H.p - 1):
+            rhs = {w: F.mul(omq, c) for w, c in word(i).items()}
+            rhs[0] = F.add(rhs.get(0, F.zero), H.q)
+            if word(i, i) != {w: c for w, c in rhs.items() if not F.is_zero(c)}:
+                raise IdentityViolation(f"quadratic relation fails at T_{i}")
+        for i in range(H.p - 2):
+            if word(i, i + 1, i) != word(i + 1, i, i + 1):
+                raise IdentityViolation(f"braid relation fails at T_{i}, T_{i + 1}")
+        for i in range(H.p - 1):
+            for j in range(i + 2, H.p - 1):
+                if word(i, j) != word(j, i):
+                    raise IdentityViolation(f"T_{i} and T_{j} do not commute")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def shared_algebra(p, m):
 
 
 # permutation helpers, kept here as oracles for the algebra's own reduced
-# words and inverses
+# words, and for the inverses and lengths that place the trace form
 
 
 def perm_length(w):
@@ -122,6 +122,18 @@ def sweep_trace(H):
     return theta
 
 
+def trace_form(H):
+    """The regular trace form theta(T_v T_w) = q^l(v) M[v^-1][w] as dense
+    rows, placed from the algebra's M[x][w] = (C T_w)_x by the permutation
+    oracles."""
+    F = H.field
+    M = dense_view(F, H.gram, H.dim)
+    return [
+        [F.mul(F.zeta(perm_length(v)), x) for x in M[H.perms.index(perm_inverse(v))]]
+        for v in H.perms
+    ]
+
+
 def radical_elements(H):
     """The RREF radical basis, each vector times the common denominator D, as
     integral term dicts."""
@@ -147,8 +159,9 @@ def fixture_key(key):
     return p, m
 
 
-# sha256 of repr(gram) keyed "p,m,1", recorded from the gram that the
-# regular trace by left sweeps gave before the Casimir element replaced it
+# sha256 of repr() of the dense trace form keyed "p,m,1", recorded from the
+# gram that the regular trace by left sweeps gave before the Casimir element
+# replaced it
 GRAM_DIGESTS = json.loads(
     (Path(__file__).parent / "fixtures" / "hecke_gram_digests.json").read_text()
 )["digests"]
@@ -382,7 +395,8 @@ class TestPresentation:
 
 class TestRelationCheck:
     """Negative controls: one fault per relation family, each touching only
-    table entries that the earlier families do not read."""
+    table entries that the earlier families do not read, and one in the
+    right action table, which only the right-hand words read."""
 
     def test_corrupted_one_minus_q_fails_the_quadratic_relation(self, monkeypatch):
         H = Hk.HeckeAlgebra(3, 2)
@@ -405,6 +419,33 @@ class TestRelationCheck:
         H._left[0][s2] = (s2, True)
         with pytest.raises(IdentityViolation, match="^T_0 and T_2 do not commute$"):
             Hk.check_relations(H)
+
+    def test_corrupted_right_action_fails_the_quadratic_relation(self, monkeypatch, capsys):
+        # T_e T_0 on the right keeps T_0 but takes the length-lowering branch;
+        # unchecked, the fault reaches only the LLT cross-check ("LLT gives
+        # 2 simples, the center 1")
+        def corrupt(H):
+            H._right[0][0] = (H._right[0][0][0], False)
+
+        H = Hk.HeckeAlgebra(3, 2)
+        corrupt(H)
+        with pytest.raises(IdentityViolation, match="^quadratic relation fails at T_0$"):
+            Hk.check_relations(H)
+        real_init = Hk.HeckeAlgebra.__init__
+
+        def corrupted(self, *args):
+            real_init(self, *args)
+            corrupt(self)
+
+        monkeypatch.setattr(Hk.HeckeAlgebra, "__init__", corrupted)
+        code = cli.main(["hecke-simples", "--p", "3", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)
+        assert doc["ok"] is False and "result" not in doc
+        assert doc["error"]["kind"] == "identity violation"
+        assert doc["error"]["message"] == "quadratic relation fails at T_0"
+        assert captured.err == "identity violation: quadratic relation fails at T_0\n"
 
 
 class TestRadical:
@@ -439,7 +480,7 @@ class TestRadical:
 
     def test_gram_is_symmetric(self):
         H = Hk.HeckeAlgebra(3, 3)
-        G = dense_view(H.field, H.gram, H.dim)
+        G = trace_form(H)
         for i in range(H.dim):
             for j in range(H.dim):
                 assert G[i][j] == G[j][i]
@@ -450,7 +491,7 @@ class TestRadical:
         H = Hk.HeckeAlgebra(p, m)
         F = H.field
         theta = sweep_trace(H)
-        gram = dense_view(F, H.gram, H.dim)
+        gram = trace_form(H)
         for v in range(H.dim):
             for w in range(H.dim):
                 acc = F.zero
@@ -465,7 +506,7 @@ class TestRadical:
 
     @pytest.mark.parametrize("p,m", [(3, 5), (4, 3), (4, 5), (5, 3), (5, 4)])
     def test_gram_row_e_is_the_swept_trace(self, p, m):
-        # G[e][w] = theta(T_w)
+        # row e of M is row e of the trace form: (C T_w)_e = tau(C T_w) = theta(T_w)
         H = shared_algebra(p, m)
         theta = sweep_trace(H)
         gram = dense_view(H.field, H.gram, H.dim)
@@ -476,7 +517,7 @@ class TestRadical:
     def test_gram_matches_recorded_digest(self, key):
         p, m = fixture_key(key)
         H = shared_algebra(p, m)
-        digest = hashlib.sha256(repr(dense_view(H.field, H.gram, H.dim)).encode()).hexdigest()
+        digest = hashlib.sha256(repr(trace_form(H)).encode()).hexdigest()
         assert digest == GRAM_DIGESTS[key]
 
 
@@ -563,15 +604,24 @@ class TestCasimir:
             assert H.lmul_gen(i, C) == H.rmul_gen(i, C)
 
     def test_perm_inverse(self):
+        # the oracle inverses, and the Casimir element built as it was from
+        # them: each q^-l(w) T_w T_(w^-1) is the scaled T_(w^-1) times the
+        # generators of w's word from the left, from its right end
         for p in (2, 3, 4, 5):
-            H = Hk.HeckeAlgebra(p, 2)
-            assert len(H.inverse) == H.dim
-            for w, perm in enumerate(H.perms):
-                v = perm_inverse(perm)
-                identity = tuple(range(p))
-                assert tuple(perm[v[i]] for i in range(p)) == tuple(v[perm[i]] for i in range(p)) == identity
-                assert perm_length(v) == perm_length(perm)
-                assert H.perms[H.inverse[w]] == v
+            for m in (2, 3):
+                H = Hk.HeckeAlgebra(p, m)
+                F = H.field
+                terms = []
+                for perm in H.perms:
+                    v = perm_inverse(perm)
+                    identity = tuple(range(p))
+                    assert tuple(perm[v[i]] for i in range(p)) == tuple(v[perm[i]] for i in range(p)) == identity
+                    assert perm_length(v) == perm_length(perm)
+                    term = element(H, {v: F.zeta(-perm_length(perm))})
+                    for i in reversed(reduced_word(perm)):
+                        term = H.lmul_gen(i, term)
+                    terms.append((F.one, term))
+                assert H.casimir == combine(H, *terms)
 
 
 class TestKernels:
@@ -593,7 +643,7 @@ class TestKernels:
             assert vec[f] == F.scale(F.one, D)
             assert all(F.is_zero(vec[g]) for g in free if g != f)
             assert all(F.is_zero(x) for x in vec[f + 1 :])
-            for row in dense_view(F, H.gram, H.dim):
+            for row in trace_form(H):
                 acc = F.zero
                 for a, x in zip(row, vec):
                     acc = F.add(acc, F.mul(a, x))

@@ -391,13 +391,19 @@ def test_full_rank_matches_sympy(seed):
 
 @pytest.mark.parametrize("p,m,rad_dim", [(4, 5, 0), (4, 3, 4)])
 def test_hecke_gram_blowup_matches_sympy(p, m, rad_dim):
-    # the restriction of scalars of the trace form, dense, against sympy
+    # the restriction of scalars of the trace form, dense, against sympy;
+    # the lifted kernel of the algebra's gram, the columns C T_w, is the
+    # same, so the radical of the trace form is the annihilator of C
+    from test_hecke import trace_form
+
     H = hecke.HeckeAlgebra(p, m)
     ncols = H.dim * H.field.degree
-    rows = oracle_blowup_rows(H.field, dense_view(H.field, H.gram, H.dim))
+    rows = oracle_blowup_rows(H.field, trace_form(H))
     kern = dense_kernel(rows, ncols)
     assert rational(kern) == sympy_kernel(rows, ncols)
     assert len(kern) == rad_dim * H.field.degree
+    gram_rows = oracle_blowup_rows(H.field, dense_view(H.field, H.gram, H.dim))
+    assert dense_kernel(gram_rows, ncols) == kern
 
 
 entries = st.one_of(

@@ -7,6 +7,11 @@ Likewise every parameter is set by src/ itself: a parameter that every call
 under src/ leaves at its default, or sets to one and the same literal, is a
 knob that only tests turn.  PARAMETER_ALLOWLIST names the exceptions.
 
+Every instance attribute a class under src/ assigns as `self.<name>` is
+read there too: as `self.<name>` inside that class, or as `obj.<name>`
+anywhere under src/ with `obj` neither `self` nor `args`.  An attribute
+that only tests read is state that no verdict reaches.
+
 And no code under src/ raises a bare ValueError: the CLI reads only
 UsageError as a refused input, so any other ValueError is a bug."""
 
@@ -110,6 +115,40 @@ def _unreferenced():
 def test_every_definition_is_reached_from_src():
     unreferenced = [q for q in _unreferenced() if q not in ALLOWLIST]
     assert unreferenced == [], f"referenced only from tests, or nowhere: {unreferenced}"
+
+
+def _unread_attributes():
+    """`module.Class.name` for every attribute that a class under src/
+    assigns as `self.name` and that nothing under src/ reads: neither the
+    class as `self.name` nor any code as `obj.name`, `obj` other than the
+    bare names `self` and `args`."""
+    elsewhere = {
+        node.attr
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "args"))
+    }
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stored, read = set(), set()
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    if isinstance(node.ctx, ast.Store):
+                        stored.add(node.attr)
+                    elif isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
+            out.extend(f"{path.stem}.{cls.name}.{name}" for name in sorted(stored - read - elsewhere))
+    return out
+
+
+def test_every_instance_attribute_is_read_in_src():
+    unread = _unread_attributes()
+    assert unread == [], f"instance attributes that nothing under src/ reads: {unread}"
 
 
 def test_allowlist_is_current():
