@@ -12,6 +12,7 @@ fixed flags apart from the version header.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -382,14 +383,11 @@ def _emit(args, payload: dict, rows: list[dict], ok: bool) -> None:
     headers = list(rows[0].keys())
     if args.format == "csv":
         import csv
-        import io
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(headers)
         for row in rows:
             writer.writerow([_stringify(row[h]) for h in headers])
-        sys.stdout.write(buf.getvalue())
         return
     cells = [[_stringify(row[h]) for h in headers] for row in rows]
     widths = [
@@ -401,19 +399,26 @@ def _emit(args, payload: dict, rows: list[dict], ok: bool) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
 
 
+def _to_reader(write, *args, **body) -> None:
+    """write(*args, **body), flushed.  A reader that closes the pipe early
+    (`| head`) ends it quietly: stdout then points at os.devnull, so the flush
+    at exit meets no closed pipe either."""
+    try:
+        write(*args, **body)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _merge_negative_rationals(argv: list[str]) -> list[str]:
     """Join `--c -1/2` into `--c=-1/2`: argparse's negative-number heuristic
     does not cover rationals with slashes."""
-    merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--c" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"--c={argv[i + 1]}")
-            i += 2
+    merged: list[str] = []
+    for tok in argv:
+        if merged and merged[-1] == "--c" and tok.startswith("-"):
+            merged[-1] = f"--c={tok}"
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 
@@ -423,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_rationals(argv))
     try:
         payload, rows, ok = COMMANDS[args.command](args)
-        _emit(args, payload, rows, ok)
+        _to_reader(_emit, args, payload, rows, ok)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -435,7 +440,7 @@ def main(argv=None) -> int:
             option = {a.dest: a.option_strings[-1] for a in sub.choices[args.command]._actions}
             flags = {option[k]: v for k, v in vars(args).items() if k != "command"}
             error = {"kind": "identity violation", "message": str(exc), "flags": flags}
-            _write_json(args, False, error=error)
+            _to_reader(_write_json, args, False, error=error)
         return 1
     except Exception as exc:
         # repr keeps the exception type and one line whatever the message

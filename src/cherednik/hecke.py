@@ -153,10 +153,10 @@ class HeckeAlgebra:
     w has its reduced word `words[w]`.  The generators act on them by
     `lmul_gen` and `rmul_gen`: the Casimir element C is a sum of `rmul_gen`
     words, and the products C T_w, the columns of the radical's equations
-    C h = 0, are read off one right sweep (`right_sweep`) of it over the weak
-    order.  From them come the radical, the normal form modulo it
-    (`reduce`) and the center of the quotient, each kernel one call of the
-    field's `kernel`.
+    C h = 0, are read off one right sweep (`right_sweep`) of it, a walk of
+    the tree of factorizations w = parent * s_j.  From them come the radical,
+    the normal form modulo it (`reduce`) and the center of the quotient, each
+    kernel one call of the field's `kernel`.
     """
 
     def __init__(self, p: int, m: int):
@@ -182,24 +182,15 @@ class HeckeAlgebra:
                 ract.append((index[wsi], w[i] < w[i + 1]))
             self._left.append(lact)
             self._right.append(ract)
-        # factorizations w = parent * s_j, j the first descent of w: the
-        # parent comes first in `perms`, so one pass gives every reduced word
+        # factorizations w = parent * s_j, j the first descent of w: the parent
+        # comes first in `perms`, so one pass gives every word and the tree
         self.words: list[tuple[int, ...]] = [()]
-        steps = []
+        self._children: list[list[tuple[int, int]]] = [[] for _ in self.perms]
         for w, perm in enumerate(self.perms[1:], 1):
             j = min(k for k in range(p - 1) if perm[k] > perm[k + 1])
             parent = self._right[j][w][0]
             self.words.append(self.words[parent] + (j,))
-            steps.append((w, j, parent))
-        # the steps in order of length.  Each step also says whether it
-        # builds the parent's last child and whether w has children, so a
-        # sweep keeps a translate only while its children are still to come
-        steps.sort(key=lambda step: len(self.words[step[0]]))
-        last = {parent: k for k, (_, _, parent) in enumerate(steps)}
-        self._right_bfs = [
-            (w, j, parent, last[parent] == k, w in last)
-            for k, (w, j, parent) in enumerate(steps)
-        ]
+            self._children[parent].append((w, j))
 
     # -- raw dict arithmetic ------------------------------------------------
 
@@ -227,17 +218,16 @@ class HeckeAlgebra:
         return {w: c for w, c in out.items() if not F.is_zero(c)}
 
     def right_sweep(self, a: dict):
-        """Yield (w, a T_w) for every basis index w, swept up the weak order
-        in one pass; each translate is dropped once its children are built."""
-        live = {0: a}
-        yield 0, a
-        for w, j, parent, drop, keep in self._right_bfs:
-            t = self.rmul_gen(j, live[parent])
-            if drop:
-                del live[parent]
-            if keep:
-                live[w] = t
+        """Yield (w, a T_w) for every basis index w, depth first down the tree
+        of w = parent * s_j, with a T_w = (a T_parent) T_j: a translate is held
+        while its subtree is walked, so at most l(w_0) + 1 = p(p-1)/2 + 1 are."""
+
+        def walk(w: int, t: dict):
             yield w, t
+            for child, j in self._children[w]:
+                yield from walk(child, self.rmul_gen(j, t))
+
+        yield from walk(0, a)
 
     # -- Casimir element, radical, center -----------------------------------
 

@@ -585,6 +585,46 @@ class TestExitCodes:
         assert captured.err == f"internal error: {exc('unencodable')!r}\n"
 
 
+def closed_early(argv, first_bytes):
+    """Exit code and stderr of a CLI process whose reader closes the pipe
+    after `first_bytes` bytes, or before the process starts when None."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    if first_bytes is None:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+    else:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.read(first_bytes)
+        proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    return proc.wait(), err
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("first_bytes", [10, None], ids=["after-10-bytes", "before-start"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_reader_closing_the_pipe_is_not_an_error(self, fmt, first_bytes):
+        # about 1 MB of output under every format, far past a pipe's buffer
+        argv = [sys.executable, "-m", "cherednik.cli", "--format", fmt, "census", "--n", "30", "--m", "3"]
+        assert closed_early(argv, first_bytes) == (0, b"")
+
+    def test_violation_keeps_exit_1_when_the_reader_is_gone(self):
+        # the envelope written after a violation also meets a closed pipe
+        code = (
+            "import sys; from cherednik import characters, cli; "
+            "characters.content_sum = lambda lam: 1; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        argv = [sys.executable, "-c", code, "weights", "--n", "3", "--c", "1/2"]
+        exit_code, err = closed_early(argv, None)
+        assert exit_code == 1
+        assert err.decode().startswith("identity violation: weight formulas disagree")
+        assert err.count(b"\n") == 1
+
+
 class TestEmissionMemory:
     def test_census_emission_peaks_at_twice_its_text(self, monkeypatch):
         # the envelope goes out chunk by chunk: no joined copy of the text,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import weakref
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, gcd, prod
@@ -291,26 +292,58 @@ class TestPermutations:
                     acc = H.lmul_gen(i, acc)
                 assert acc == {w: H.field.one}
 
-    @pytest.mark.parametrize("p,peak", [(4, 7), (5, 23), (6, 102)])
+    @pytest.mark.parametrize("p,peak", [(4, 7), (5, 11), (6, 16)])
     def test_sweep_holds_few_translates(self, p, peak):
-        # replay the sweep's bookkeeping: every parent is live when it is
-        # used, nothing is left at the end, and the live translates plus the
-        # one being built stay within the peak (all p! would be 24, 120 and
-        # 720; a level-by-level sweep 11, 42 and 202)
+        # count what the real sweep holds: every product is a tracked dict,
+        # and the consumer drops each translate as it goes.  The peak is
+        # l(w_0) + 1, the start element included (all p! would be 24, 120
+        # and 720; a sweep in order of length held 8, 24 and 103)
         H = Hk.HeckeAlgebra(p, 2)
-        live = {0}
+
+        class Translate(dict):
+            __hash__ = object.__hash__  # by identity, for the WeakSet
+
+        held = weakref.WeakSet()
         most = 0
-        for w, j, parent, drop, keep in H._right_bfs:
-            assert parent in live
-            assert H._right[j][parent] == (w, True)
-            most = max(most, len(live) + 1)
-            if drop:
-                live.remove(parent)
-            if keep:
-                live.add(w)
-        assert not live
-        assert sorted(w for w, *_ in H._right_bfs) == list(range(1, H.dim))
+        gen_mul = H._gen_mul
+
+        def tracked(act, elem):
+            nonlocal most
+            t = Translate(gen_mul(act, elem))
+            held.add(t)
+            most = max(most, len(held))
+            return t
+
+        H._gen_mul = tracked
+        start = Translate({0: H.field.one})
+        held.add(start)
+        sweep = H.right_sweep(start)
+        del start
+        seen = []
+        for w, t in sweep:
+            seen.append(w)
+            del t
+        assert sorted(seen) == list(range(H.dim))
         assert most <= peak
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_sweep_walks_the_factorization_tree(self, p):
+        # every non-identity index is exactly one node's child, each edge
+        # is a length-raising right step that extends the parent's word, and
+        # the sweep yields every index once, with its translate of the unit
+        H = Hk.HeckeAlgebra(p, 3)
+        children = []
+        for parent, edges in enumerate(H._children):
+            for child, j in edges:
+                assert H._right[j][parent] == (child, True)
+                assert H.words[child] == H.words[parent] + (j,)
+                children.append(child)
+        assert sorted(children) == list(range(1, H.dim))
+        seen = []
+        for w, t in H.right_sweep(unit(H)):
+            assert t == {w: H.field.one}
+            seen.append(w)
+        assert sorted(seen) == list(range(H.dim))
 
 
 class TestMultiplication:
