@@ -42,8 +42,6 @@ def monomials(n: int, d: int) -> list[Exponent]:
         for e in range(remaining, -1, -1):
             rec(prefix + (e,), remaining - e, slots - 1)
 
-    if n == 0:
-        return [()] if d == 0 else []
     rec((), d, n)
     return out
 

@@ -11,15 +11,16 @@ full-rank image proves a kernel zero, so for m > p, where H is semisimple,
 the radical costs one reduction of the gram mod l.  The Jacobson radical J
 is the kernel of the regular trace form theta(h) = tau(h C) (valid in
 characteristic zero), C the central Casimir element; tau is nondegenerate,
-so J = {h : C h = 0}, the kernel K of the columns C T_w, read off one right
-sweep of C.  The normal form of x modulo J is x - sum_f x_f K_f over the free
-columns f, and the quotient H/J has coordinates on the remaining pivot
-columns P.  Simple modules are counted through the center of H/J, the kernel
-in P-coordinates of the commutators with the generators.  The block
-dimensions (dim D^mu)^2 come from the LLT canonical basis
-(:func:`cherednik.fock.simple_dimensions`), a path with no linear algebra,
-and are cross-checked against the radical and the center: as many blocks as
-the center has dimensions, summing to dim H - dim J.
+so J = {h : C h = 0}, the kernel K of the columns C T_w.  C and its columns
+are both built down the tree of factorizations w = parent * s_j.  The normal
+form of x modulo J is x - sum_f x_f K_f over the free columns f, and the
+quotient H/J has coordinates on the remaining pivot columns P.  Simple
+modules are counted through the center of H/J, the kernel in P-coordinates
+of the commutators with the generators.  The block dimensions (dim D^mu)^2
+come from the LLT canonical basis (:func:`cherednik.fock.simple_dimensions`),
+a path with no linear algebra, and are cross-checked against the radical and
+the center: as many blocks as the center has dimensions, summing to
+dim H - dim J.
 
 Every number on this path is an integer, and every row and vector is sparse,
 {column: nonzero element}.  A basis element T_w is named by one int, the
@@ -149,14 +150,14 @@ class HeckeAlgebra:
     depend only on e = m (Dipper-James 1986), so no other power is built.
 
     Elements are term dicts {basis index: coefficient} with no zero
-    coefficients, the index of T_w being the position of w in `perms`; each
-    w has its reduced word `words[w]`.  The generators act on them by
-    `lmul_gen` and `rmul_gen`: the Casimir element C is a sum of `rmul_gen`
-    words, and the products C T_w, the columns of the radical's equations
-    C h = 0, are read off one right sweep (`right_sweep`) of it, a walk of
-    the tree of factorizations w = parent * s_j.  From them come the radical,
-    the normal form modulo it (`reduce`) and the center of the quotient, each
-    kernel one call of the field's `kernel`.
+    coefficients, the index of T_w being the position of w in `perms`.  The
+    generators act on them by `lmul_gen` and `rmul_gen`, and one walker,
+    `sweep`, runs down the tree of factorizations w = parent * s_j applying
+    a step per edge: T_j on both sides builds the terms of the Casimir
+    element C, and T_j on the right the products C T_w, the columns of the
+    radical's equations C h = 0.  From them come the radical, the normal
+    form modulo it (`reduce`) and the center of the quotient, each kernel
+    one call of the field's `kernel`.
     """
 
     def __init__(self, p: int, m: int):
@@ -182,15 +183,12 @@ class HeckeAlgebra:
                 ract.append((index[wsi], w[i] < w[i + 1]))
             self._left.append(lact)
             self._right.append(ract)
-        # factorizations w = parent * s_j, j the first descent of w: the parent
-        # comes first in `perms`, so one pass gives every word and the tree
-        self.words: list[tuple[int, ...]] = [()]
+        # factorizations w = parent * s_j, j the first descent of w: the tree
+        # of them, rooted at the identity, with w's reduced word its path
         self._children: list[list[tuple[int, int]]] = [[] for _ in self.perms]
         for w, perm in enumerate(self.perms[1:], 1):
             j = min(k for k in range(p - 1) if perm[k] > perm[k + 1])
-            parent = self._right[j][w][0]
-            self.words.append(self.words[parent] + (j,))
-            self._children[parent].append((w, j))
+            self._children[self._right[j][w][0]].append((w, j))
 
     # -- raw dict arithmetic ------------------------------------------------
 
@@ -217,15 +215,15 @@ class HeckeAlgebra:
                 out[w] = F.add(out[w], oc) if w in out else oc
         return {w: c for w, c in out.items() if not F.is_zero(c)}
 
-    def right_sweep(self, a: dict):
-        """Yield (w, a T_w) for every basis index w, depth first down the tree
-        of w = parent * s_j, with a T_w = (a T_parent) T_j: a translate is held
-        while its subtree is walked, so at most l(w_0) + 1 = p(p-1)/2 + 1 are."""
+    def sweep(self, a: dict, step):
+        """Yield (w, a_w) for every basis index w, depth first down the tree
+        of w = parent * s_j: a_e = a, a_w = step(j, a_parent) (a T_w for
+        `rmul_gen`), held while its subtree is walked, so l(w_0) + 1 at most."""
 
         def walk(w: int, t: dict):
             yield w, t
             for child, j in self._children[w]:
-                yield from walk(child, self.rmul_gen(j, t))
+                yield from walk(child, step(j, t))
 
         yield from walk(0, a)
 
@@ -235,15 +233,17 @@ class HeckeAlgebra:
     def casimir(self) -> dict:
         """The central element C = sum_w q^-l(w) T_w T_(w^-1), with
         q^-l = zeta^-l.  For the symmetrizing trace tau(T_w) = delta_(w,e)
-        the regular trace is theta(h) = tau(h C) (Geck-Pfeiffer 2000, 7.1-7.2)."""
+        the regular trace is theta(h) = tau(h C) (Geck-Pfeiffer 2000, 7.1-7.2).
+        Reindexed by w -> w^-1, the term of c = w s_j is q^-1 T_j (term of w)
+        T_j: one sweep from the unit, two generator products per edge."""
         F = self.field
+        q_inv = F.zeta(-1)
+
+        def step(j: int, t: dict) -> dict:
+            return {x: F.mul(q_inv, c) for x, c in self.lmul_gen(j, self.rmul_gen(j, t)).items()}
+
         out: dict[int, CycElement] = {}
-        for w, word in enumerate(self.words):
-            # q^-l(w) T_w T_(w^-1): the scaled term of w, times the
-            # generators of w's word from its right end
-            term = {w: F.zeta(-len(word))}
-            for i in reversed(word):
-                term = self.rmul_gen(i, term)
+        for _, term in self.sweep({0: F.one}, step):
             for x, c in term.items():
                 out[x] = F.add(out[x], c) if x in out else c
         return {x: c for x, c in out.items() if not F.is_zero(c)}
@@ -257,7 +257,7 @@ class HeckeAlgebra:
         trace form theta(T_v T_w) = tau(T_v C T_w) = q^l(v) M[v^-1][w] is M
         with rows permuted and scaled by units: one row space and kernel."""
         rows: list[FieldRow] = [{} for _ in range(self.dim)]
-        for w, t in self.right_sweep(self.casimir):
+        for w, t in self.sweep(self.casimir, self.rmul_gen):
             for x, c in t.items():
                 rows[x][w] = c
         return rows
@@ -324,9 +324,9 @@ class HeckeAlgebra:
 def check_relations(H: HeckeAlgebra) -> None:
     """Check the quadratic, braid and commuting relations of the generators
     exactly, each side a word applied to the unit, by `lmul_gen` from its
-    end and then by `rmul_gen` from its start (C and the gram use the right
-    table, the center the left), and raise IdentityViolation at the first
-    that fails.
+    end and then by `rmul_gen` from its start (C uses both tables, the gram
+    the right, the center the left), and raise IdentityViolation at the
+    first that fails.
 
     The quadratic relation reads T_i T_i = (1 - q) T_i + q.  Its right side
     takes 1 - q from q, not from the multiplication's own `one_minus_q`, so

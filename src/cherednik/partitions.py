@@ -209,8 +209,6 @@ def enumerate_m_regular(n: int, m: int) -> list[Partition]:
 
 @cache
 def count_partitions(n: int) -> int:
-    if n < 0:
-        return 0
     table = [1] + [0] * n
     for k in range(1, n + 1):
         for t in range(k, n + 1):
@@ -221,8 +219,6 @@ def count_partitions(n: int) -> int:
 @cache
 def count_m_regular(n: int, m: int) -> int:
     """Number of partitions of n in which no part repeats m or more times."""
-    if n < 0:
-        return 0
     table = [1] + [0] * n
     for k in range(1, n + 1):
         # each part value k may appear 0..m-1 times

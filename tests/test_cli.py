@@ -559,8 +559,18 @@ class TestExitCodes:
             (["fock-trace", "--m", "2", "--max", "-1"], "truncation must be nonnegative"),
             (["hecke-simples", "--p", "0", "--m", "2"], "rank must be positive, got 0"),
             (["hecke-simples", "--p", "3", "--m", "1"], "m must be at least 2, got 1"),
+            (["decompose", "--lambda", "2,1", "--m", "1"], "m must be at least 2, got 1"),
+            (["census", "--n", "3", "--m", "1"], "m must be at least 2, got 1"),
         ],
-        ids=["dunkl-check-degree-0", "singular-degree-0", "fock-trace-max-negative", "hecke-p-0", "hecke-m-1"],
+        ids=[
+            "dunkl-check-degree-0",
+            "singular-degree-0",
+            "fock-trace-max-negative",
+            "hecke-p-0",
+            "hecke-m-1",
+            "decompose-m-1",
+            "census-m-1",
+        ],
     )
     def test_library_refusal_exits_2(self, capsys, argv, message):
         # flags that parse but that the library refuses

@@ -29,8 +29,9 @@ def shared_algebra(p, m):
     return Hk.HeckeAlgebra(p, m)
 
 
-# permutation helpers, kept here as oracles for the algebra's own reduced
-# words, and for the inverses and lengths that place the trace form
+# permutation helpers, kept here as oracles for the reduced words that the
+# algebra's tree of factorizations spells, and for the inverses and lengths
+# that place the trace form
 
 
 def perm_length(w):
@@ -84,7 +85,7 @@ def mul(H, a, b):
     off one right sweep of a."""
     F = H.field
     out = {}
-    for w, t in H.right_sweep(a):
+    for w, t in H.sweep(a, H.rmul_gen):
         if w in b:
             for x, c in t.items():
                 out[x] = F.add(out.get(x, F.zero), F.mul(c, b[w]))
@@ -279,12 +280,14 @@ class TestCyclotomicField:
 class TestPermutations:
     def test_reduced_words_recompose(self):
         # T_{word[0]} ... T_{word[-1]} applied to the unit is T_w exactly when
-        # the word multiplies out to w without a length drop
+        # the word multiplies out to w without a length drop; w's path down
+        # the algebra's tree of factorizations spells the oracle's word
         for p in (2, 3, 4, 5):
             H = Hk.HeckeAlgebra(p, 3)
-            assert len(H.words) == H.dim
+            paths = dict(H.sweep((), lambda j, word: word + (j,)))
+            assert len(paths) == H.dim
             for w, perm in enumerate(H.perms):
-                word = H.words[w]
+                word = paths[w]
                 assert word == reduced_word(perm)
                 assert len(word) == perm_length(perm)
                 acc = unit(H)
@@ -317,7 +320,7 @@ class TestPermutations:
         H._gen_mul = tracked
         start = Translate({0: H.field.one})
         held.add(start)
-        sweep = H.right_sweep(start)
+        sweep = H.sweep(start, H.rmul_gen)
         del start
         seen = []
         for w, t in sweep:
@@ -329,18 +332,19 @@ class TestPermutations:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_sweep_walks_the_factorization_tree(self, p):
         # every non-identity index is exactly one node's child, each edge
-        # is a length-raising right step that extends the parent's word, and
-        # the sweep yields every index once, with its translate of the unit
+        # is a length-raising right step that extends the oracle's reduced
+        # word of the parent, and the sweep yields every index once, with
+        # its translate of the unit
         H = Hk.HeckeAlgebra(p, 3)
         children = []
         for parent, edges in enumerate(H._children):
             for child, j in edges:
                 assert H._right[j][parent] == (child, True)
-                assert H.words[child] == H.words[parent] + (j,)
+                assert reduced_word(H.perms[child]) == reduced_word(H.perms[parent]) + (j,)
                 children.append(child)
         assert sorted(children) == list(range(1, H.dim))
         seen = []
-        for w, t in H.right_sweep(unit(H)):
+        for w, t in H.sweep(unit(H), H.rmul_gen):
             assert t == {w: H.field.one}
             seen.append(w)
         assert sorted(seen) == list(range(H.dim))
@@ -456,7 +460,7 @@ class TestRelationCheck:
     def test_corrupted_right_action_fails_the_quadratic_relation(self, monkeypatch, capsys):
         # T_e T_0 on the right keeps T_0 but takes the length-lowering branch;
         # unchecked, the fault reaches only the LLT cross-check ("LLT gives
-        # 2 simples, the center 1")
+        # 2 simples, the center 0")
         def corrupt(H):
             H._right[0][0] = (H._right[0][0][0], False)
 
@@ -636,25 +640,44 @@ class TestCasimir:
         for i in range(p - 1):
             assert H.lmul_gen(i, C) == H.rmul_gen(i, C)
 
+    @pytest.mark.parametrize("p", [4, 5, 6])
+    def test_two_generator_products_per_edge(self, p):
+        # C is summed down the tree of factorizations, T_j on each side per
+        # edge: 2(p! - 1) generator products
+        H = Hk.HeckeAlgebra(p, 2)
+        calls = 0
+
+        def counted(gen_mul):
+            def wrapper(i, elem):
+                nonlocal calls
+                calls += 1
+                return gen_mul(i, elem)
+
+            return wrapper
+
+        H.lmul_gen, H.rmul_gen = counted(H.lmul_gen), counted(H.rmul_gen)
+        assert H.casimir
+        assert calls == 2 * (factorial(p) - 1)
+
     def test_perm_inverse(self):
         # the oracle inverses, and the Casimir element built as it was from
         # them: each q^-l(w) T_w T_(w^-1) is the scaled T_(w^-1) times the
         # generators of w's word from the left, from its right end
-        for p in (2, 3, 4, 5):
-            for m in (2, 3):
-                H = Hk.HeckeAlgebra(p, m)
-                F = H.field
-                terms = []
-                for perm in H.perms:
-                    v = perm_inverse(perm)
-                    identity = tuple(range(p))
-                    assert tuple(perm[v[i]] for i in range(p)) == tuple(v[perm[i]] for i in range(p)) == identity
-                    assert perm_length(v) == perm_length(perm)
-                    term = element(H, {v: F.zeta(-perm_length(perm))})
-                    for i in reversed(reduced_word(perm)):
-                        term = H.lmul_gen(i, term)
-                    terms.append((F.one, term))
-                assert H.casimir == combine(H, *terms)
+        cases = [(p, m) for p in (2, 3, 4, 5) for m in (2, 3, 5, 7)] + [(6, 2)]
+        for p, m in cases:
+            H = Hk.HeckeAlgebra(p, m)
+            F = H.field
+            terms = []
+            for perm in H.perms:
+                v = perm_inverse(perm)
+                identity = tuple(range(p))
+                assert tuple(perm[v[i]] for i in range(p)) == tuple(v[perm[i]] for i in range(p)) == identity
+                assert perm_length(v) == perm_length(perm)
+                term = element(H, {v: F.zeta(-perm_length(perm))})
+                for i in reversed(reduced_word(perm)):
+                    term = H.lmul_gen(i, term)
+                terms.append((F.one, term))
+            assert H.casimir == combine(H, *terms)
 
 
 class TestKernels:
