@@ -1,20 +1,21 @@
 """Symmetric group character data at the Grothendieck-group level.
 
-Dimensions come from the hook length formula and induction multiplicities
-from the Littlewood-Richardson rule, one horizontal strip per letter.
-Everything is exact integer arithmetic; only the weights, -c times an
-integer content sum, are Fractions.
+Induction multiplicities come from the Littlewood-Richardson rule, one
+horizontal strip per letter, and are checked against the hook length
+formula (:func:`cherednik.partitions.dimension`).  Everything is exact
+integer arithmetic; only the weights, -c times an integer content sum, are
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, factorial, prod
+from math import comb
 from typing import NamedTuple
 
 from .errors import IdentityViolation, UsageError
-from .partitions import Partition, add, conjugate, dominates, enumerate_partitions, size
+from .partitions import Partition, add, dimension, dominates, enumerate_partitions, size
 
 # multiplicity vector over partitions of a fixed n; zero entries are absent
 CharacterVector = dict[Partition, int]
@@ -43,15 +44,6 @@ def lowest_weight(lam: Partition, c: Fraction) -> Fraction:
             f"weight formulas disagree on {lam}: {doubled_by_rows} vs {2 * by_contents}"
         )
     return -Fraction(c) * by_contents
-
-
-def dimension(lam: Partition) -> int:
-    """dim S^lam, the number of standard tableaux of shape lam: |lam|!
-    over the product of the hook lengths (Frame, Robinson and Thrall, Canad.
-    J. Math. 6 (1954))."""
-    cols = conjugate(lam)
-    hooks = prod(p - j + cols[j] - i - 1 for i, p in enumerate(lam) for j in range(p))
-    return factorial(size(lam)) // hooks
 
 
 def _strips(shape: Partition, prev: tuple[int, ...], boxes: int, room: int):

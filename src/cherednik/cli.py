@@ -449,5 +449,17 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
+def run() -> None:
+    """Entry of the `cherednik` script and of `python -m cherednik.cli`: run
+    main, flush both streams and end the process with os._exit, which skips
+    the interpreter's teardown and keeps the exit code.  An argparse exit
+    (--help, a bad flag) raises SystemExit out of main and ends the usual
+    way."""
+    code = main()
+    _to_reader(sys.stdout.flush)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

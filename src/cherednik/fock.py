@@ -16,11 +16,8 @@ vector it reaches, and carries the eigenvalue and the support invariant
 along.  The 1s that end a partition are appended in a loop, so the recursion
 goes one level per part of 2 or more, at most N // 2 levels deep.
 
-The same partitions index the level-1 Fock space of U_v(sl^_e), where the
-canonical basis of Lascoux, Leclerc and Thibon (Comm. Math. Phys. 181, 1996)
-gives, at v = 1, the decomposition numbers of the Hecke algebra H_p(zeta_e)
-in characteristic 0 (Ariki, J. Math. Kyoto Univ. 36, 1996).  Its
-coefficients are Laurent polynomials in v, kept as {exponent: int} dicts.
+The LLT canonical basis on the level-1 Fock space of U_v(sl^_e), which the
+Hecke audit reads, is built in :mod:`cherednik.hecke`, its one caller.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import IdentityViolation, UsageError
-from .partitions import Partition, count_m_regular, count_partitions, enumerate_m_regular
+from .partitions import Partition, count_m_regular, count_partitions
 
 
 def annihilate(i: int, k: list[int]) -> int:
@@ -269,156 +266,3 @@ def verify_bo(m: int, n_max: int) -> list[StratumCounts]:
         for n in range(n_max + 1)
         for q in range(n // m + 1)
     ]
-
-
-# ---------------------------------------------------------------------------
-# the LLT canonical basis
-
-Laurent = dict[int, int]  # {exponent of v: nonzero int}
-FockVector = dict[Partition, Laurent]
-
-
-def _ladder(r: int, c: int, e: int) -> int:
-    """The ladder of the node in row r and column c, both 0-indexed.  The
-    nodes of ladder L all have residue c - r = -L mod e."""
-    return r + (e - 1) * c
-
-
-def _i_nodes(lam: Partition, i: int, e: int) -> list[tuple[int, bool]]:
-    """The addable and removable nodes of residue i of lam, from the top row
-    down, as (row, addable) pairs."""
-    out = []
-    for r in range(len(lam) + 1):
-        part = lam[r] if r < len(lam) else 0
-        if part > (lam[r + 1] if r + 1 < len(lam) else 0) and (part - 1 - r) % e == i:
-            out.append((r, False))
-        if (r == 0 or lam[r - 1] > part) and (part - r) % e == i:
-            out.append((r, True))
-    return out
-
-
-def _add_shifted(target: Laurent, coeff: Laurent, shift: int, factor: int = 1) -> None:
-    """target += factor * v^shift * coeff, in place; zeros are left for
-    `_nonzero` to drop."""
-    for k, x in coeff.items():
-        target[k + shift] = target.get(k + shift, 0) + factor * x
-
-
-def _nonzero(vec: FockVector) -> FockVector:
-    out = {}
-    for lam, coeff in vec.items():
-        coeff = {k: x for k, x in coeff.items() if x}
-        if coeff:
-            out[lam] = coeff
-    return out
-
-
-def _f(vec: FockVector, i: int, e: int) -> FockVector:
-    """f_i: each addable i-node gamma of lam gives lam + gamma with the
-    factor v^(a - b), where a and b count the addable and the removable
-    i-nodes of lam above gamma, in an earlier row."""
-    out: FockVector = {}
-    for lam, coeff in vec.items():
-        shift = 0
-        for r, addable in _i_nodes(lam, i, e):
-            if not addable:
-                shift -= 1
-                continue
-            nu = lam[:r] + (lam[r] + 1,) + lam[r + 1 :] if r < len(lam) else lam + (1,)
-            _add_shifted(out.setdefault(nu, {}), coeff, shift)
-            shift += 1
-    return _nonzero(out)
-
-
-def _divide_quantum(a: Laurent, j: int) -> Laurent:
-    """a / [j] for the quantum integer [j] = v^(1-j) + v^(3-j) + ... + v^(j-1),
-    by long division from the lowest degree; IdentityViolation unless exact."""
-    rem = dict(a)
-    top = max(rem)
-    quot = {}
-    while rem:
-        d = min(rem)
-        if d > top - 2 * (j - 1):
-            raise IdentityViolation(f"[{j}] does not divide {a}")
-        c = rem.pop(d)
-        quot[d + j - 1] = c
-        for t in range(1, j):
-            x = rem.get(d + 2 * t, 0) - c
-            if x:
-                rem[d + 2 * t] = x
-            else:
-                rem.pop(d + 2 * t, None)
-    return quot
-
-
-def _ladder_vector(mu: Partition, e: int) -> FockVector:
-    """A(mu): the divided powers f_i^(k) applied to the empty partition, one
-    per ladder L in increasing order, with i = -L mod e and k the number of
-    nodes of mu on L."""
-    counts: dict[int, int] = {}
-    for r, part in enumerate(mu):
-        for c in range(part):
-            ladder = _ladder(r, c, e)
-            counts[ladder] = counts.get(ladder, 0) + 1
-    vec: FockVector = {(): {0: 1}}
-    for ladder in sorted(counts):
-        k = counts[ladder]
-        for _ in range(k):
-            vec = _f(vec, -ladder % e, e)
-        for lam, coeff in vec.items():
-            for j in range(2, k + 1):
-                coeff = _divide_quantum(coeff, j)
-            vec[lam] = coeff
-    return vec
-
-
-def _decomposition_numbers(p: int, e: int) -> dict[Partition, dict[Partition, int]]:
-    """d_lam,mu for every e-regular mu of p, as {mu: {lam: nonzero d}}: the
-    coefficients at v = 1 of the canonical basis vector G(mu).
-
-    For each mu in increasing lex order, G(mu) is A(mu) less bar-invariant
-    multiples of the G(nu) already found: while some nu other than mu has a
-    coefficient outside vZ[v], the lex-largest such nu loses alpha G(nu),
-    alpha the bar-invariant Laurent polynomial that agrees with that
-    coefficient in degrees <= 0.  mu must have coefficient 1 in A(mu)."""
-    basis: dict[Partition, FockVector] = {}
-    for mu in reversed(enumerate_m_regular(p, e)):
-        vec = _ladder_vector(mu, e)
-        if vec.get(mu) != {0: 1}:
-            raise IdentityViolation(f"{mu} has coefficient {vec.get(mu, {})} in A({mu}) at e = {e}")
-        while True:
-            low = [nu for nu, coeff in vec.items() if nu != mu and min(coeff) <= 0]
-            if not low:
-                break
-            nu = max(low)
-            if nu not in basis:
-                raise IdentityViolation(f"{nu} in A({mu}) at e = {e} has no canonical basis vector")
-            alpha = {k: x for k, x in vec[nu].items() if k <= 0}
-            alpha.update({-k: x for k, x in alpha.items() if k < 0})
-            for lam, coeff in basis[nu].items():
-                target = vec.setdefault(lam, {})
-                for k, x in alpha.items():
-                    _add_shifted(target, coeff, k, -x)
-            vec = _nonzero(vec)
-        basis[mu] = vec
-    return {
-        mu: {lam: s for lam, coeff in vec.items() if (s := sum(coeff.values()))}
-        for mu, vec in basis.items()
-    }
-
-
-def simple_dimensions(p: int, e: int) -> dict[Partition, int]:
-    """dim D^mu for every e-regular partition mu of p, mu in decreasing lex
-    order: the simple modules of H_p(zeta_e) in characteristic 0.
-
-    Solves dim S^lam = sum_mu d_lam,mu dim D^mu over the e-regular lam from
-    the largest down; the decomposition matrix is unitriangular there, and
-    dim S^lam comes from `characters.dimension`."""
-    # imported here so that bo-verify and fock-trace do not load characters
-    from .characters import dimension
-
-    d = _decomposition_numbers(p, e)
-    dims: dict[Partition, int] = {}
-    for lam in sorted(d, reverse=True):
-        dims[lam] = dimension(lam) - sum(d[mu].get(lam, 0) * dims[mu] for mu in dims)
-    return dims

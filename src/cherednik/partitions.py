@@ -9,6 +9,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import zip_longest
+from math import factorial, prod
 
 from .errors import UsageError
 
@@ -48,6 +49,15 @@ def conjugate(lam: Partition) -> Partition:
             prev = p
         length -= 1
     return tuple(cols)
+
+
+def dimension(lam: Partition) -> int:
+    """dim S^lam, the number of standard tableaux of shape lam: |lam|!
+    over the product of the hook lengths (Frame, Robinson and Thrall, Canad.
+    J. Math. 6 (1954))."""
+    cols = conjugate(lam)
+    hooks = prod(p - j + cols[j] - i - 1 for i, p in enumerate(lam) for j in range(p))
+    return factorial(size(lam)) // hooks
 
 
 def multiplicities(lam: Partition) -> dict[int, int]:

@@ -736,8 +736,8 @@ class TestCountingFaults:
         # without the 2-regular (3, 2), the LLT straightening of A((5,))
         # meets a coefficient at (3, 2) with no canonical basis vector to
         # subtract
-        real = fock.enumerate_m_regular
-        monkeypatch.setattr(fock, "enumerate_m_regular", lambda p, e: [x for x in real(p, e) if x != (3, 2)])
+        real = hecke.enumerate_m_regular
+        monkeypatch.setattr(hecke, "enumerate_m_regular", lambda p, e: [x for x in real(p, e) if x != (3, 2)])
         code = cli.main(["hecke-simples", "--p", "5", "--m", "2"])
         captured = capsys.readouterr()
         assert code == 1
@@ -992,11 +992,58 @@ class TestExitCodeTable:
         assert captured.err == "internal error: ValueError('injected')\n"
 
 
-def probe(argv):
+def src_env():
+    """The environment of a fresh interpreter that imports the package from src/."""
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+# the exit-1 and exit-2 cases of the launch path: a failed verdict, with its
+# record on stdout, and a refused input
+LAUNCHED = [(argv, 0) for argv in PASSING.values()] + [
+    (["--format", "json", "ideal-check", "--n", "2", "--m", "2", "--q", "1", "--degree", "1", "--c", "1/3"], 1),
+    (["census", "--n", "3", "--m", "1"], 2),
+]
+
+
+class TestLaunchPath:
+    """`python -m cherednik.cli` ends with os._exit once its output is
+    flushed; it writes and exits exactly as the in-process main does."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        LAUNCHED,
+        ids=[f"{next(a for a in argv if a in cli.COMMANDS)}-exit{code}" for argv, code in LAUNCHED],
+    )
+    def test_module_launch_matches_main(self, capsys, argv, code):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        res = subprocess.run(
+            [sys.executable, "-m", "cherednik.cli", *argv], env=src_env(), capture_output=True
+        )
+        assert (res.returncode, res.stdout, res.stderr) == (
+            code, captured.out.encode(), captured.err.encode()
+        )
+
+    def test_block_buffered_output_to_a_file_is_flushed(self, capsys, tmp_path):
+        # without PYTHONUNBUFFERED a regular file gets a block-buffered
+        # stdout, which os._exit drops unless the process flushes it first
+        argv = ["census", "--n", "35", "--m", "3"]
+        env = src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        path = tmp_path / "stdout"
+        with open(path, "wb") as out:
+            res = subprocess.run(
+                [sys.executable, "-m", "cherednik.cli", *argv], env=env, stdout=out, stderr=subprocess.PIPE
+            )
+        assert cli.main(argv) == res.returncode == 0
+        assert res.stderr == b""
+        assert path.read_bytes() == capsys.readouterr().out.encode()
+
+
+def probe(argv):
     res = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", IMPORT_PROBE, *argv], env=src_env(), capture_output=True, text=True
     )
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
@@ -1064,6 +1111,7 @@ class TestImportBoundary:
             ["census", "--n", "10", "--m", "3"],
             ["bo-verify", "--n-max", "6", "--m", "2,3"],
             ["fock-trace", "--m", "2", "--max", "6"],
+            ["hecke-simples", "--p", "3", "--m", "2"],
         ],
         ids=lambda a: a[0] if a else "import",
     )
@@ -1082,14 +1130,13 @@ class TestImportBoundary:
         ids=lambda a: a[0],
     )
     def test_fock_commands_load_only_fock(self, argv):
-        # the LLT oracle imports characters only when it runs
         assert loaded_library(argv) == {"fock"}
 
-    def test_hecke_simples_loads_hecke_linalg_fock_characters(self):
-        # the regular path, with the modular lift of linalg, and the LLT
-        # oracle with the dimensions of S^lam
+    def test_hecke_simples_loads_hecke_and_linalg(self):
+        # the regular path, with the modular lift of linalg; the LLT oracle
+        # is in hecke and the dimensions of S^lam in partitions
         argv = ["hecke-simples", "--p", "3", "--m", "2"]
-        assert loaded_library(argv) == {"hecke", "linalg", "fock", "characters"}
+        assert loaded_library(argv) == {"hecke", "linalg"}
 
     @pytest.mark.parametrize("p,m", [(3, 2), (4, 5)])
     def test_hecke_audit_leaves_sympy_unloaded(self, p, m):
