@@ -151,10 +151,12 @@ def verify_relations(cfg: EngineConfig, max_degree: int) -> RelationReport:
     up to the given degree.
 
     For c = r/s each relation is checked multiplied by s, on integer
-    polynomials: [sD_i, X_i] = s - r * sum_{k != i} s_ik, [sD_i, X_j] = r s_ij
-    for i != j, [sD_i, sD_j] = 0, [X_i, X_j] = 0, and conjugation of both X_i
-    and sD_i by adjacent transpositions.  Violations are collected, not
-    raised.
+    polynomials.  Per monomial that is n checks of [sD_i, X_i] = s - r *
+    sum_{k != i} s_ik, n(n-1) of [sD_i, X_j] = r s_ij for i != j, n(n-1)/2 of
+    [sD_i, sD_j] = 0, n(n-1)/2 of [X_i, X_j] = 0, and n(n-1) of
+    w sD_i w^-1 = sD_w(i) for the n-1 adjacent transpositions w: at n = 5,
+    5 + 20 + 10 + 10 + 20 = 65.  The X_i are not conjugated.  Violations are
+    collected, not raised.
 
     The sweep works on monomial ids: sD_i of each monomial is expanded once,
     and x_j and the transpositions act through tables of ids.  Both sides of

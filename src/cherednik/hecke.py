@@ -25,7 +25,8 @@ U_v(sl^_e), whose basis is indexed by partitions; at v = 1 it gives the
 decomposition numbers of H_p(zeta_e) in characteristic 0 (Lascoux, Leclerc
 and Thibon, Comm. Math. Phys. 181, 1996; Ariki, J. Math. Kyoto Univ. 36,
 1996).  Its coefficients are Laurent polynomials in v, kept as
-{exponent: int} dicts.
+{exponent: int} dicts, and each divided power f_i^(k) is applied in closed
+form, as a sum over the k-sets of addable i-nodes.
 
 Every number on this path is an integer, and every row and vector is sparse,
 {column: nonzero element}.  A basis element T_w is named by one int, the
@@ -42,7 +43,9 @@ exact identities of term dicts.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
+from itertools import combinations
 from itertools import permutations as _itperms
 from math import lcm
 from operator import mul
@@ -135,7 +138,9 @@ class CyclotomicField:
 
         norms = [sum(sum(map(abs, x)) for x in row.values()) for row in rows]
         height = max(max(map(abs, z)) for z in self._powers)  # of the powers of zeta
-        vectors = lift_kernel(self.m, images, ncols, norms, height)
+        # a blow-up row of row r has 1-norm at most degree height norms[r]
+        lengths = [self.degree * height * n for n in norms]
+        vectors = lift_kernel(self.m, images, ncols, lengths, 2 * max(norms, default=0) * height)
         D = lcm(*(den for _, den, _ in vectors))
         return D, {
             f: {p: tuple(c.get(p, 0) * (D // den) for c in v) for p in sorted(set().union(*v))}
@@ -402,62 +407,39 @@ def _nonzero(vec: FockVector) -> FockVector:
     return out
 
 
-def _f(vec: FockVector, i: int, e: int) -> FockVector:
-    """f_i: each addable i-node gamma of lam gives lam + gamma with the
-    factor v^(a - b), where a and b count the addable and the removable
-    i-nodes of lam above gamma, in an earlier row."""
+def _f(vec: FockVector, i: int, k: int, e: int) -> FockVector:
+    """The divided power f_i^(k): each set S of k addable i-nodes of lam
+    gives lam + S with the factor v^N, where N sums, over gamma in S, the
+    addable i-nodes above gamma, in an earlier row, that are not in S less
+    the removable i-nodes above gamma.  The coefficients of A(mu) are sums
+    of powers of v, so no term cancels."""
     out: FockVector = {}
     for lam, coeff in vec.items():
-        shift = 0
-        for r, addable in _i_nodes(lam, i, e):
-            if not addable:
-                shift -= 1
-                continue
-            nu = lam[:r] + (lam[r] + 1,) + lam[r + 1 :] if r < len(lam) else lam + (1,)
-            _add_shifted(out.setdefault(nu, {}), coeff, shift)
-            shift += 1
-    return _nonzero(out)
-
-
-def _divide_quantum(a: Laurent, j: int) -> Laurent:
-    """a / [j] for the quantum integer [j] = v^(1-j) + v^(3-j) + ... + v^(j-1),
-    by long division from the lowest degree; IdentityViolation unless exact."""
-    rem = dict(a)
-    top = max(rem)
-    quot = {}
-    while rem:
-        d = min(rem)
-        if d > top - 2 * (j - 1):
-            raise IdentityViolation(f"[{j}] does not divide {a}")
-        c = rem.pop(d)
-        quot[d + j - 1] = c
-        for t in range(1, j):
-            x = rem.get(d + 2 * t, 0) - c
-            if x:
-                rem[d + 2 * t] = x
-            else:
-                rem.pop(d + 2 * t, None)
-    return quot
+        nodes = _i_nodes(lam, i, e)
+        for rows in combinations([r for r, addable in nodes if addable], k):
+            shift = above = 0
+            for r, addable in nodes:
+                if not addable:
+                    above -= 1
+                elif r in rows:
+                    shift += above
+                else:
+                    above += 1
+            nu = [*lam, 0]
+            for r in rows:
+                nu[r] += 1
+            _add_shifted(out.setdefault(tuple(filter(None, nu)), {}), coeff, shift)
+    return out
 
 
 def _ladder_vector(mu: Partition, e: int) -> FockVector:
     """A(mu): the divided powers f_i^(k) applied to the empty partition, one
     per ladder L in increasing order, with i = -L mod e and k the number of
     nodes of mu on L."""
-    counts: dict[int, int] = {}
-    for r, part in enumerate(mu):
-        for c in range(part):
-            ladder = _ladder(r, c, e)
-            counts[ladder] = counts.get(ladder, 0) + 1
+    counts = Counter(_ladder(r, c, e) for r, part in enumerate(mu) for c in range(part))
     vec: FockVector = {(): {0: 1}}
     for ladder in sorted(counts):
-        k = counts[ladder]
-        for _ in range(k):
-            vec = _f(vec, -ladder % e, e)
-        for lam, coeff in vec.items():
-            for j in range(2, k + 1):
-                coeff = _divide_quantum(coeff, j)
-            vec[lam] = coeff
+        vec = _f(vec, -ladder % e, counts[ladder], e)
     return vec
 
 

@@ -109,26 +109,27 @@ def _rational(u: int, L: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def prime_cap(d: int, norms: list[int], height: int, ncols: int) -> int:
+def prime_cap(d: int, lengths: list[int], ncols: int, bound: int) -> int:
     """What the primes `lift_kernel` tries multiply past before it gives up.
-    A minor of the rational blow-up of G has at most d ncols rows of 1-norm
-    at most d height norms[r], so H = prod (d height norms[r])^d over the
-    ncols largest bounds (Hadamard) every numerator, denominator, den_f and
-    |v_kc| of K and the norm of the pivot minor, which each unlucky prime
-    divides: the cap is H times max(2 H^2, bound d H) for the lucky ones."""
-    top = sorted(norms, reverse=True)[:ncols]
-    hbits = d * sum((d * height * n).bit_length() for n in top)
-    bound = 2 * max(norms, default=0) * height
+    A minor of the rational blow-up of G has at most d ncols rows, each of
+    Euclidean length at most lengths[r] for the row r of G it comes from, so
+    H = prod lengths[r]^d over the ncols largest (Hadamard) bounds every
+    numerator, denominator, den_f and |v_kc| of K and the norm of the pivot
+    minor, which each unlucky prime divides: the cap is H times max(2 H^2,
+    bound d H) for the lucky ones."""
+    top = sorted(lengths, reverse=True)[:ncols]
+    hbits = d * sum(n.bit_length() for n in top)
     return 1 << (hbits + max(2 * hbits + 1, (bound * d).bit_length() + hbits))
 
 
 def lift_kernel(
-    m: int, images: Callable[[int, int], list[IntRow]], ncols: int, norms: list[int], height: int
+    m: int, images: Callable[[int, int], list[IntRow]], ncols: int, lengths: list[int], bound: int
 ) -> list[LiftedVector]:
     """RREF kernel K over Q(zeta_m) of G over Z[zeta_m] with `ncols` columns,
     one LiftedVector per free column f in increasing order.  images(l, w) is
-    G under zeta -> w mod l; norms[r] = sum_c |G_rc|_1, height = max_k
-    |zeta^k|_inf and bound = 2 max_r norms[r] height.
+    G under zeta -> w mod l; lengths[r] bounds the Euclidean length of each
+    row of the rational blow-up of G that comes from row r (`prime_cap`),
+    and bound = 2 max_r sum_c |G_rc|_1 max_k |zeta^k|_inf.
 
     A full-rank image proves K = 0.  Else the pivots must agree across the
     phi(m) roots, and each entry of K is interpolated from its values and
@@ -138,8 +139,7 @@ def lift_kernel(
     count, and as K_f lives on f and the pivots before it, K is the RREF
     kernel.  Past `prime_cap` it raises ArithmeticError."""
     phi = cyclotomic_polynomial(m)
-    cap = prime_cap(len(phi) - 1, norms, height, ncols)
-    bound = 2 * max(norms, default=0) * height
+    cap = prime_cap(len(phi) - 1, lengths, ncols, bound)
     pivots = l = None
     tried, count = 1, 0
     while tried <= cap:
@@ -203,6 +203,7 @@ def kernel_basis(rows: list[IntRow], ncols: int) -> list[tuple[IntRow, int]]:
     at f, no entry at any other free column and none after f, so f ==
     max(vec).  Callers rely on this normal form.  The empty matrix (no rows)
     has the standard basis as kernel."""
-    norms = [sum(map(abs, r.values())) for r in rows]
-    vectors = lift_kernel(1, lambda l, w: [dict(row) for row in rows], ncols, norms, 1)
+    lengths = [isqrt(sum(x * x for x in r.values())) + 1 for r in rows]
+    bound = 2 * max((sum(map(abs, r.values())) for r in rows), default=0)
+    vectors = lift_kernel(1, lambda l, w: [dict(row) for row in rows], ncols, lengths, bound)
     return [(vec | {f: den}, den) for f, den, (vec,) in vectors]

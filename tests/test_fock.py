@@ -503,16 +503,6 @@ class TestLLTOracle:
         with pytest.raises(IdentityViolation, match=r"^\(2, 1, 1\) has coefficient \{\} in A"):
             Hk._decomposition_numbers(4, 3)
 
-    def test_quantum_division(self):
-        # [2] [3] = v^-3 + 2 v^-1 + 2 v + v^3
-        product = {-3: 1, -1: 2, 1: 2, 3: 1}
-        assert Hk._divide_quantum(product, 2) == {-2: 1, 0: 1, 2: 1}
-        assert Hk._divide_quantum(product, 3) == {-1: 1, 1: 1}
-        with pytest.raises(IdentityViolation, match=r"^\[2\] does not divide"):
-            Hk._divide_quantum({0: 1}, 2)
-        with pytest.raises(IdentityViolation):
-            Hk._divide_quantum(product, 4)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7), st.integers(2, 6))
     def test_decomposition_matrix(self, p, e):

@@ -931,7 +931,8 @@ class TestLift:
         F = H.field
         norms = [sum(sum(map(abs, x)) for x in row.values()) for row in H.gram]
         height = max(max(map(abs, z)) for z in F._powers)
-        cap = linalg.prime_cap(F.degree, norms, height, H.dim)
+        lengths = [F.degree * height * n for n in norms]
+        cap = linalg.prime_cap(F.degree, lengths, H.dim, 2 * max(norms) * height)
         assert prod(tried[:-1]) <= cap < prod(tried)
 
     def test_unlucky_prime_with_agreeing_pivots_fails_the_bound(self, monkeypatch):

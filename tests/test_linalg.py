@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 import pytest
@@ -530,6 +530,9 @@ def singular_matrix(n, c, d):
 
 # singular vectors whose entries need two split primes and CRT
 CRT_CASES = [(2, "21/2", 21), (4, "9/4", 9)]
+# the split primes a lift of each that never certifies tries before it
+# gives up
+GIVE_UP = {CRT_CASES[0]: 16, CRT_CASES[1]: 131}
 
 
 class TestLiftOverQ:
@@ -547,7 +550,7 @@ class TestLiftOverQ:
         def run():
             return linalg.kernel_basis([dict(r) for r in rows], ncols), expected
 
-        run.norms, run.ncols = [sum(map(abs, r.values())) for r in rows], ncols
+        run.case, run.rows, run.ncols = request.param, rows, ncols
         return run
 
     def test_the_root_of_phi_1_is_1(self):
@@ -617,9 +620,13 @@ class TestLiftOverQ:
             lift()
         assert len(set(primes)) == len(primes)
         assert str(excinfo.value) == f"no checked kernel from {len(primes)} split primes"
-        # the lift gives up at the first prime whose product passes the cap
-        cap = linalg.prime_cap(1, lift.norms, 1, lift.ncols)
+        # the lift gives up at the first prime whose product passes the cap,
+        # whose Hadamard bound takes the Euclidean length of each row
+        lengths = [isqrt(sum(x * x for x in r.values())) + 1 for r in lift.rows]
+        bound = 2 * max(sum(map(abs, r.values())) for r in lift.rows)
+        cap = linalg.prime_cap(1, lengths, lift.ncols, bound)
         assert prod(primes[:-1]) <= cap < prod(primes)
+        assert len(primes) == GIVE_UP[lift.case]
 
     def test_pivot_dropped_at_every_prime_exits_3(self, monkeypatch, capsys):
         self.drop_a_new_pivot_at_every_prime(monkeypatch)

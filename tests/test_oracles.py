@@ -1,8 +1,11 @@
 """The stratum census and the Fock walk as the library had them before the
 walk looped over the parts equal to 1 and the census shared its nu and mu
 work, kept verbatim as differential oracles, together with the partition
-and weight-operator primitives they called then.  The library must give the
-same census, verdict and walk tables."""
+and weight-operator primitives they called then; and the LLT ladder vectors
+as the library built them before it applied each divided power in closed
+form: k single steps of f_i, then division by the quantum integers [2] to
+[k].  The library must give the same census, verdict, walk tables, ladder
+vectors and decomposition numbers."""
 
 from functools import cache
 from itertools import zip_longest
@@ -11,13 +14,16 @@ from types import MappingProxyType
 import pytest
 
 from cherednik import fock as F
+from cherednik import hecke as Hk
 from cherednik import partitions as P
 from cherednik.errors import IdentityViolation, UsageError
 from cherednik.fock import _Census, _partition, annihilate, create
+from cherednik.hecke import FockVector, Laurent, _add_shifted, _i_nodes, _ladder, _nonzero
 from cherednik.partitions import (
     Partition,
     count_m_regular,
     count_partitions,
+    enumerate_m_regular,
     enumerate_partitions,
     is_m_regular,
     support_invariant,
@@ -196,6 +202,69 @@ def _walk(m: int, truncation: int) -> _Census:
 
 
 # ---------------------------------------------------------------------------
+# the LLT ladder vectors
+
+
+def f(vec: FockVector, i: int, e: int) -> FockVector:
+    """f_i: each addable i-node gamma of lam gives lam + gamma with the
+    factor v^(a - b), where a and b count the addable and the removable
+    i-nodes of lam above gamma, in an earlier row."""
+    out: FockVector = {}
+    for lam, coeff in vec.items():
+        shift = 0
+        for r, addable in _i_nodes(lam, i, e):
+            if not addable:
+                shift -= 1
+                continue
+            nu = lam[:r] + (lam[r] + 1,) + lam[r + 1 :] if r < len(lam) else lam + (1,)
+            _add_shifted(out.setdefault(nu, {}), coeff, shift)
+            shift += 1
+    return _nonzero(out)
+
+
+def divide_quantum(a: Laurent, j: int) -> Laurent:
+    """a / [j] for the quantum integer [j] = v^(1-j) + v^(3-j) + ... + v^(j-1),
+    by long division from the lowest degree; IdentityViolation unless exact."""
+    rem = dict(a)
+    top = max(rem)
+    quot = {}
+    while rem:
+        d = min(rem)
+        if d > top - 2 * (j - 1):
+            raise IdentityViolation(f"[{j}] does not divide {a}")
+        c = rem.pop(d)
+        quot[d + j - 1] = c
+        for t in range(1, j):
+            x = rem.get(d + 2 * t, 0) - c
+            if x:
+                rem[d + 2 * t] = x
+            else:
+                rem.pop(d + 2 * t, None)
+    return quot
+
+
+def ladder_vector(mu: Partition, e: int) -> FockVector:
+    """A(mu): the divided powers f_i^(k) applied to the empty partition, one
+    per ladder L in increasing order, with i = -L mod e and k the number of
+    nodes of mu on L."""
+    counts: dict[int, int] = {}
+    for r, part in enumerate(mu):
+        for c in range(part):
+            ladder = _ladder(r, c, e)
+            counts[ladder] = counts.get(ladder, 0) + 1
+    vec: FockVector = {(): {0: 1}}
+    for ladder in sorted(counts):
+        k = counts[ladder]
+        for _ in range(k):
+            vec = f(vec, -ladder % e, e)
+        for lam, coeff in vec.items():
+            for j in range(2, k + 1):
+                coeff = divide_quantum(coeff, j)
+            vec[lam] = coeff
+    return vec
+
+
+# ---------------------------------------------------------------------------
 # the differential tests
 
 CENSUS_CASES = [(n, m) for m in range(2, 6) for n in range(21)] + [(35, 3)]
@@ -249,3 +318,31 @@ def test_primitives_match_the_oracle():
                 before = k[:]
                 assert F.weight_operator(m, k) == weight_operator(m, before[:]), (lam, m)
                 assert k == before, (lam, m)
+
+
+def test_quantum_division():
+    # [2] [3] = v^-3 + 2 v^-1 + 2 v + v^3
+    product = {-3: 1, -1: 2, 1: 2, 3: 1}
+    assert divide_quantum(product, 2) == {-2: 1, 0: 1, 2: 1}
+    assert divide_quantum(product, 3) == {-1: 1, 1: 1}
+    with pytest.raises(IdentityViolation, match=r"^\[2\] does not divide"):
+        divide_quantum({0: 1}, 2)
+    with pytest.raises(IdentityViolation):
+        divide_quantum(product, 4)
+
+
+# every e-regular mu of p <= 12 at e = 2..6: 867 pairs
+LADDER_CASES = [(mu, e) for e in range(2, 7) for p in range(1, 13) for mu in enumerate_m_regular(p, e)]
+
+
+def test_ladder_vectors_match_the_oracle():
+    assert len(LADDER_CASES) == 867
+    for mu, e in LADDER_CASES:
+        assert Hk._ladder_vector(mu, e) == ladder_vector(mu, e), (mu, e)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_decomposition_numbers_match_the_oracle(monkeypatch, e):
+    new = Hk._decomposition_numbers(12, e)
+    monkeypatch.setattr(Hk, "_ladder_vector", ladder_vector)
+    assert new == Hk._decomposition_numbers(12, e)
