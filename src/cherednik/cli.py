@@ -101,7 +101,7 @@ def cmd_census(args):
         for q, triples in census.items()
         for lam, mu, nu in triples
     ]
-    sizes = {str(q): len(triples) for q, triples in census.items()}
+    sizes = {q: len(triples) for q, triples in census.items()}
     payload = {
         "n": n,
         "m": m,
@@ -223,7 +223,7 @@ def cmd_ideal_check(args):
         "q": args.q,
         "c": fraction_str(report.c),
         "degree": args.degree,
-        "graded_dims": {str(d): dim for d, dim in report.graded_dims.items()},
+        "graded_dims": report.graded_dims,
         "failures": report.failures,
         "stable": report.stable,
     }
@@ -378,8 +378,6 @@ def _emit(args, payload: dict, rows: list[dict], ok: bool) -> None:
     if args.format == "json":
         _write_json(args, ok, result=payload)
         return
-    if not rows:
-        return
     headers = list(rows[0].keys())
     if args.format == "csv":
         import csv
@@ -390,10 +388,7 @@ def _emit(args, payload: dict, rows: list[dict], ok: bool) -> None:
             writer.writerow([_stringify(row[h]) for h in headers])
         return
     cells = [[_stringify(row[h]) for h in headers] for row in rows]
-    widths = [
-        max(len(headers[j]), max((len(r[j]) for r in cells), default=0))
-        for j in range(len(headers))
-    ]
+    widths = [max(len(h), *(len(r[j]) for r in cells)) for j, h in enumerate(headers)]
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
     for r in cells:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())

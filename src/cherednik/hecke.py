@@ -47,7 +47,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import combinations
 from itertools import permutations as _itperms
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -136,11 +136,11 @@ class CyclotomicField:
             pows = [pow(w, k, l) for k in range(self.degree)]
             return [{c: sum(map(mul, x, pows)) for c, x in row.items()} for row in rows]
 
-        norms = [sum(sum(map(abs, x)) for x in row.values()) for row in rows]
         height = max(max(map(abs, z)) for z in self._powers)  # of the powers of zeta
-        # a blow-up row of row r has 1-norm at most degree height norms[r]
-        lengths = [self.degree * height * n for n in norms]
-        vectors = lift_kernel(self.m, images, ncols, lengths, 2 * max(norms, default=0) * height)
+        # the degree entries of a blow-up row at column c are at most |G_rc|_1 height
+        d = self.degree
+        lengths = [(isqrt(d * sum(sum(map(abs, x)) ** 2 for x in row.values())) + 1) * height for row in rows]
+        vectors = lift_kernel(self.m, images, ncols, lengths)
         D = lcm(*(den for _, den, _ in vectors))
         return D, {
             f: {p: tuple(c.get(p, 0) * (D // den) for c in v) for p in sorted(set().union(*v))}

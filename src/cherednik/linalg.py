@@ -109,37 +109,42 @@ def _rational(u: int, L: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def prime_cap(d: int, lengths: list[int], ncols: int, bound: int) -> int:
+def prime_cap(d: int, lengths: list[int], ncols: int) -> int:
     """What the primes `lift_kernel` tries multiply past before it gives up.
     A minor of the rational blow-up of G has at most d ncols rows, each of
     Euclidean length at most lengths[r] for the row r of G it comes from, so
     H = prod lengths[r]^d over the ncols largest (Hadamard) bounds every
     numerator, denominator, den_f and |v_kc| of K and the norm of the pivot
-    minor, which each unlucky prime divides: the cap is H times max(2 H^2,
-    bound d H) for the lucky ones."""
+    minor, which each unlucky prime divides.  The blow-up of den_f K_f has at
+    most d ncols + 1 nonzero coordinates, each at most H, so the cap is H
+    times max(2 H^2, 2 max(lengths) sqrt(d ncols + 1) H) for the lucky ones."""
     top = sorted(lengths, reverse=True)[:ncols]
     hbits = d * sum(n.bit_length() for n in top)
-    return 1 << (hbits + max(2 * hbits + 1, (bound * d).bit_length() + hbits))
+    certificate = 2 * max(lengths, default=0) * (isqrt(d * ncols + 1) + 1)
+    return 1 << (hbits + max(2 * hbits + 1, certificate.bit_length() + hbits))
 
 
 def lift_kernel(
-    m: int, images: Callable[[int, int], list[IntRow]], ncols: int, lengths: list[int], bound: int
+    m: int, images: Callable[[int, int], list[IntRow]], ncols: int, lengths: list[int]
 ) -> list[LiftedVector]:
     """RREF kernel K over Q(zeta_m) of G over Z[zeta_m] with `ncols` columns,
     one LiftedVector per free column f in increasing order.  images(l, w) is
-    G under zeta -> w mod l; lengths[r] bounds the Euclidean length of each
-    row of the rational blow-up of G that comes from row r (`prime_cap`),
-    and bound = 2 max_r sum_c |G_rc|_1 max_k |zeta^k|_inf.
+    G under zeta -> w mod l, and lengths[r] bounds the Euclidean length of
+    each row (r, j) of the rational blow-up of G, which takes the power-basis
+    coordinates of x to the coefficient of zeta^j in G_r x.
 
     A full-rank image proves K = 0.  Else the pivots must agree across the
     phi(m) roots, and each entry of K is interpolated from its values and
-    reconstructed modulo the product L of the primes so far.  Once bound *
-    max_f max(den_f, sum_k max_c |v_kc|) < L, G (den_f K_f), 0 modulo every
-    prime and with coefficients below L/2, is 0: the rank is the pivot
-    count, and as K_f lives on f and the pivots before it, K is the RREF
-    kernel.  Past `prime_cap` it raises ArithmeticError."""
+    reconstructed modulo the product L of the primes so far.  Let u_f be the
+    blow-up of den_f K_f, with coordinates den_f and the v_kc.  Each entry
+    of the blow-up of G times u_f is 0 modulo every prime and, by Cauchy-
+    Schwarz, at most max(lengths) |u_f|_2 in size.  So once 2 max(lengths)
+    |u_f|_2 < L for every f, G K = 0: the rank is the pivot count, and as
+    K_f lives on f and the pivots before it, K is the RREF kernel.  Past
+    `prime_cap` it raises ArithmeticError."""
     phi = cyclotomic_polynomial(m)
-    cap = prime_cap(len(phi) - 1, lengths, ncols, bound)
+    cap = prime_cap(len(phi) - 1, lengths, ncols)
+    width = 2 * max(lengths, default=0)  # certified once width |u_f|_2 < L
     pivots = l = None
     tried, count = 1, 0
     while tried <= cap:
@@ -178,17 +183,17 @@ def lift_kernel(
                 for f in free:
                     a, b = r[f], y[f]
                     r[f] = {p: (a.get(p, 0) * (1 - M) + b.get(p, 0) * M) % L for p in sorted(a | b)}
-        out, top = [], 0
+        out, top = [], 0  # the largest |u_f|_2^2
         for f in free:
             fractions = [[(p, _rational(x, L)) for p, x in r[f].items()] for r in residues]
             if any(q is None for pairs in fractions for _, q in pairs):
                 break
             den = lcm(*(q[1] for pairs in fractions for _, q in pairs))
             vec = [{p: a * (den // b) for p, (a, b) in pairs if a} for pairs in fractions]
-            top = max(top, den, sum(max(map(abs, c.values()), default=0) for c in vec))
+            top = max(top, den * den + sum(x * x for c in vec for x in c.values()))
             out.append((f, den, vec))
         else:
-            if bound * top < L:
+            if width * width * top < L * L:
                 return out
     raise ArithmeticError(f"no checked kernel from {count} split primes")
 
@@ -204,6 +209,5 @@ def kernel_basis(rows: list[IntRow], ncols: int) -> list[tuple[IntRow, int]]:
     max(vec).  Callers rely on this normal form.  The empty matrix (no rows)
     has the standard basis as kernel."""
     lengths = [isqrt(sum(x * x for x in r.values())) + 1 for r in rows]
-    bound = 2 * max((sum(map(abs, r.values())) for r in rows), default=0)
-    vectors = lift_kernel(1, lambda l, w: [dict(row) for row in rows], ncols, lengths, bound)
+    vectors = lift_kernel(1, lambda l, w: [dict(row) for row in rows], ncols, lengths)
     return [(vec | {f: den}, den) for f, den, (vec,) in vectors]

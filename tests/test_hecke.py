@@ -5,7 +5,7 @@ import sys
 import weakref
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, gcd, prod
+from math import factorial, gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -887,9 +887,55 @@ class TestCertificate:
         assert captured.err.startswith("internal error: ArithmeticError(")
 
 
+def field_height(F):
+    """The largest coefficient of a power of zeta in the power basis."""
+    return max(max(map(abs, z)) for z in F._powers)
+
+
+def gram_lengths(H):
+    """The lengths the field's kernel passes the lift for the gram: the
+    degree entries of a blow-up row at column c are at most |G_rc|_1 times
+    the height, so (isqrt(degree sum_c |G_rc|_1^2) + 1) height per row."""
+    d, height = H.field.degree, field_height(H.field)
+    return [(isqrt(d * sum(sum(map(abs, x)) ** 2 for x in row.values())) + 1) * height for row in H.gram]
+
+
+# the images(l, w) each count_simples(p, m) lifts, over the gram and the
+# center of the quotient
+COUNT_IMAGES = {
+    (4, 3): 4, (4, 4): 4, (4, 5): 5, (4, 6): 3,
+    (5, 2): 2, (5, 3): 4, (5, 4): 4, (5, 5): 8, (5, 6): 3,
+}
+
+
 class TestLift:
     """Faults injected into the modular lift: each must end in the true
     kernel, from another prime, or in an ArithmeticError."""
+
+    @pytest.mark.parametrize("p,m", sorted(COUNT_IMAGES))
+    def test_images_per_count(self, monkeypatch, p, m):
+        # a looser certificate would take more primes, and so more images
+        real = Hk.lift_kernel
+        seen = []
+
+        def counted(m, images, *rest):
+            return real(m, lambda l, w: seen.append(l) or images(l, w), *rest)
+
+        monkeypatch.setattr(Hk, "lift_kernel", counted)
+        assert Hk.count_simples(p, m).ok
+        assert len(seen) == COUNT_IMAGES[p, m]
+
+    @pytest.mark.parametrize("p,m", [(4, 3), (5, 3)])
+    def test_cap_below_the_one_norm_cap(self, p, m):
+        # the cap from 1-norms: a blow-up row of row r has length at most
+        # degree height |G_r|_1, and the certificate took 2 max_r |G_r|_1
+        # height times degree H for the lucky primes
+        H = shared_algebra(p, m)
+        d, height = H.field.degree, field_height(H.field)
+        norms = sorted((sum(sum(map(abs, x)) for x in row.values()) for row in H.gram), reverse=True)
+        hbits = d * sum((d * height * n).bit_length() for n in norms[: H.dim])
+        one_norm = 1 << (hbits + max(2 * hbits + 1, (2 * norms[0] * height * d).bit_length() + hbits))
+        assert linalg.prime_cap(d, gram_lengths(H), H.dim) < one_norm
 
     @pytest.mark.parametrize("p,m", [(4, 3), (5, 3), (4, 4)])
     def test_pivot_dropped_at_one_root_takes_the_next_prime(self, monkeypatch, p, m):
@@ -928,18 +974,14 @@ class TestLift:
         assert len(tried) == len(primes) // 2
         assert str(excinfo.value) == f"no checked kernel from {len(tried)} split primes"
         # the lift gives up at the first prime whose product passes the cap
-        F = H.field
-        norms = [sum(sum(map(abs, x)) for x in row.values()) for row in H.gram]
-        height = max(max(map(abs, z)) for z in F._powers)
-        lengths = [F.degree * height * n for n in norms]
-        cap = linalg.prime_cap(F.degree, lengths, H.dim, 2 * max(norms) * height)
+        cap = linalg.prime_cap(H.field.degree, gram_lengths(H), H.dim)
         assert prod(tried[:-1]) <= cap < prod(tried)
 
     def test_unlucky_prime_with_agreeing_pivots_fails_the_bound(self, monkeypatch):
         # 7 divides the first entry, so both roots of Phi_3 mod 7 see the
         # pivot at column 1 and the kernel vector e_0, which reconstructs;
-        # only the bound, 2 * 8 * 1 > 7, sends the lift on to primes that see
-        # the pivot at column 0
+        # only the certificate, 2 * 11 * 1 > 7 (twice the row length 11 times
+        # |e_0|_2), sends the lift on to primes that see the pivot at column 0
         real_prime = linalg.split_prime
         monkeypatch.setattr(linalg, "split_prime", lambda m, after=6: real_prime(m, after))
         F, rows = FIELDS[3], [[(7, 0), (1, 0)]]

@@ -623,8 +623,7 @@ class TestLiftOverQ:
         # the lift gives up at the first prime whose product passes the cap,
         # whose Hadamard bound takes the Euclidean length of each row
         lengths = [isqrt(sum(x * x for x in r.values())) + 1 for r in lift.rows]
-        bound = 2 * max(sum(map(abs, r.values())) for r in lift.rows)
-        cap = linalg.prime_cap(1, lengths, lift.ncols, bound)
+        cap = linalg.prime_cap(1, lengths, lift.ncols)
         assert prod(primes[:-1]) <= cap < prod(primes)
         assert len(primes) == GIVE_UP[lift.case]
 
