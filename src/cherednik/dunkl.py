@@ -282,11 +282,9 @@ def singular_vectors(cfg: EngineConfig, d: int) -> list[tuple[Polynomial, int]]:
     ]
 
 
-@cache
-def block_patterns(n: int, m: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def block_patterns(n: int, m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
     """All unordered collections of q pairwise disjoint m-element blocks of
-    coordinate indices, one per translate of the gluing pattern; cached and
-    immutable, since every caller shares it."""
+    coordinate indices, one per translate of the gluing pattern."""
     out: list[tuple[tuple[int, ...], ...]] = []
 
     def pack(support: tuple[int, ...], acc):
@@ -301,7 +299,7 @@ def block_patterns(n: int, m: int, q: int) -> tuple[tuple[tuple[int, ...], ...],
 
     for chosen in combinations(range(n), q * m):
         pack(chosen, [])
-    return tuple(out)
+    return out
 
 
 class _StratumGlue(dict):

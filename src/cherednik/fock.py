@@ -22,9 +22,6 @@ Hecke audit reads, is built in :mod:`cherednik.hecke`, its one caller.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from functools import cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import IdentityViolation, UsageError
@@ -73,18 +70,17 @@ def _partition(k: list[int]) -> Partition:
 
 # a bivariate series on the triangle deg_t <= deg_s <= truncation: row n, entry
 # e is the coefficient of s^n t^e
-Triangle = tuple[tuple[int, ...], ...]
+Triangle = list[list[int]]
 
 
 class _Census(NamedTuple):
     """Counts from one walk over the partitions of n <= truncation at
-    denominator m, read-only because the cache hands the same census to
-    every caller."""
+    denominator m."""
 
     # row n, entry e: basis vectors of degree n with eigenvalue e
     eigenvalues: Triangle
     # row n: support invariant -> count; empty for m = 1
-    invariants: tuple[Mapping[int, int], ...]
+    invariants: list[dict[int, int]]
 
 
 def _check(m, k, before, n, eig, q, eigenvalues, invariants) -> None:
@@ -136,15 +132,17 @@ def _visit(m, truncation, k, n, last, length, eig, q, eigenvalues, invariants) -
         k[p] -= 1
 
 
-@cache
 def _walk(m: int, truncation: int) -> _Census:
     """Visit each partition of each n <= truncation once, the empty one
     included: check its basis vector against the mode-m weight operator,
-    tally the eigenvalue and, for m >= 2, tally the support invariant.
+    tally the eigenvalue and, for m >= 2, tally the support invariant,
+    then check the eigenvalue table against the Euler product expansion.
 
     Each first part a gets its own vector of length a + 1, the length the
     operator sees for every partition with largest part a.
     """
+    if truncation < 0:
+        raise UsageError("truncation must be nonnegative")
     if m < 1:
         raise UsageError(f"m must be positive, got {m}")
     eigenvalues = [[0] * (n + 1) for n in range(truncation + 1)]
@@ -155,17 +153,14 @@ def _walk(m: int, truncation: int) -> _Census:
         k = [0] * (a + 1)
         k[a] = 1
         _visit(m, truncation, k, a, a, 1, 0 if a % m else a, a // m, eigenvalues, tallied)
-    return _Census(
-        tuple(tuple(row) for row in eigenvalues),
-        tuple(MappingProxyType(row) for row in invariants),
-    )
+    if eigenvalues != _product_table(m, truncation):
+        raise IdentityViolation("trace sum disagrees with its product expansion")
+    return _Census(eigenvalues, invariants)
 
 
-@cache
 def _product_table(m: int, truncation: int) -> Triangle:
     """The Euler product over i not divisible by m of 1 / (1 - s^i), times
-    the product over i of 1 / (1 - (s t)^(i m)), expanded on the triangle;
-    cached, since trace_series and product_series both read it."""
+    the product over i of 1 / (1 - (s t)^(i m)), expanded on the triangle."""
     steps = [(i, 0) for i in range(1, truncation + 1) if i % m != 0]
     steps += [(i * m, i * m) for i in range(1, truncation // m + 1)]
     table = [[0] * (n + 1) for n in range(truncation + 1)]
@@ -178,22 +173,17 @@ def _product_table(m: int, truncation: int) -> Triangle:
             for e in range(b, n + 1):
                 if e - b <= n - a:
                     row[e] += prev[e - b]
-    return tuple(map(tuple, table))
+    return table
 
 
 def trace_series(m: int, truncation: int) -> Triangle:
     """Bigraded trace of s^(degree) t^(mode-m weight) over Fock space.
 
     Computed by summing over the partition basis with operator-checked
-    eigenvalues, in one walk for the whole triangle, then checked
-    coefficientwise against the Euler-product expansion; a mismatch raises.
+    eigenvalues, in one walk for the whole triangle, which checks it
+    coefficientwise against the Euler-product expansion.
     """
-    if truncation < 0:
-        raise UsageError("truncation must be nonnegative")
-    table = _walk(m, truncation).eigenvalues
-    if table != _product_table(m, truncation):
-        raise IdentityViolation("trace sum disagrees with its product expansion")
-    return table
+    return _walk(m, truncation).eigenvalues
 
 
 def product_series(m: int, truncation: int) -> Triangle:
@@ -247,12 +237,11 @@ def verify_bo(m: int, n_max: int) -> list[StratumCounts]:
     - coeff_series: the s^n t^(q*m) coefficient of product_series;
     - coeff_trace: the same coefficient of trace_series.
 
-    dim_eigenspace and coeff_trace are one entry of the walk's table, which
-    trace_series has checked against the product expansion.
+    dim_eigenspace and coeff_trace are one entry of the table of one walk,
+    which checks it against the product expansion.
     """
-    trace = trace_series(m, n_max)
-    product = product_series(m, n_max)
     census = _walk(m, n_max)
+    product = product_series(m, n_max)
     return [
         StratumCounts(
             n=n,
@@ -261,7 +250,7 @@ def verify_bo(m: int, n_max: int) -> list[StratumCounts]:
             count_product=count_partitions(q) * count_m_regular(n - q * m, m),
             dim_eigenspace=census.eigenvalues[n][q * m],
             coeff_series=product[n][q * m],
-            coeff_trace=trace[n][q * m],
+            coeff_trace=census.eigenvalues[n][q * m],
         )
         for n in range(n_max + 1)
         for q in range(n // m + 1)

@@ -136,26 +136,22 @@ def _chunks(value, depth: int, out: list[str]) -> None:
     if _is_flat(value):
         out.append(opening + pad + _flat(depth)(value)[1:-1] + close + closing)
         return
-    if closing == "]":
-        kinds = set(map(type, value))
-        cells = chain.from_iterable(map(dict.values, value) if kinds == {dict} else value)
+    if closing == "]" and set(map(type, value)) == {dict} and all(value):
         # all(map(_is_flat, value)), asking isinstance once per type of cell
-        if (kinds == {dict} or kinds <= {list, tuple}) and all(value) and not any(
-            issubclass(kind, _CONTAINERS) for kind in set(map(type, cells))
-        ):
-            # Rows of scalars, like a table: encode them _TABLE_ROWS to a call
-            # with the rows' item separator, then indent the rows' own
-            # brackets.  A row's closing bracket followed by a comma and a
-            # newline marks where it ends, since a row holds no bracket
-            # outside its strings and an encoded string holds no newline.
-            start, end = ("{", "}") if dict in kinds else ("[", "]")
+        kinds = set(map(type, chain.from_iterable(map(dict.values, value))))
+        if not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+            # Dict rows of scalars, like a table: encode them _TABLE_ROWS to
+            # a call with the rows' item separator, then indent the rows' own
+            # braces.  A row's closing brace followed by a comma and a newline
+            # marks where it ends, since a row holds no brace outside its
+            # strings and an encoded string holds no newline.
             inner = pad + "  "
-            between = pad + end + "," + pad + start + inner
+            between = pad + "}," + pad + "{" + inner
             for k in range(0, len(value), _TABLE_ROWS):
                 text = _flat(depth + 1)(value[k : k + _TABLE_ROWS])[2:-2]
-                out.append(between if k else opening + pad + start + inner)
-                out.append(text.replace(end + "," + inner + start, between))
-            out.append(pad + end + close + closing)
+                out.append(between if k else opening + pad + "{" + inner)
+                out.append(text.replace("}," + inner + "{", between))
+            out.append(pad + "}" + close + closing)
             return
     heads = [_key(key) + ": " for key in value] if closing == "}" else [""] * len(value)
     out.append(opening)
@@ -171,9 +167,9 @@ def json_text(value) -> list[str]:
     """``json.dumps(value, indent=2)``, byte for byte, for acyclic values, as
     chunks to write in order, not joined into a second copy.
 
-    Containers whose items are all scalars, and lists of such containers,
-    go through the C encoder, not json's pure-Python indenting encoder;
-    only the containers above them are walked here.
+    Containers whose items are all scalars, and lists of such dicts, go
+    through the C encoder, not json's pure-Python indenting encoder; only
+    the containers above them are walked here.
     """
     out: list[str] = []
     _chunks(value, 0, out)

@@ -663,14 +663,6 @@ class TestEmissionMemory:
         assert peak <= 2 * sink.size
 
 
-@pytest.fixture
-def fresh_census():
-    # a walk cached by an earlier test would skip the faulted operator
-    fock._walk.cache_clear()
-    yield
-    fock._walk.cache_clear()
-
-
 weight_operator = fock.weight_operator
 
 
@@ -690,9 +682,16 @@ PRODUCT_TABLE = fock._product_table
 
 def bumped_product_table(m, truncation):
     """The Euler product expansion with s^4 t^2 off by one."""
-    table = [list(row) for row in PRODUCT_TABLE(m, truncation)]
+    table = PRODUCT_TABLE(m, truncation)
     table[4][2] += 1
-    return tuple(map(tuple, table))
+    return table
+
+
+counting_commands = pytest.mark.parametrize(
+    "argv",
+    [["fock-trace", "--m", "2", "--max", "6"], ["bo-verify", "--n-max", "6", "--m", "2,3"]],
+    ids=["fock-trace", "bo-verify"],
+)
 
 
 class TestCountingFaults:
@@ -701,19 +700,27 @@ class TestCountingFaults:
         [moved_vector, lambda m, k: weight_operator(m, k) + 1],
         ids=["moved-vector", "coefficient-off-by-one"],
     )
-    @pytest.mark.parametrize(
-        "argv",
-        [["fock-trace", "--m", "2", "--max", "6"], ["bo-verify", "--n-max", "6", "--m", "2,3"]],
-        ids=["fock-trace", "bo-verify"],
-    )
-    def test_operator_fault_exits_1(self, monkeypatch, capsys, fresh_census, fault, argv):
+    @counting_commands
+    def test_operator_fault_exits_1(self, monkeypatch, capsys, fault, argv):
         monkeypatch.setattr(fock, "weight_operator", fault)
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1
         violation_record(captured)
 
-    def test_product_table_off_by_one_fails_the_trace(self, monkeypatch, capsys, fresh_census):
+    @counting_commands
+    def test_operator_fault_on_a_second_run_exits_1(self, monkeypatch, capsys, argv):
+        # a run in the same process as a passing one walks afresh, so the
+        # faulted operator is checked, not a table left by the first run
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(fock, "weight_operator", lambda m, k: weight_operator(m, k) + 1)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        violation_record(captured)
+
+    def test_product_table_off_by_one_fails_the_trace(self, monkeypatch, capsys):
         # the walk's eigenvalue table is checked against the Euler product
         monkeypatch.setattr(fock, "_product_table", bumped_product_table)
         code = cli.main(["fock-trace", "--m", "2", "--max", "6"])
@@ -722,7 +729,7 @@ class TestCountingFaults:
         violation_record(captured)
         assert captured.err == "identity violation: trace sum disagrees with its product expansion\n"
 
-    def test_m_regular_count_off_by_one_fails_the_product(self, monkeypatch, capsys, fresh_census):
+    def test_m_regular_count_off_by_one_fails_the_product(self, monkeypatch, capsys):
         # the product expansion is checked against the partition counts
         real = fock.count_m_regular
         monkeypatch.setattr(fock, "count_m_regular", lambda n, m: real(n, m) + (n == 3))
@@ -746,7 +753,7 @@ class TestCountingFaults:
             "identity violation: (3, 2) in A((5,)) at e = 2 has no canonical basis vector\n"
         )
 
-    def test_wrong_support_invariant_count_exits_1(self, monkeypatch, capsys, fresh_census):
+    def test_wrong_support_invariant_count_exits_1(self, monkeypatch, capsys):
         # the walk hands (2, 2) the invariant 3 instead of 2, and the
         # partitions that extend it inherit the error
         visit = fock._visit
@@ -770,9 +777,7 @@ class TestCountingFaults:
         ],
         ids=["bo-verify", "fock-trace"],
     )
-    def test_operator_checks_every_basis_vector_once(
-        self, monkeypatch, capsys, fresh_census, argv, m_values
-    ):
+    def test_operator_checks_every_basis_vector_once(self, monkeypatch, capsys, argv, m_values):
         seen = {}
 
         def spy(m, k):

@@ -61,14 +61,6 @@ def carried_invariant(lam, m):
     return sum(lam) if m == 1 else P.support_invariant(lam, m)
 
 
-@pytest.fixture
-def fresh_walk():
-    # a walk cached by an earlier test would not pass through a spy
-    F._walk.cache_clear()
-    yield
-    F._walk.cache_clear()
-
-
 # The operators as the library had them on dict vectors {partition: coeff},
 # kept as a differential oracle for the multiplicity-vector form.
 
@@ -232,7 +224,7 @@ class TestWeightOperator:
                     assert k == multiplicity_vector(lam)
 
     def test_eigenspace_examples(self):
-        assert F._walk(2, 4).eigenvalues[4] == (2, 0, 1, 0, 2)
+        assert F._walk(2, 4).eigenvalues[4] == [2, 0, 1, 0, 2]
         assert oracle_census(4, 2)[0] == {0: 2, 2: 1, 4: 2}
 
     def test_eigenspaces_exhaust_each_degree(self):
@@ -262,24 +254,28 @@ class TestSeries:
             assert ps[n][0] == P.count_m_regular(n, 2)
 
     def test_triangle_storage(self):
-        # row n holds the coefficients of s^n t^e for e = 0..n, as tuples
+        # row n holds the coefficients of s^n t^e for e = 0..n, as lists
         for series in (F.trace_series(3, 5), F.product_series(3, 5)):
-            assert series[0] == (1,)
+            assert series[0] == [1]
             assert [len(row) for row in series] == [n + 1 for n in range(6)]
-            assert all(type(row) is tuple for row in series)
+            assert all(type(row) is list for row in series)
 
     def test_trace_equals_product_to_12(self):
         for m in (2, 3, 4, 5):
             assert F.trace_series(m, 12) == F.product_series(m, 12)
 
-    def test_verify_bo_expands_the_product_once(self):
-        # trace_series and product_series read one cached expansion, which
-        # product_series returns without a copy
-        F._product_table.cache_clear()
+    def test_verify_bo_walks_once(self, monkeypatch):
+        # one walk gives the census, the eigenspace dimensions and the trace
+        # coefficients; none is read from an earlier call
+        calls, walk = [], F._walk
+
+        def spy(m, truncation):
+            calls.append((m, truncation))
+            return walk(m, truncation)
+
+        monkeypatch.setattr(F, "_walk", spy)
         F.verify_bo(3, 12)
-        info = F._product_table.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert F.product_series(3, 12) is F._product_table(3, 12)
+        assert calls == [(3, 12)]
 
 
 class TestCensus:
@@ -310,7 +306,7 @@ class TestCensus:
                 assert walk_census(n, m) == walk_census(n, m, 10) == oracle_census(n, m)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-    def test_carried_values(self, monkeypatch, fresh_walk, m):
+    def test_carried_values(self, monkeypatch, m):
         # every vector checked, the vacuum included, carries the degree,
         # eigenvalue and support invariant of the partition whose vector it
         # holds, and every node of the recursion its length and smallest part
@@ -356,7 +352,7 @@ class TestCensus:
         ],
         ids=["eigenvalue", "moved"],
     )
-    def test_violation_names_the_partition(self, monkeypatch, fresh_walk, fault, message):
+    def test_violation_names_the_partition(self, monkeypatch, fault, message):
         operator = F.weight_operator
         monkeypatch.setattr(F, "weight_operator", lambda m, k: fault(operator, m, k))
         with pytest.raises(IdentityViolation) as info:
