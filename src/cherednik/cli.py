@@ -132,8 +132,8 @@ def cmd_bo_verify(args):
             "count_qm": entry.count_qm,
             "count_product": entry.count_product,
             "dim_eigenspace": entry.dim_eigenspace,
-            "coeff_N": entry.coeff_series,
-            "coeff_trace": entry.coeff_trace,
+            "coeff_N": entry.dim_eigenspace,
+            "coeff_trace": entry.dim_eigenspace,
             "ok": entry.ok,
         }
         for m in m_values

@@ -79,14 +79,15 @@ class _Census(NamedTuple):
 
     # row n, entry e: basis vectors of degree n with eigenvalue e
     eigenvalues: Triangle
-    # row n: support invariant -> count; empty for m = 1
-    invariants: list[dict[int, int]]
+    # row n, entry q: partitions of n with support invariant q, so q*m <= n;
+    # at m = 1 every partition of n has q = n
+    invariants: Triangle
 
 
 def _check(m, k, before, n, eig, q, eigenvalues, invariants) -> None:
     """Check the basis vector k of one partition of n against the mode-m
     weight operator, which must hand k back equal to `before` with
-    coefficient eig; then tally eig and, unless invariants is None, q."""
+    coefficient eig; then tally eig and q."""
     coeff = weight_operator(m, k)
     if k != before:
         lam = _partition(before)
@@ -94,9 +95,7 @@ def _check(m, k, before, n, eig, q, eigenvalues, invariants) -> None:
     if coeff != eig:
         raise IdentityViolation(f"operator has eigenvalue {coeff} on {_partition(k)}, not {eig}")
     eigenvalues[n][eig] += 1
-    if invariants is not None:
-        tally = invariants[n]
-        tally[q] = tally.get(q, 0) + 1
+    invariants[n][q] += 1
 
 
 def _visit(m, truncation, k, n, last, length, eig, q, eigenvalues, invariants) -> None:
@@ -135,8 +134,9 @@ def _visit(m, truncation, k, n, last, length, eig, q, eigenvalues, invariants) -
 def _walk(m: int, truncation: int) -> _Census:
     """Visit each partition of each n <= truncation once, the empty one
     included: check its basis vector against the mode-m weight operator,
-    tally the eigenvalue and, for m >= 2, tally the support invariant,
-    then check the eigenvalue table against the Euler product expansion.
+    tally its eigenvalue and support invariant, then check the eigenvalue
+    table against :func:`product_series`, which checks itself against the
+    partition counts.
 
     Each first part a gets its own vector of length a + 1, the length the
     operator sees for every partition with largest part a.
@@ -146,34 +146,15 @@ def _walk(m: int, truncation: int) -> _Census:
     if m < 1:
         raise UsageError(f"m must be positive, got {m}")
     eigenvalues = [[0] * (n + 1) for n in range(truncation + 1)]
-    invariants = [{} for _ in range(truncation + 1)]
-    tallied = invariants if m > 1 else None
-    _visit(m, truncation, [0], 0, 0, 0, 0, 0, eigenvalues, tallied)
+    invariants = [[0] * (n + 1) for n in range(truncation + 1)]
+    _visit(m, truncation, [0], 0, 0, 0, 0, 0, eigenvalues, invariants)
     for a in range(1, truncation + 1):
         k = [0] * (a + 1)
         k[a] = 1
-        _visit(m, truncation, k, a, a, 1, 0 if a % m else a, a // m, eigenvalues, tallied)
-    if eigenvalues != _product_table(m, truncation):
+        _visit(m, truncation, k, a, a, 1, 0 if a % m else a, a // m, eigenvalues, invariants)
+    if eigenvalues != product_series(m, truncation):
         raise IdentityViolation("trace sum disagrees with its product expansion")
     return _Census(eigenvalues, invariants)
-
-
-def _product_table(m: int, truncation: int) -> Triangle:
-    """The Euler product over i not divisible by m of 1 / (1 - s^i), times
-    the product over i of 1 / (1 - (s t)^(i m)), expanded on the triangle."""
-    steps = [(i, 0) for i in range(1, truncation + 1) if i % m != 0]
-    steps += [(i * m, i * m) for i in range(1, truncation // m + 1)]
-    table = [[0] * (n + 1) for n in range(truncation + 1)]
-    table[0][0] = 1
-    # multiply by 1 / (1 - s^a t^b) for each step (a, b)
-    for a, b in steps:
-        for n in range(a, truncation + 1):
-            row = table[n]
-            prev = table[n - a]
-            for e in range(b, n + 1):
-                if e - b <= n - a:
-                    row[e] += prev[e - b]
-    return table
 
 
 def trace_series(m: int, truncation: int) -> Triangle:
@@ -188,12 +169,23 @@ def trace_series(m: int, truncation: int) -> Triangle:
 
 def product_series(m: int, truncation: int) -> Triangle:
     """The counting series whose s^n t^(q*m) coefficient is (number of
-    partitions of q) * (number of m-regular partitions of n - q*m).
-
-    Expanded from its Euler product form and cross-checked against those
-    counts on the whole triangle.
+    partitions of q) * (number of m-regular partitions of n - q*m),
+    expanded from its Euler product: over i not divisible by m of
+    1 / (1 - s^i), times over all i of 1 / (1 - (s t)^(i m)).  Checked
+    against those counts on the whole triangle.
     """
-    table = _product_table(m, truncation)
+    steps = [(i, 0) for i in range(1, truncation + 1) if i % m != 0]
+    steps += [(i * m, i * m) for i in range(1, truncation // m + 1)]
+    table = [[0] * (n + 1) for n in range(truncation + 1)]
+    table[0][0] = 1
+    # multiply by 1 / (1 - s^a t^b) for each step (a, b)
+    for a, b in steps:
+        for n in range(a, truncation + 1):
+            row = table[n]
+            prev = table[n - a]
+            for e in range(b, n + 1):
+                if e - b <= n - a:
+                    row[e] += prev[e - b]
     for n in range(truncation + 1):
         for e in range(n + 1):
             if e % m == 0:
@@ -213,44 +205,32 @@ class StratumCounts(NamedTuple):
     count_qm: int
     count_product: int
     dim_eigenspace: int
-    coeff_series: int
-    coeff_trace: int
 
     @property
     def ok(self) -> bool:
-        return (
-            self.count_qm
-            == self.count_product
-            == self.dim_eigenspace
-            == self.coeff_series
-            == self.coeff_trace
-        )
+        return self.count_qm == self.count_product == self.dim_eigenspace
 
 
 def verify_bo(m: int, n_max: int) -> list[StratumCounts]:
-    """Five counts per stratum q of each n <= n_max, which must agree:
+    """Three counts per stratum q of each n <= n_max, which must agree:
 
     - count_qm: partitions of n with support invariant q, tallied by the walk;
     - count_product: count_partitions(q) * count_m_regular(n - q*m);
     - dim_eigenspace: basis vectors of degree n with weight operator
-      eigenvalue q*m, tallied by the same walk;
-    - coeff_series: the s^n t^(q*m) coefficient of product_series;
-    - coeff_trace: the same coefficient of trace_series.
+      eigenvalue q*m, tallied by the same walk.
 
-    dim_eigenspace and coeff_trace are one entry of the table of one walk,
-    which checks it against the product expansion.
+    dim_eigenspace is the s^n t^(q*m) entry of the walk's table, which the
+    walk checks against the one expansion of product_series, and that
+    expansion against the partition counts.
     """
     census = _walk(m, n_max)
-    product = product_series(m, n_max)
     return [
         StratumCounts(
             n=n,
             q=q,
-            count_qm=census.invariants[n].get(q, 0),
+            count_qm=census.invariants[n][q],
             count_product=count_partitions(q) * count_m_regular(n - q * m, m),
             dim_eigenspace=census.eigenvalues[n][q * m],
-            coeff_series=product[n][q * m],
-            coeff_trace=census.eigenvalues[n][q * m],
         )
         for n in range(n_max + 1)
         for q in range(n // m + 1)

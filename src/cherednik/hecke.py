@@ -176,7 +176,7 @@ class HeckeAlgebra:
         self.field = CyclotomicField(m)
         self.q = self.field.zeta()
         self.one_minus_q = self.field.sub(self.field.one, self.q)
-        self.perms = sorted(_itperms(range(p)))
+        self.perms = list(_itperms(range(p)))
         self.dim = len(self.perms)
         index = {w: k for k, w in enumerate(self.perms)}
         # generator actions, (index, raises length) per index: value swaps

@@ -124,6 +124,20 @@ class TestBoVerify:
         columns = {"count_qm", "count_product", "dim_eigenspace", "coeff_N", "coeff_trace"}
         assert columns <= set(rows[0])
 
+    def test_expands_the_product_once_per_m(self, monkeypatch, capsys):
+        # the walk's table check is the one expansion of each m
+        calls, expand = [], fock.product_series
+
+        def spy(m, truncation):
+            calls.append((m, truncation))
+            return expand(m, truncation)
+
+        monkeypatch.setattr(fock, "product_series", spy)
+        code, payload = run_json(capsys, "bo-verify", "--n-max", "12", "--m", "2,3")
+        assert code == 0
+        assert payload["ok"]
+        assert calls == [(2, 12), (3, 12)]
+
     @pytest.mark.parametrize("m", [",", "", " , "])
     def test_no_denominator_is_a_usage_error(self, capsys, m):
         # an empty list used to pass with nothing checked
@@ -677,12 +691,12 @@ def moved_vector(m, k):
     return total
 
 
-PRODUCT_TABLE = fock._product_table
+PRODUCT_SERIES = fock.product_series
 
 
-def bumped_product_table(m, truncation):
+def bumped_product_series(m, truncation):
     """The Euler product expansion with s^4 t^2 off by one."""
-    table = PRODUCT_TABLE(m, truncation)
+    table = PRODUCT_SERIES(m, truncation)
     table[4][2] += 1
     return table
 
@@ -722,8 +736,18 @@ class TestCountingFaults:
 
     def test_product_table_off_by_one_fails_the_trace(self, monkeypatch, capsys):
         # the walk's eigenvalue table is checked against the Euler product
-        monkeypatch.setattr(fock, "_product_table", bumped_product_table)
+        monkeypatch.setattr(fock, "product_series", bumped_product_series)
         code = cli.main(["fock-trace", "--m", "2", "--max", "6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        violation_record(captured)
+        assert captured.err == "identity violation: trace sum disagrees with its product expansion\n"
+
+    def test_product_off_by_one_fails_bo_verify(self, monkeypatch, capsys):
+        # bo-verify reads its eigenspace column off the walk that checks it
+        # against the same expansion
+        monkeypatch.setattr(fock, "product_series", bumped_product_series)
+        code = cli.main(["bo-verify", "--n-max", "6", "--m", "2"])
         captured = capsys.readouterr()
         assert code == 1
         violation_record(captured)
@@ -734,6 +758,16 @@ class TestCountingFaults:
         real = fock.count_m_regular
         monkeypatch.setattr(fock, "count_m_regular", lambda n, m: real(n, m) + (n == 3))
         code = cli.main(["bo-verify", "--n-max", "6", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        violation_record(captured)
+        assert captured.err == "identity violation: product expansion disagrees with counts at s^3 t^0\n"
+
+    def test_m_regular_count_off_by_one_fails_the_trace(self, monkeypatch, capsys):
+        # the expansion fock-trace is checked on is checked on the counts too
+        real = fock.count_m_regular
+        monkeypatch.setattr(fock, "count_m_regular", lambda n, m: real(n, m) + (n == 3))
+        code = cli.main(["fock-trace", "--m", "2", "--max", "6"])
         captured = capsys.readouterr()
         assert code == 1
         violation_record(captured)
@@ -894,7 +928,7 @@ VIOLATED = {
     "dunkl-check": (["dunkl-check", "--n", "3", "--c", "1/2", "--degree", "1"], (dunkl, "dunkl_apply", doubled_first_derivative)),
     # c = 1/2 is not the parameter 1/m the ideal is stable at
     "ideal-check": (["ideal-check", "--n", "3", "--m", "3", "--q", "1", "--degree", "3", "--c", "1/2"], None),
-    "fock-trace": (["fock-trace", "--m", "2", "--max", "6"], (fock, "_product_table", bumped_product_table)),
+    "fock-trace": (["fock-trace", "--m", "2", "--max", "6"], (fock, "product_series", bumped_product_series)),
     "hecke-simples": (["hecke-simples", "--p", "3", "--m", "2"], (hecke, "simple_dimensions", lambda p, e: {})),
 }
 

@@ -49,15 +49,34 @@ def oracle_census(n, m):
 
 
 def walk_census(n, m, truncation=None):
-    """The walk's tallies at degree n, as dicts of the nonzero counts."""
+    """The walk's tallies at degree n: the eigenvalues as a dict of the
+    nonzero counts, the strata as the row of its triangle."""
     census = F._walk(m, n if truncation is None else truncation)
     eigenvalues = {e: c for e, c in enumerate(census.eigenvalues[n]) if c}
-    return eigenvalues, dict(census.invariants[n])
+    return eigenvalues, census.invariants[n]
+
+
+def strata_row(n, m, counts):
+    """Stratum counts at degree n, a dict as the oracle and the record keep
+    them, as row n of the walk's triangle; at m = 1, where they tally
+    nothing, all p(n) partitions of n sit at q = n."""
+    row = [0] * (n + 1)
+    for q, c in counts.items():
+        row[q] = c
+    if m == 1:
+        row[n] = P.count_partitions(n)
+    return row
+
+
+def oracle_rows(n, m):
+    """The oracle census at degree n in the form of walk_census."""
+    eigenvalues, invariants = oracle_census(n, m)
+    return eigenvalues, strata_row(n, m, invariants)
 
 
 def carried_invariant(lam, m):
     """The support invariant sum_i i * ((lam_i - lam_{i+1}) // m) that the
-    walk carries; at m = 1, where it is not tallied, the sum is the size."""
+    walk carries and tallies; at m = 1 the sum is the size."""
     return sum(lam) if m == 1 else P.support_invariant(lam, m)
 
 
@@ -283,12 +302,15 @@ class TestCensus:
         for m in (2, 3, 5):
             census = F._walk(m, 12)
             for n in range(13):
-                assert census.invariants[n] == oracle_census(n, m)[1]
+                assert census.invariants[n] == strata_row(n, m, oracle_census(n, m)[1])
                 assert sum(census.eigenvalues[n]) == P.count_partitions(n)
 
-    def test_m_1_has_no_strata(self):
-        assert walk_census(4, 1) == ({4: 5}, {})
-        assert oracle_census(4, 1) == ({4: 5}, {})
+    def test_m_1_puts_every_partition_at_q_n(self):
+        # at m = 1 the support invariant of a partition is its size
+        census = F._walk(1, 12)
+        for n in range(13):
+            assert census.invariants[n] == [0] * n + [P.count_partitions(n)]
+        assert walk_census(4, 1) == ({4: 5}, [0, 0, 0, 0, 5])
 
     def test_walk_matches_the_recorded_census(self):
         # tallies recorded from the ZS1 census before the walk replaced it
@@ -296,14 +318,14 @@ class TestCensus:
         assert len(recorded["census"]) == 6 * 23
         for entry in recorded["census"]:
             n, m = entry["n"], entry["m"]
-            expected = (dict(entry["eigenvalues"]), dict(entry["invariants"]))
+            expected = (dict(entry["eigenvalues"]), strata_row(n, m, dict(entry["invariants"])))
             assert walk_census(n, m, recorded["n_max"]) == expected, (n, m)
-            assert oracle_census(n, m) == expected, (n, m)
+            assert oracle_rows(n, m) == expected, (n, m)
 
     def test_walk_does_not_depend_on_its_truncation(self):
         for m in (1, 2, 3):
             for n in range(11):
-                assert walk_census(n, m) == walk_census(n, m, 10) == oracle_census(n, m)
+                assert walk_census(n, m) == walk_census(n, m, 10) == oracle_rows(n, m)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_carried_values(self, monkeypatch, m):
@@ -386,8 +408,9 @@ class TestVerify:
 
     def test_a_wrong_product_count_fails_only_its_column(self, monkeypatch):
         # the eigenspace and census columns come from the walk, not from the
-        # partition counts they are compared with; the product series is
-        # expanded before the counts go wrong, since it checks itself on them
+        # partition counts they are compared with; the product series the
+        # walk checks its table on is expanded before the counts go wrong,
+        # since it checks itself on them
         product = F.product_series(3, 9)
         monkeypatch.setattr(F, "product_series", lambda m, truncation: product)
         regular = F.count_m_regular
@@ -397,7 +420,7 @@ class TestVerify:
         for row in rows:
             assert not row.ok
             assert row.count_product != row.count_qm
-            assert row.count_qm == row.dim_eigenspace == row.coeff_series == row.coeff_trace
+            assert row.count_qm == row.dim_eigenspace
 
 
 # (p, e) -> (rad_dim, simples, block_dims) of H_p(zeta_e): the rows that

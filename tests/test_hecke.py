@@ -278,6 +278,13 @@ class TestCyclotomicField:
 
 
 class TestPermutations:
+    def test_perms_are_in_lexicographic_order(self):
+        # a basis index is the position of w in the lexicographic list
+        for p in range(1, 7):
+            H = Hk.HeckeAlgebra(p, 2)
+            assert H.perms == sorted(H.perms)
+            assert len(H.perms) == factorial(p)
+
     def test_reduced_words_recompose(self):
         # T_{word[0]} ... T_{word[-1]} applied to the unit is T_w exactly when
         # the word multiplies out to w without a length drop; w's path down
